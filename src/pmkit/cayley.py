@@ -19,17 +19,21 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
 
 from .classify import YES, is_P_minors, is_positive_stable
 from .errors import NonPositiveDiagonalError, NotAPMatrixError, SingularMatrixError
 from .generators import GenSpec, generate
-from .linalg import as_matrix, charpoly, eigenvalues, inverse, solve
+from .linalg import _lu_with_pivot_check, as_matrix, as_vector, charpoly, eigenvalues, inverse
 from .tolerances import DEFAULT_TOL, Tolerances
 
 
 def _solve_matrix(mat: np.ndarray, rhs: np.ndarray, tol: Tolerances) -> np.ndarray:
-    cols = [solve(mat, rhs[:, j], tol) for j in range(rhs.shape[1])]
-    return np.column_stack(cols)
+    # One LU, solved column by column: a single multi-column lu_solve would
+    # move the last bits of U(A) and of the factors.
+    fac = _lu_with_pivot_check(as_matrix(mat), tol)
+    cols = [as_vector(rhs[:, j], rhs.shape[0]) for j in range(rhs.shape[1])]
+    return np.column_stack([scipy.linalg.lu_solve(fac, b, check_finite=False) for b in cols])
 
 
 def cayley_u(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

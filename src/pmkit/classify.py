@@ -66,35 +66,37 @@ def verdict_and(*verdicts: str) -> str:
 # principal-minor tests
 
 
+def _minor_sweep(m, strict: bool, tol: Tolerances):
+    """Shortlex sweep over all 2^n - 1 principal minors.
+
+    With `strict` every minor must exceed +tol.minor_for(||m||, k) (P);
+    otherwise none may fall below -tol.minor_for(||m||, k) (P0).  Returns
+    (verdict, first violating index set or None).
+    """
+    mat = as_matrix(m)
+    n = mat.shape[0]
+    if n > MINORS_MAX_DIM:
+        raise DimensionTooLargeError(f"minor enumeration capped at n={MINORS_MAX_DIM}")
+    norm = inf_norm(mat)
+    for idx in lex_index_sets(n):
+        sel = [i - 1 for i in idx]
+        minor = float(np.linalg.det(mat[np.ix_(sel, sel)]))
+        thr = tol.minor_for(norm, len(idx))
+        if (minor <= thr) if strict else (minor < -thr):
+            return NO, idx
+    return YES, None
+
+
 def is_P_minors(m, tol: Tolerances = DEFAULT_TOL):
     """All 2^n - 1 principal minors positive; on "no" returns the
     lexicographically-first violating index set."""
-    mat = as_matrix(m)
-    n = mat.shape[0]
-    if n > MINORS_MAX_DIM:
-        raise DimensionTooLargeError(f"minor enumeration capped at n={MINORS_MAX_DIM}")
-    norm = inf_norm(mat)
-    for idx in lex_index_sets(n):
-        sel = [i - 1 for i in idx]
-        minor = float(np.linalg.det(mat[np.ix_(sel, sel)]))
-        if minor <= tol.minor_for(norm, len(idx)):
-            return NO, idx
-    return YES, None
+    return _minor_sweep(m, True, tol)
 
 
 def is_P0_minors(m, tol: Tolerances = DEFAULT_TOL):
-    """All principal minors nonnegative (within tolerance)."""
-    mat = as_matrix(m)
-    n = mat.shape[0]
-    if n > MINORS_MAX_DIM:
-        raise DimensionTooLargeError(f"minor enumeration capped at n={MINORS_MAX_DIM}")
-    norm = inf_norm(mat)
-    for idx in lex_index_sets(n):
-        sel = [i - 1 for i in idx]
-        minor = float(np.linalg.det(mat[np.ix_(sel, sel)]))
-        if minor < -tol.minor_for(norm, len(idx)):
-            return NO, idx
-    return YES, None
+    """All principal minors nonnegative (within tolerance); on "no" returns
+    the lexicographically-first violating index set."""
+    return _minor_sweep(m, False, tol)
 
 
 def is_P_submatrix_eigen(m, tol: Tolerances = DEFAULT_TOL) -> str:
@@ -279,9 +281,7 @@ def is_P_via_Z_spectrum(m, tol: Tolerances = DEFAULT_TOL) -> str:
     mat = as_matrix(m)
     if is_Z(mat) != YES:
         raise PreconditionViolatedError("spectral Z-route requires a Z-matrix")
-    thr = tol.minor_for(inf_norm(mat), 1)
-    spec = eigenvalues(mat, tol, check_residual=False)
-    return YES if min(v.real for v in spec.values) > thr else NO
+    return is_positive_stable(mat, tol)
 
 
 def is_positive_stable(m, tol: Tolerances = DEFAULT_TOL) -> str:
@@ -529,7 +529,8 @@ def classify_matrix(
         rpt.methods["P"] = "principal-minors"
         if p_witness is not None:
             rpt.witnesses["P"] = p_witness
-        rpt.verdicts["P0"] = is_P0_minors(mat, tol)[0]
+        # every P minor clears +threshold, so P settles P0 without a sweep
+        rpt.verdicts["P0"] = YES if p_verdict == YES else is_P0_minors(mat, tol)[0]
         rpt.methods["P0"] = "principal-minors"
     else:
         witness = find_reversal_witness(mat, budget=budget, seed=seed, tol=tol)

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionTooLargeError, LcpCycleError
-from .linalg import as_matrix, as_vector, inf_norm
+from .linalg import as_matrix, as_vector, inf_norm, lu_factor_checked
 from .tolerances import DEFAULT_TOL, Tolerances
 
 LEMKE_MAX_DIM = 32
@@ -141,6 +141,45 @@ class EnumerationResult:
     singular_skipped: int
 
 
+def _basis_table(mat: np.ndarray, tol: Tolerances):
+    """LU factors of M_aa for every complementary basis alpha, in shortlex
+    order with the empty basis first as ((), None), plus the count of
+    bases skipped as singular (a pivot <= tol.sing_for(max(||M_aa||, ||M||)))."""
+    n = mat.shape[0]
+    norm_m = inf_norm(mat)
+    bases: list = [((), None)]
+    singular = 0
+    for k in range(1, n + 1):
+        for alpha in combinations(range(n), k):
+            sel = list(alpha)
+            sub = mat[np.ix_(sel, sel)]
+            fac = lu_factor_checked(sub, tol.sing_for(max(inf_norm(sub), norm_m)))
+            if fac is None:
+                singular += 1
+            else:
+                bases.append((sel, fac))
+    return bases, singular
+
+
+def _solve_bases(mat: np.ndarray, bases, q: np.ndarray, tol: Tolerances) -> list[np.ndarray]:
+    """Distinct solutions z of LCP(mat, q) over a basis table, accepted
+    and merged as enumerate_solutions describes."""
+    n = mat.shape[0]
+    thr_sign = tol.minor_for(inf_norm(mat), 1) * (1.0 + inf_norm(q))
+    sols: list[np.ndarray] = []
+    for sel, fac in bases:
+        z = np.zeros(n)
+        if sel:
+            z[sel] = scipy.linalg.lu_solve(fac, -q[sel], check_finite=False)
+        w = mat @ z + q
+        if z.min(initial=0.0) < -thr_sign or w.min(initial=0.0) < -thr_sign:
+            continue
+        zc = np.maximum(z, 0.0)
+        if not any(inf_norm(zc - s) <= 1e-8 * (1.0 + inf_norm(s)) for s in sols):
+            sols.append(zc)
+    return sols
+
+
 def enumerate_solutions(inst: LCPInstance, tol: Tolerances = DEFAULT_TOL) -> EnumerationResult:
     """Brute-force oracle over all 2^n complementary bases.
 
@@ -149,43 +188,11 @@ def enumerate_solutions(inst: LCPInstance, tol: Tolerances = DEFAULT_TOL) -> Enu
     components clear -tau_minor.  Singular bases are skipped and counted.
     Distinct solutions are merged within 1e-8.
     """
-    n = inst.n
-    if n > ENUM_MAX_DIM:
+    if inst.n > ENUM_MAX_DIM:
         raise DimensionTooLargeError(f"enumeration capped at n={ENUM_MAX_DIM}")
-    m, q = inst.m, inst.q
-    thr_sign = tol.minor_for(inf_norm(m), 1) * (1.0 + inf_norm(q))
-    sols: list[LCPSolution] = []
-    skipped = 0
-    for k in range(n + 1):
-        for alpha in combinations(range(n), k):
-            z = np.zeros(n)
-            if alpha:
-                sel = list(alpha)
-                sub = m[np.ix_(sel, sel)]
-                thr_piv = tol.sing_for(max(inf_norm(sub), inf_norm(m)))
-                import warnings
-
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                    try:
-                        lu, piv = scipy.linalg.lu_factor(sub, check_finite=False)
-                    except (scipy.linalg.LinAlgError, ValueError):
-                        skipped += 1
-                        continue
-                if np.abs(np.diag(lu)).min() <= thr_piv:
-                    skipped += 1
-                    continue
-                z[sel] = scipy.linalg.lu_solve((lu, piv), -q[sel], check_finite=False)
-            w = m @ z + q
-            if z.min(initial=0.0) < -thr_sign or w.min(initial=0.0) < -thr_sign:
-                continue
-            zc = np.maximum(z, 0.0)
-            dup = any(
-                inf_norm(zc - s.z) <= 1e-8 * (1.0 + inf_norm(s.z)) for s in sols
-            )
-            if not dup:
-                sols.append(_solution_from_z(inst, zc))
-    return EnumerationResult(tuple(sols), skipped)
+    bases, skipped = _basis_table(inst.m, tol)
+    sols = _solve_bases(inst.m, bases, inst.q, tol)
+    return EnumerationResult(tuple(_solution_from_z(inst, z) for z in sols), skipped)
 
 
 @dataclass(frozen=True)
@@ -218,49 +225,13 @@ def uniqueness_census(
         raise DimensionTooLargeError(f"census capped at n={CENSUS_MAX_DIM}")
     rng = np.random.default_rng(seed)
 
-    # factorizations are q-independent: cache one LU per index set
-    bases = []
-    skipped_bases = 0
-    import warnings
-
-    for k in range(n + 1):
-        for alpha in combinations(range(n), k):
-            if not alpha:
-                bases.append(((), None))
-                continue
-            sel = list(alpha)
-            sub = mat[np.ix_(sel, sel)]
-            thr_piv = tol.sing_for(max(inf_norm(sub), inf_norm(mat)))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                try:
-                    lu, piv = scipy.linalg.lu_factor(sub, check_finite=False)
-                except (scipy.linalg.LinAlgError, ValueError):
-                    skipped_bases += 1
-                    continue
-            if np.abs(np.diag(lu)).min() <= thr_piv:
-                skipped_bases += 1
-                continue
-            bases.append((sel, (lu, piv)))
-
+    bases, skipped_bases = _basis_table(mat, tol)
     zero = one = many = 0
     mismatches = rays = 0
     bad_q: Optional[tuple[float, ...]] = None
-    norm_m = inf_norm(mat)
     for _ in range(trials):
         q = rng.uniform(-5.0, 5.0, n)
-        thr_sign = tol.minor_for(norm_m, 1) * (1.0 + inf_norm(q))
-        sols: list[np.ndarray] = []
-        for sel, fac in bases:
-            z = np.zeros(n)
-            if sel:
-                z[sel] = scipy.linalg.lu_solve(fac, -q[sel], check_finite=False)
-            w = mat @ z + q
-            if z.min(initial=0.0) < -thr_sign or w.min(initial=0.0) < -thr_sign:
-                continue
-            zc = np.maximum(z, 0.0)
-            if not any(inf_norm(zc - s) <= 1e-8 * (1.0 + inf_norm(s)) for s in sols):
-                sols.append(zc)
+        sols = _solve_bases(mat, bases, q, tol)
         count = len(sols)
         if count == 0:
             zero += 1

@@ -11,6 +11,7 @@ recursion and serves as the cross-check route everywhere else.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -79,19 +80,27 @@ def principal_submatrix(m, a: Iterable[int]) -> np.ndarray:
     return mat[np.ix_(sel, sel)]
 
 
-def _lu_with_pivot_check(mat: np.ndarray, tol: Tolerances):
-    """LU factorization; raises SingularMatrixError on a tiny pivot."""
-    import warnings
-
-    thr = tol.sing_for(inf_norm(mat))
+def lu_factor_checked(mat: np.ndarray, thr: float):
+    """LU factors `(lu, piv)` of `mat` with partial pivoting, or None when
+    LAPACK rejects the matrix or some pivot magnitude is <= `thr`."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(mat, check_finite=False)
+        try:
+            lu, piv = scipy.linalg.lu_factor(mat, check_finite=False)
+        except (scipy.linalg.LinAlgError, ValueError):
+            return None
     if np.abs(np.diag(lu)).min() <= thr:
-        raise SingularMatrixError(
-            f"pivot magnitude {np.abs(np.diag(lu)).min():.3e} <= threshold {thr:.3e}"
-        )
+        return None
     return lu, piv
+
+
+def _lu_with_pivot_check(mat: np.ndarray, tol: Tolerances):
+    """LU factorization; raises SingularMatrixError on a tiny pivot."""
+    thr = tol.sing_for(inf_norm(mat))
+    fac = lu_factor_checked(mat, thr)
+    if fac is None:
+        raise SingularMatrixError(f"pivot magnitude <= threshold {thr:.3e}")
+    return fac
 
 
 def det(m) -> float:

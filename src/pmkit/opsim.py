@@ -12,7 +12,6 @@ characterization of column sufficiency, and sign-reversal-set membership.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Any, Mapping, Optional, Sequence
@@ -31,7 +30,7 @@ from .errors import (
     PreconditionViolatedError,
     RuleUndefinedError,
 )
-from .linalg import as_matrix, as_vector, eigenvalues, inf_norm
+from .linalg import as_matrix, as_vector, eigenvalues, inf_norm, lu_factor_checked
 from .tolerances import DEFAULT_TOL, Tolerances
 
 SECTION_MAX_ORDER = 64
@@ -338,15 +337,10 @@ def diag_interp_check(
     t_mat = section(spec_t, n).matrix
 
     def _inv_or_none(mat):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            try:
-                lu, piv = scipy.linalg.lu_factor(mat, check_finite=False)
-            except (scipy.linalg.LinAlgError, ValueError):
-                return None
-        if np.abs(np.diag(lu)).min() <= tol.sing_for(inf_norm(mat)):
+        fac = lu_factor_checked(mat, tol.sing_for(inf_norm(mat)))
+        if fac is None:
             return None
-        return scipy.linalg.lu_solve((lu, piv), np.eye(mat.shape[0]), check_finite=False)
+        return scipy.linalg.lu_solve(fac, np.eye(mat.shape[0]), check_finite=False)
 
     t_inv = _inv_or_none(t_mat)
     s_inv = _inv_or_none(s_mat)

@@ -55,19 +55,39 @@ def _coerce(s, tol: Tolerances) -> CandidateSpectrum:
     return make_candidate(s, tol)
 
 
-def _expand_scaled(values: Sequence[complex], dtype) -> tuple[np.ndarray, float, float]:
-    """Coefficients sigma_k(values / L) for k = 1..n plus (L, imag residue)."""
-    n = len(values)
-    scale = max(1.0, max((abs(v) for v in values), default=1.0))
+def _expand_scaled(cand: CandidateSpectrum) -> tuple[np.ndarray, float, float]:
+    """Coefficients sigma_k(values / L) for k = 1..n plus (L, imag residue).
+
+    The one expansion of prod (x + lambda_i / L): requires conjugation
+    closure, caps the value count, and switches to clongdouble past
+    FLOAT64_MAX_VALUES values.
+    """
+    if not cand.closed_under_conjugation:
+        raise NotConjugationClosedError("candidate spectrum has an unmatched non-real value")
+    n = len(cand.values)
+    if n > EXPANSION_MAX_VALUES:
+        raise DimensionTooLargeError(f"expansion capped at {EXPANSION_MAX_VALUES} values")
+    dtype = np.complex128 if n <= FLOAT64_MAX_VALUES else np.clongdouble
+    scale = max(1.0, max((abs(v) for v in cand.values), default=1.0))
     coeffs = np.zeros(n + 1, dtype=dtype)
     coeffs[0] = 1.0
     deg = 0
-    for v in values:
+    for v in cand.values:
         vs = complex(v) / scale
         coeffs[1 : deg + 2] = coeffs[1 : deg + 2] + vs * coeffs[0 : deg + 1]
         deg += 1
     residue = float(np.abs(coeffs.imag).max())
     return coeffs.real[1:], scale, residue
+
+
+def _unscaled_sigma(scaled: np.ndarray, scale: float, residue: float, tol: Tolerances):
+    """sigma_k = scaled_k * L^k in float64 (inf on overflow), after checking
+    the imaginary residue against the conjugation tolerance."""
+    if residue > tol.conj * (1.0 + float(np.abs(scaled).max(initial=1.0))):
+        raise NotConjugationClosedError(f"imaginary residue {residue:.3e} above tolerance")
+    k = np.arange(1, len(scaled) + 1, dtype=float)
+    with np.errstate(over="ignore"):
+        return scaled.astype(float) * np.power(scale, k)
 
 
 def sigma_all(s, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -76,20 +96,7 @@ def sigma_all(s, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     Requires conjugation closure; the imaginary residue of the complex
     expansion is checked against the conjugation tolerance and discarded.
     """
-    cand = _coerce(s, tol)
-    if not cand.closed_under_conjugation:
-        raise NotConjugationClosedError("candidate spectrum has an unmatched non-real value")
-    n = len(cand.values)
-    if n > EXPANSION_MAX_VALUES:
-        raise DimensionTooLargeError(f"expansion capped at {EXPANSION_MAX_VALUES} values")
-    dtype = np.complex128 if n <= FLOAT64_MAX_VALUES else np.clongdouble
-    scaled, scale, residue = _expand_scaled(cand.values, dtype)
-    if residue > tol.conj * (1.0 + float(np.abs(scaled).max(initial=1.0))):
-        raise NotConjugationClosedError(f"imaginary residue {residue:.3e} above tolerance")
-    k = np.arange(1, n + 1, dtype=float)
-    with np.errstate(over="ignore"):
-        out = scaled.astype(float) * np.power(scale, k)
-    return out
+    return _unscaled_sigma(*_expand_scaled(_coerce(s, tol)), tol)
 
 
 def _pset_thresholds(n: int, scale: float, tol: Tolerances) -> np.ndarray:
@@ -105,15 +112,8 @@ def is_P_set(s, tol: Tolerances = DEFAULT_TOL, variant: str = "P") -> str:
     """
     if variant not in ("P", "P0"):
         raise ValueError("variant must be 'P' or 'P0'")
-    cand = _coerce(s, tol)
-    if not cand.closed_under_conjugation:
-        raise NotConjugationClosedError("candidate spectrum has an unmatched non-real value")
-    n = len(cand.values)
-    if n > EXPANSION_MAX_VALUES:
-        raise DimensionTooLargeError(f"expansion capped at {EXPANSION_MAX_VALUES} values")
-    dtype = np.complex128 if n <= FLOAT64_MAX_VALUES else np.clongdouble
-    scaled, scale, _ = _expand_scaled(cand.values, dtype)
-    thr = _pset_thresholds(n, scale, tol).astype(scaled.dtype)
+    scaled, scale, _ = _expand_scaled(_coerce(s, tol))
+    thr = _pset_thresholds(len(scaled), scale, tol).astype(scaled.dtype)
     if variant == "P":
         return YES if bool((scaled > thr).all()) else NO
     return YES if bool((scaled >= -thr).all()) else NO
@@ -225,12 +225,10 @@ def _dip_targets(values: Sequence[complex]) -> list[float]:
 
 def _result_sigma(base, additions, tol) -> tuple[tuple[float, ...], float]:
     vals = base + tuple(complex(t) for t in additions)
-    sig = sigma_all(CandidateSpectrum(vals, True), tol)
+    scaled, scale, residue = _expand_scaled(CandidateSpectrum(vals, True))
+    sig = _unscaled_sigma(scaled, scale, residue, tol)
     if np.isfinite(sig).all():
         return tuple(float(x) for x in sig), 1.0
-    n = len(vals)
-    dtype = np.complex128 if n <= FLOAT64_MAX_VALUES else np.clongdouble
-    scaled, scale, _ = _expand_scaled(vals, dtype)
     return tuple(float(x) for x in scaled), float(scale)
 
 
@@ -244,7 +242,7 @@ def augment_to_P_set(
     scans small counts densely over the magnitude grid (plus dip-targeted
     and random tuples); phase two runs equal-value ladders, where
     positivity is monotone in the count, so the minimal count per
-    magnitude comes from bisection.  None on budget exhaustion (the
+    magnitude is the first passing count of one incremental scan.  None on budget exhaustion (the
     augmentation theorem guarantees existence, so persistent failure at
     small sizes signals a bug).
     """

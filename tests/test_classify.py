@@ -6,6 +6,7 @@ import pytest
 from pmkit import classify, linalg
 from pmkit.classify import NO, UNKNOWN, YES
 from pmkit.errors import DimensionTooLargeError, PreconditionViolatedError
+from pmkit.generators import GenSpec, generate
 
 EXAMPLE = np.array([[-1.0, -1.0], [4.0, 3.0]])  # not P, spectrum {1,1}
 
@@ -49,6 +50,12 @@ class TestIsPMinors:
     def test_p0_boundary(self):
         assert classify.is_P0_minors(np.diag([1.0, 0.0]))[0] == YES
         assert classify.is_P0_minors(np.diag([1.0, -1.0]))[0] == NO
+        # minors: singletons 0, 1, 1; {1,2}: 0, {1,3}: -6, {2,3}: 1,
+        # {1,2,3}: -6.  P0 fails at {1,3} and {1,2,3}, shortlex reports
+        # {1,3}; P already fails at the zero 1x1 minor.
+        m = np.array([[0.0, 0.0, 2.0], [0.0, 1.0, 0.0], [3.0, 0.0, 1.0]])
+        assert classify.is_P0_minors(m) == (NO, (1, 3))
+        assert classify.is_P_minors(m) == (NO, (1,))
 
 
 class TestLexIndexSets:
@@ -279,6 +286,20 @@ class TestClassifyReport:
         obj = rpt.as_obj(EXAMPLE)
         assert obj["input"]["n"] == 2
         assert obj["seed"] == 9
+
+    def test_p0_verdict_matches_minor_sweep(self):
+        rng = np.random.default_rng(11)
+        batch = [np.diag([1.0, 0.0]), np.diag([2.0, 0.0, 1.0]), EXAMPLE]
+        for kind in ("P-diagdom", "M-matrix", "non-P"):
+            batch += [generate(GenSpec(kind, n, seed=n)) for n in (2, 4)]
+        batch += [rng.uniform(-1.0, 1.0, (n, n)) for n in (2, 3, 4)]
+        seen = set()
+        for m in batch:
+            rpt = classify.classify_matrix(m, budget=40, seed=1)
+            assert rpt.verdicts["P0"] == classify.is_P0_minors(m)[0]
+            seen.add((rpt.verdicts["P"], rpt.verdicts["P0"]))
+        # P, P0-but-not-P and not-P0 all occur in the batch
+        assert {(YES, YES), (NO, YES), (NO, NO)} <= seen
 
     def test_m_matrix_report(self):
         m = np.array([[2.0, -1.0], [-1.0, 2.0]])

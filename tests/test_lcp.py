@@ -127,6 +127,24 @@ class TestCensus:
         assert rpt.singular_skips == 3
         assert rpt.verdict == "inconclusive"
 
+    def test_counts_match_enumeration(self):
+        # the census draws q with its own seeded generator; replaying the
+        # draws through enumerate_solutions must give the same tallies
+        nilpotent = np.array([[0.0, 0.0], [1.0, 0.0]])
+        rng = np.random.default_rng(8)
+        mats = [nilpotent, np.diag([-1.0, 1.0]), np.eye(3), rng.uniform(-1.0, 1.0, (3, 3))]
+        mats.append(rng.uniform(-1.0, 1.0, (4, 4)) + 4.0 * np.eye(4))
+        for seed, m in enumerate(mats):
+            rpt = lcp.uniqueness_census(m, trials=30, seed=seed)
+            draws = np.random.default_rng(seed)
+            counts = [0, 0, 0]
+            for _ in range(30):
+                res = lcp.enumerate_solutions(inst(m, draws.uniform(-5.0, 5.0, m.shape[0])))
+                counts[min(len(res.solutions), 2)] += 1
+                assert res.singular_skipped == rpt.singular_skips
+            assert counts == [rpt.count_zero, rpt.count_one, rpt.count_many]
+        assert lcp.uniqueness_census(nilpotent, trials=5).singular_skips == 3
+
 
 class TestCaps:
     def test_enum_cap(self):

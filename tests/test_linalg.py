@@ -42,6 +42,17 @@ class TestSolve:
     def test_zero_matrix_singular(self):
         with pytest.raises(SingularMatrixError):
             linalg.solve(np.zeros((2, 2)), [1.0, 1.0])
+        with pytest.raises(SingularMatrixError):
+            linalg.inverse(np.zeros((3, 3)))
+        for n in (1, 2, 5):
+            assert linalg.lu_factor_checked(np.zeros((n, n)), 0.0) is None
+
+    def test_checked_lu_threshold(self):
+        # the pivots of diag(2, 1e-3) are 2 and 1e-3: the smaller decides
+        m = np.diag([2.0, 1e-3])
+        lu, piv = linalg.lu_factor_checked(m, 1e-4)
+        np.testing.assert_allclose(np.abs(np.diag(lu)), [2.0, 1e-3])
+        assert linalg.lu_factor_checked(m, 1e-3) is None
 
     def test_residual_bound(self):
         rng = np.random.default_rng(7)
