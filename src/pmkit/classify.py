@@ -26,7 +26,7 @@ from scipy.optimize import linprog
 
 from . import feasibility
 from .errors import DimensionTooLargeError, PreconditionViolatedError
-from .linalg import as_matrix, as_vector, eigenvalues, inf_norm, principal_submatrix
+from .linalg import as_matrix, as_vector, eigenvalues, inf_norm, principal_submatrices
 from .tolerances import DEFAULT_TOL, Tolerances
 
 YES = "yes"
@@ -39,6 +39,7 @@ EXACT_SUFFICIENCY_MAX_DIM = 3
 REVERSAL_LP_MAX_DIM = 10
 POWERS_MAX_DIM = 10
 POWERS_MAX_K = 16
+_VIOLATION_BOX = 1e4  # coordinate bound of the violation-maximizing LP
 
 
 def lex_index_sets(n: int):
@@ -78,12 +79,11 @@ def _minor_sweep(m, strict: bool, tol: Tolerances):
     if n > MINORS_MAX_DIM:
         raise DimensionTooLargeError(f"minor enumeration capped at n={MINORS_MAX_DIM}")
     norm = inf_norm(mat)
-    for idx in lex_index_sets(n):
-        sel = [i - 1 for i in idx]
-        minor = float(np.linalg.det(mat[np.ix_(sel, sel)]))
-        thr = tol.minor_for(norm, len(idx))
+    for sel, sub in principal_submatrices(mat):
+        minor = float(np.linalg.det(sub))
+        thr = tol.minor_for(norm, len(sel))
         if (minor <= thr) if strict else (minor < -thr):
-            return NO, idx
+            return NO, tuple(i + 1 for i in sel)
     return YES, None
 
 
@@ -106,8 +106,7 @@ def is_P_submatrix_eigen(m, tol: Tolerances = DEFAULT_TOL) -> str:
     n = mat.shape[0]
     if n > EIGEN_ORACLE_MAX_DIM:
         raise DimensionTooLargeError(f"submatrix-eigenvalue oracle capped at n={EIGEN_ORACLE_MAX_DIM}")
-    for idx in lex_index_sets(n):
-        sub = principal_submatrix(mat, idx)
+    for _, sub in principal_submatrices(mat):
         thr = tol.minor_for(inf_norm(sub), 1)
         spec = eigenvalues(sub, tol, check_residual=False)
         for lam in spec.values:
@@ -181,7 +180,9 @@ def _normalize_witness(
 def _gate_witness(
     mat: np.ndarray, x: np.ndarray, strict: bool, tol: Tolerances = DEFAULT_TOL
 ) -> Optional[np.ndarray]:
-    for cand in (x, _snap_tiny(x)):
+    snapped = _snap_tiny(x)
+    # an equal-valued snap has the same exact verdict (+-0 are the same rational)
+    for cand in (x,) if np.array_equal(snapped, x) else (x, snapped):
         if np.any(cand) and products_nonpositive_exact(mat, cand, strict, tol):
             out = _normalize_witness(mat, cand, strict, tol)
             if out is not None:
@@ -200,23 +201,40 @@ def _axis_candidates(n: int):
                 yield si * eye[i] + sj * eye[j]
 
 
-def _orthant_reversal_point(mat: np.ndarray, signs: np.ndarray) -> Optional[np.ndarray]:
-    """Nonzero point of {x : Sx >= 0, SAx <= 0} via LP, normalized so that
-    sum_j s_j x_j = 1 (every nonzero cone point scales to this slice)."""
+def _reversal_cone(mat: np.ndarray, signs, i: Optional[int] = None):
+    """Rows (a_ub, b_ub), read a_ub x <= b_ub, of the orthant cone
+    {x : Sx >= 0, SAx <= 0}.  With a violation position i two rows follow
+    that ask for s_i x_i >= 1 and s_i (Ax)_i <= -1 (margin 1)."""
     n = mat.shape[0]
     s = np.asarray(signs, dtype=float)
     a_ub = np.vstack([-np.diag(s), s[:, None] * mat])
     b_ub = np.zeros(2 * n)
+    if i is not None:
+        a_ub = np.vstack([a_ub, -s[i] * np.eye(n)[i], s[i] * mat[i]])
+        b_ub = np.concatenate([b_ub, [-1.0, -1.0]])
+    return a_ub, b_ub
+
+
+def _lp_point(c: np.ndarray, a_ub, b_ub, a_eq=None, b_eq=None) -> Optional[np.ndarray]:
+    """A minimizer of c.x over the free variables, or None."""
     res = linprog(
-        c=np.zeros(n),
+        c=c,
         A_ub=a_ub,
         b_ub=b_ub,
-        A_eq=s.reshape(1, -1),
-        b_eq=np.ones(1),
-        bounds=[(None, None)] * n,
+        A_eq=a_eq,
+        b_eq=b_eq,
+        bounds=[(None, None)] * len(c),
         method="highs",
     )
     return res.x if res.status == 0 and res.x is not None else None
+
+
+def _orthant_reversal_point(mat: np.ndarray, signs: np.ndarray) -> Optional[np.ndarray]:
+    """Nonzero point of {x : Sx >= 0, SAx <= 0} via LP, normalized so that
+    sum_j s_j x_j = 1 (every nonzero cone point scales to this slice)."""
+    s = np.asarray(signs, dtype=float)
+    a_ub, b_ub = _reversal_cone(mat, s)
+    return _lp_point(np.zeros(mat.shape[0]), a_ub, b_ub, s.reshape(1, -1), np.ones(1))
 
 
 def find_reversal_witness(
@@ -296,65 +314,20 @@ def is_positive_stable(m, tol: Tolerances = DEFAULT_TOL) -> str:
 # sufficiency
 
 
-def _csu_violation_system(mat: np.ndarray, signs, i: int):
-    """Constraint rows for: x in orthant `signs`, SAx <= 0, with a strict
-    violation at position i (normalized to margin 1)."""
-    n = mat.shape[0]
-    rows, consts = [], []
-    for j in range(n):
-        row = np.zeros(n)
-        row[j] = signs[j]
-        rows.append(row)
-        consts.append(0.0)  # s_j x_j >= 0
-    for j in range(n):
-        rows.append(-signs[j] * mat[j])
-        consts.append(0.0)  # -s_j (Ax)_j >= 0
-    row = np.zeros(n)
-    row[i] = signs[i]
-    rows.append(row)
-    consts.append(-1.0)  # s_i x_i >= 1
-    rows.append(-signs[i] * mat[i])
-    consts.append(-1.0)  # -s_i (Ax)_i >= 1
-    return rows, consts
-
-
-def _csu_violation_lp(mat: np.ndarray, signs, i: int) -> Optional[np.ndarray]:
-    n = mat.shape[0]
-    s = np.asarray(signs, dtype=float)
-    a_ub = np.vstack([-np.diag(s), s[:, None] * mat])
-    b_ub = np.zeros(2 * n)
-    extra_ub = np.vstack([-s[i] * np.eye(n)[i], s[i] * mat[i]])
-    a_ub = np.vstack([a_ub, extra_ub])
-    b_ub = np.concatenate([b_ub, [-1.0, -1.0]])
-    res = linprog(
-        c=np.zeros(n),
-        A_ub=a_ub,
-        b_ub=b_ub,
-        bounds=[(None, None)] * n,
-        method="highs",
-    )
-    return res.x if res.status == 0 and res.x is not None else None
-
-
-def _csu_violation_lp_max(mat: np.ndarray, signs, i: int, box: float = 1e4) -> Optional[np.ndarray]:
+def _csu_violation_lp_max(mat: np.ndarray, signs, i: int) -> Optional[np.ndarray]:
     """Maximize the violation -s_i (Ax)_i on the slice s_i x_i = 1 of the
-    orthant cone, coordinates bounded by `box` (backstop when a feasible
-    system yields only a sub-threshold witness)."""
+    orthant cone, coordinates bounded by _VIOLATION_BOX (backstop when a
+    feasible system yields only a sub-threshold witness)."""
     n = mat.shape[0]
     s = np.asarray(signs, dtype=float)
-    a_ub = np.vstack([-np.diag(s), s[:, None] * mat, np.diag(s)])
-    b_ub = np.concatenate([np.zeros(2 * n), np.full(n, box)])
-    a_eq = (s[i] * np.eye(n)[i]).reshape(1, -1)
-    res = linprog(
-        c=s[i] * mat[i],  # minimize s_i (Ax)_i
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=np.ones(1),
-        bounds=[(None, None)] * n,
-        method="highs",
+    a_ub, b_ub = _reversal_cone(mat, s)
+    return _lp_point(
+        s[i] * mat[i],  # minimize s_i (Ax)_i
+        np.vstack([a_ub, np.diag(s)]),
+        np.concatenate([b_ub, np.full(n, _VIOLATION_BOX)]),
+        (s[i] * np.eye(n)[i]).reshape(1, -1),
+        np.ones(1),
     )
-    return res.x if res.status == 0 and res.x is not None else None
 
 
 def is_column_sufficient(
@@ -390,8 +363,9 @@ def is_column_sufficient(
     if n <= EXACT_SUFFICIENCY_MAX_DIM:
         for signs in product((1, -1), repeat=n):
             for i in range(n):
-                rows, consts = _csu_violation_system(mat, signs, i)
-                point = feasibility.feasible_point(rows, consts)
+                # feasible_point reads a row as coeffs . x + const >= 0
+                a_ub, b_ub = _reversal_cone(mat, signs, i)
+                point = feasibility.feasible_point(list(-a_ub), list(b_ub))
                 if point is None:
                     continue
                 x = np.array([float(v) for v in point])
@@ -426,7 +400,7 @@ def is_column_sufficient(
             if spent >= budget:
                 return UNKNOWN, None
             spent += 1
-            x = _csu_violation_lp(mat, signs, i)
+            x = _lp_point(np.zeros(n), *_reversal_cone(mat, signs, i))
             if x is None:
                 continue
             out = _gate_witness(mat, x, strict=True, tol=tol)

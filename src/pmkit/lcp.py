@@ -10,14 +10,13 @@ the Lemke solver is the constructive route checked against it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 import numpy as np
 import scipy.linalg
 
 from .errors import DimensionTooLargeError, LcpCycleError
-from .linalg import as_matrix, as_vector, inf_norm, lu_factor_checked
+from .linalg import as_matrix, as_vector, inf_norm, lu_factor_checked, principal_submatrices
 from .tolerances import DEFAULT_TOL, Tolerances
 
 LEMKE_MAX_DIM = 32
@@ -145,19 +144,15 @@ def _basis_table(mat: np.ndarray, tol: Tolerances):
     """LU factors of M_aa for every complementary basis alpha, in shortlex
     order with the empty basis first as ((), None), plus the count of
     bases skipped as singular (a pivot <= tol.sing_for(max(||M_aa||, ||M||)))."""
-    n = mat.shape[0]
     norm_m = inf_norm(mat)
     bases: list = [((), None)]
     singular = 0
-    for k in range(1, n + 1):
-        for alpha in combinations(range(n), k):
-            sel = list(alpha)
-            sub = mat[np.ix_(sel, sel)]
-            fac = lu_factor_checked(sub, tol.sing_for(max(inf_norm(sub), norm_m)))
-            if fac is None:
-                singular += 1
-            else:
-                bases.append((sel, fac))
+    for sel, sub in principal_submatrices(mat):
+        fac = lu_factor_checked(sub, tol.sing_for(max(inf_norm(sub), norm_m)))
+        if fac is None:
+            singular += 1
+        else:
+            bases.append((sel, fac))
     return bases, singular
 
 

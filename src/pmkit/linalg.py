@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -78,6 +79,17 @@ def principal_submatrix(m, a: Iterable[int]) -> np.ndarray:
     idx = as_index_set(a, mat.shape[0])
     sel = [i - 1 for i in idx]
     return mat[np.ix_(sel, sel)]
+
+
+def principal_submatrices(mat: np.ndarray):
+    """Every principal submatrix as (sel, mat[sel, sel]), `sel` a 0-based
+    index list, smallest size first and lexicographic within each size
+    (shortlex)."""
+    n = mat.shape[0]
+    for k in range(1, n + 1):
+        for alpha in combinations(range(n), k):
+            sel = list(alpha)
+            yield sel, mat[np.ix_(sel, sel)]
 
 
 def lu_factor_checked(mat: np.ndarray, thr: float):

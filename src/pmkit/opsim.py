@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
@@ -30,7 +30,7 @@ from .errors import (
     PreconditionViolatedError,
     RuleUndefinedError,
 )
-from .linalg import as_matrix, as_vector, eigenvalues, inf_norm, lu_factor_checked
+from .linalg import as_matrix, as_vector, eigenvalues, inf_norm, lu_factor_checked, principal_submatrices
 from .tolerances import DEFAULT_TOL, Tolerances
 
 SECTION_MAX_ORDER = 64
@@ -306,12 +306,12 @@ class InterpReport:
     min_abs_det: float
 
 
-def _d_samples(rng: np.random.Generator, n: int, trials: int, d_rule: str):
+def _d_samples(rng: np.random.Generator, n: int, trials: int):
     yield np.zeros(n)
     yield np.ones(n)
     produced = 2
     while produced < trials:
-        mode = produced % 3 if d_rule == "mixed" else {"uniform": 0, "corners": 1}.get(d_rule, 0)
+        mode = produced % 3
         if mode == 0:
             yield rng.uniform(0.0, 1.0, n)
         elif mode == 1:
@@ -327,7 +327,6 @@ def diag_interp_check(
     n: int,
     trials: int = 100,
     seed: int = 0,
-    d_rule: str = "mixed",
     tol: Tolerances = DEFAULT_TOL,
 ) -> InterpReport:
     """Nonsingularity of D T_N + (I-D) S_N (case 1, precondition: S T^{-1}
@@ -356,7 +355,7 @@ def diag_interp_check(
     violations = []
     t1 = t2 = 0
     min_det = math.inf
-    for dvals in _d_samples(rng, n, trials, d_rule):
+    for dvals in _d_samples(rng, n, trials):
         d = np.diag(dvals)
         if case1:
             t1 += 1
@@ -447,10 +446,10 @@ class KernelSearchReport:
     consistent: bool
 
 
-def _d_grid_for_alpha(sub_diag: np.ndarray, k: int, d_grid, rng: np.random.Generator):
-    values = tuple(d_grid) if d_grid is not None else GRID_D_VALUES
+def _d_grid_for_alpha(sub_diag: np.ndarray, rng: np.random.Generator):
+    k = len(sub_diag)
     targeted = tuple(sorted({float(-x) for x in sub_diag if x < 0}))
-    pool = tuple(sorted(set(values) | set(targeted)))
+    pool = tuple(sorted(set(GRID_D_VALUES) | set(targeted)))
     if k <= 4:
         for combo in product(pool, repeat=k):
             if any(combo):
@@ -481,7 +480,6 @@ def _d_grid_for_alpha(sub_diag: np.ndarray, k: int, d_grid, rng: np.random.Gener
 def csufficient_kernel_search(
     spec: OperatorSpec,
     n: int,
-    d_grid: Optional[Sequence[float]] = None,
     seed: int = 0,
     tol: Tolerances = DEFAULT_TOL,
 ) -> KernelSearchReport:
@@ -498,34 +496,30 @@ def csufficient_kernel_search(
     rng = np.random.default_rng(seed)
     refutations = []
     tested = 0
-    for k in range(1, n + 1):
-        for alpha in combinations(range(n), k):
-            sel = list(alpha)
-            sub = mat[np.ix_(sel, sel)]
-            sub_diag = np.diag(sub)
-            for dvals in _d_grid_for_alpha(sub_diag, k, d_grid, rng):
-                tested += 1
-                msum = sub + np.diag(dvals)
-                basis = kernel_basis(msum, tol)
-                if basis.shape[1] == 0:
-                    continue
-                v = _strictly_nonzero_kernel_vector(basis, tol)
-                if v is None:
-                    continue
-                resid = inf_norm(msum @ v)
-                if resid > 1e-7 * (1.0 + inf_norm(msum)):
-                    continue
-                full = np.zeros(n)
-                full[sel] = v
-                refutations.append(
-                    KernelRefutation(
-                        alpha=tuple(i + 1 for i in sel),
-                        d_values=tuple(float(x) for x in dvals),
-                        kernel_vector=tuple(float(x) for x in v),
-                        full_witness=tuple(float(x) for x in full),
-                    )
+    for sel, sub in principal_submatrices(mat):
+        for dvals in _d_grid_for_alpha(np.diag(sub), rng):
+            tested += 1
+            msum = sub + np.diag(dvals)
+            basis = kernel_basis(msum, tol)
+            if basis.shape[1] == 0:
+                continue
+            v = _strictly_nonzero_kernel_vector(basis, tol)
+            if v is None:
+                continue
+            resid = inf_norm(msum @ v)
+            if resid > 1e-7 * (1.0 + inf_norm(msum)):
+                continue
+            full = np.zeros(n)
+            full[sel] = v
+            refutations.append(
+                KernelRefutation(
+                    alpha=tuple(i + 1 for i in sel),
+                    d_values=tuple(float(x) for x in dvals),
+                    kernel_vector=tuple(float(x) for x in v),
+                    full_witness=tuple(float(x) for x in full),
                 )
-                break  # one refutation per alpha is enough
+            )
+            break  # one refutation per alpha is enough
     refuted = bool(refutations)
     verdict, _ = is_column_sufficient(mat, budget=2000, seed=seed, tol=tol)
     consistent = not (refuted and verdict == YES) and not ((not refuted) and verdict == NO)

@@ -166,16 +166,12 @@ def wedge_check(s, variant: str = "P", tol: Tolerances = DEFAULT_TOL) -> WedgeRe
 # augmentation by positive reals
 
 
-@dataclass(frozen=True)
-class AugmentGrid:
-    """Search parameters for the positive-real augmentation."""
-
-    magnitudes: tuple[float, ...] = tuple(0.25 * i for i in range(1, 33))
-    ladder_magnitudes: tuple[float, ...] = (0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0)
-    random_tuples: int = 120
-    max_additions: int = 6000
-    dense_count_limit: int = 24
-    seed: int = 0
+# search grid of the positive-real augmentation
+_AUGMENT_MAGNITUDES = tuple(0.25 * i for i in range(1, 33))
+_LADDER_MAGNITUDES = (0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0)
+_RANDOM_TUPLES = 120
+_MAX_ADDITIONS = 6000
+_DENSE_COUNT_LIMIT = 24
 
 
 @dataclass(frozen=True)
@@ -232,21 +228,19 @@ def _result_sigma(base, additions, tol) -> tuple[tuple[float, ...], float]:
     return tuple(float(x) for x in scaled), float(scale)
 
 
-def augment_to_P_set(
-    c, grid: Optional[AugmentGrid] = None, tol: Tolerances = DEFAULT_TOL
-) -> Optional[AugmentResult]:
-    """Positive reals whose union with `c` has all sigma_k positive.
+def augment_to_P_set(c, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Optional[AugmentResult]:
+    """Positive reals whose union with `c` passes the P-set test.
 
     Smallest addition count first; counts below the Kellogg-infeasible
     threshold are provably impossible and skipped outright.  Phase one
     scans small counts densely over the magnitude grid (plus dip-targeted
-    and random tuples); phase two runs equal-value ladders, where
-    positivity is monotone in the count, so the minimal count per
-    magnitude is the first passing count of one incremental scan.  None on budget exhaustion (the
-    augmentation theorem guarantees existence, so persistent failure at
-    small sizes signals a bug).
+    and random tuples drawn from `seed`); phase two runs equal-value
+    ladders, each one incremental scan over the count that returns the
+    smallest passing count for its magnitude (the thresholded test is not
+    monotone in the count, so a later count may fail again).  None on
+    budget exhaustion (the augmentation theorem guarantees existence, so
+    persistent failure at small sizes signals a bug).
     """
-    grid = grid or AugmentGrid()
     cand = _coerce(c, tol)
     _check_augment_precondition(cand, tol)
     base = cand.values
@@ -256,10 +250,10 @@ def augment_to_P_set(
         return AugmentResult((), sig, scale)
 
     m_start = max(1, _kellogg_min_total(base) - len(base))
-    if m_start > grid.max_additions:
+    if m_start > _MAX_ADDITIONS:
         return None
-    magnitudes = tuple(sorted(set(list(grid.magnitudes) + _dip_targets(base))))
-    rng = np.random.default_rng(grid.seed)
+    magnitudes = tuple(sorted(set(list(_AUGMENT_MAGNITUDES) + _dip_targets(base))))
+    rng = np.random.default_rng(seed)
 
     def finish(additions):
         adds = tuple(sorted(float(t) for t in additions))
@@ -268,23 +262,23 @@ def augment_to_P_set(
 
     # dense small-count phase (mixed tuples only pay off at small counts;
     # past that the equal-value ladders dominate)
-    dense_hi = min(m_start + grid.dense_count_limit - 1, grid.max_additions)
+    dense_hi = min(m_start + _DENSE_COUNT_LIMIT - 1, _MAX_ADDITIONS)
     if m_start <= 8:
         for m in range(m_start, dense_hi + 1):
             for t in magnitudes:
                 if _union_is_pset(base, [t] * m, tol):
                     return finish([t] * m)
-            for _ in range(max(grid.random_tuples // max(m, 1), 4)):
+            for _ in range(max(_RANDOM_TUPLES // max(m, 1), 4)):
                 cand_adds = np.exp(rng.uniform(np.log(0.05), np.log(30.0), m))
                 if _union_is_pset(base, cand_adds, tol):
                     return finish(cand_adds)
 
-    # equal-value ladder phase: positivity is monotone in the count for a
-    # fixed magnitude, so one incremental pass per magnitude finds the
-    # minimal count; dip-targeted magnitudes run first and cap the rest.
-    ladder_ts = tuple(_dip_targets(base)) + tuple(grid.ladder_magnitudes)
+    # equal-value ladder phase: one incremental pass per magnitude returns
+    # its smallest passing count; dip-targeted magnitudes run first and cap
+    # the rest.
+    ladder_ts = tuple(_dip_targets(base)) + _LADDER_MAGNITUDES
     best: Optional[tuple[int, float]] = None
-    cap = grid.max_additions
+    cap = _MAX_ADDITIONS
     for t in dict.fromkeys(ladder_ts):
         m_t = _ladder_min_count(base, float(t), cap, tol)
         if m_t is not None and (best is None or m_t < best[0]):
@@ -299,11 +293,14 @@ def augment_to_P_set(
 def _ladder_min_count(
     base: tuple[complex, ...], t: float, m_cap: int, tol: Tolerances
 ) -> Optional[int]:
-    """Smallest m with base + m copies of t passing the P-set test.
+    """Smallest m <= m_cap with base + m copies of t passing the P-set
+    test: one incremental expansion, tested after each added factor.
 
-    Multiplying a positive-coefficient polynomial by (x + t), t > 0, keeps
-    the coefficients positive, so the first passing count in one
-    incremental expansion is the minimum.
+    Exact positivity is monotone in m, since multiplying a polynomial with
+    positive coefficients by (x + t), t > 0, keeps them positive; the
+    thresholded test is not.  {-1 +- 2i} with m copies of 0.5 passes for
+    m = 5..15 and fails for every m >= 16, where the top scaled
+    coefficient (t/L)^m drops below tol.minor.
     """
     if m_cap < 1 or t <= 0.0:
         return None

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pmkit import classify, linalg
+from pmkit import classify, feasibility, linalg
 from pmkit.classify import NO, UNKNOWN, YES
 from pmkit.errors import DimensionTooLargeError, PreconditionViolatedError
 from pmkit.generators import GenSpec, generate
@@ -64,6 +64,14 @@ class TestLexIndexSets:
         assert got == [
             (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3),
         ]
+
+    def test_submatrix_sweep_follows_it_0_based(self):
+        m = np.arange(16.0).reshape(4, 4)
+        swept = list(linalg.principal_submatrices(m))
+        assert [tuple(i + 1 for i in sel) for sel, _ in swept] == list(classify.lex_index_sets(4))
+        for sel, sub in swept:
+            assert isinstance(sel, list)
+            np.testing.assert_array_equal(sub, linalg.principal_submatrix(m, [i + 1 for i in sel]))
 
 
 class TestSubmatrixEigenOracle:
@@ -210,6 +218,29 @@ class TestColumnSufficiency:
         m = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
         assert classify.is_column_sufficient(m)[0] == YES
 
+    def test_exact_yes_past_psd_shortcut(self):
+        # upper-triangular P-matrix under a cyclic permutation: P, hence
+        # sufficient, with an indefinite symmetric part, so the verdict
+        # comes from the Fourier-Motzkin orthant systems
+        u = np.array([[1.0, 4.0, -3.0], [0.0, 1.0, 5.0], [0.0, 0.0, 1.0]])
+        perm = np.eye(3)[[2, 0, 1]]
+        m = perm @ u @ perm.T
+        assert classify.is_P_minors(m)[0] == YES
+        assert np.linalg.eigvalsh(0.5 * (m + m.T)).min() < -1.0
+        assert classify.is_column_sufficient(m) == (YES, None)
+        assert classify.is_row_sufficient(m) == (YES, None)
+
+    def test_exact_no_from_orthant_system(self):
+        # seed 33 is the first integer draw whose refutation no axis
+        # candidate finds: the witness comes from an orthant system
+        m = np.random.default_rng(33).integers(-3, 4, (3, 3)).astype(float)
+        assert np.linalg.eigvalsh(0.5 * (m + m.T)).min() < 0.0
+        for cand in classify._axis_candidates(3):
+            assert classify._gate_witness(m, cand, strict=True) is None
+        verdict, w = classify.is_column_sufficient(m)
+        assert verdict == NO
+        assert classify.products_nonpositive_exact(m, w, strict=True)
+
     def test_large_non_csu_found_by_search(self):
         m = np.diag([1.0, 1.0, 1.0, -1.0])
         verdict, w = classify.is_column_sufficient(m, seed=5)
@@ -238,6 +269,29 @@ class TestColumnSufficiency:
             assert classify.is_P_minors(m)[0] == YES
             assert classify.is_column_sufficient(m, budget=400)[0] != NO
             assert classify.is_row_sufficient(m, budget=400)[0] != NO
+
+
+class TestWitnessGate:
+    def test_one_exact_check_per_rejected_candidate(self, monkeypatch):
+        # a P-matrix has no reversal witness: every axis candidate and
+        # every Gaussian draw is rejected after a single exact check
+        m = generate(GenSpec("P-diagdom", 6, seed=10))
+        calls = {"exact": 0, "gate": 0}
+        exact, gate = feasibility.exact_products, classify._gate_witness
+
+        def count_exact(*args):
+            calls["exact"] += 1
+            return exact(*args)
+
+        def count_gate(*args, **kwargs):
+            calls["gate"] += 1
+            return gate(*args, **kwargs)
+
+        monkeypatch.setattr(feasibility, "exact_products", count_exact)
+        monkeypatch.setattr(classify, "_gate_witness", count_gate)
+        assert classify.find_reversal_witness(m, budget=100) is None
+        assert calls["gate"] == 97  # 72 axis candidates + 25 Gaussian draws
+        assert calls["exact"] == calls["gate"]
 
 
 class TestPowers:

@@ -174,6 +174,26 @@ class TestAugment:
         assert len(res.additions) >= spectral._kellogg_min_total(base) - 2
         assert spectral.is_P_set(list(base) + list(res.additions)) == YES
 
+    @pytest.mark.parametrize(
+        "pairs, seed, count, value",
+        [
+            ([(-1.2697541461647213, 2.394705317640004)], 750427603, 1, 2.710515),
+            # ladder-sized: past the dense phase's 24 counts
+            ([(-2.6697158040624913, 0.7835773885215302)], 687296455, 47, 2.782333),
+            (
+                [(-1.9960153702591887, 0.6163162541214344), (2.117077673750968, 1.7397497452378228)],
+                297748856,
+                41,
+                1.996015,
+            ),
+        ],
+    )
+    def test_pinned_additions(self, pairs, seed, count, value):
+        # seed sets 4, 29 and 78 of the seed-1 suite's augmentation check
+        base = [complex(a, sign * b) for a, b in pairs for sign in (1.0, -1.0)]
+        res = spectral.augment_to_P_set(base, seed=seed)
+        assert res.additions == (value,) * count
+
     def test_precondition_negative_real(self):
         with pytest.raises(PreconditionViolatedError):
             spectral.augment_to_P_set([-1.0])
