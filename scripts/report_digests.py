@@ -1,18 +1,26 @@
 #!/usr/bin/env python3
-"""Digests of the pmkit CLI reports on a fixed list of commands.
+"""Digests of the pmkit CLI reports on a fixed list of commands, and of a
+few API outputs that no report shows in full.
 
 Runs each command in-process through `pmkit.cli.main`, drops the report's
 `timestamp` line and prints one line per command: the sha256 of the rest
 of the report (or "-" when the command wrote none), the exit code and the
-command.  Two checkouts give the same reports, timestamps aside, exactly
-when their outputs are equal, so a refactor is checked with one diff:
+command.  It then prints one sha256 line per API group: `augment_to_P_set`
+on the 100 seed sets of the seed-1 suite's augmentation check (the report
+keeps only a failure count and the largest addition count), `sigma_all`,
+`is_P_set` and `wedge_check` on value lists on both sides of 800 values,
+`realize_P_set` and `extremal_spectrum_search`, and `diag_interp_check`.
+Raised errors are digested as type and message.  Two checkouts give the
+same outputs exactly when their lines are equal, so a refactor is checked
+with one diff:
 
     PYTHONPATH=src python scripts/report_digests.py > after.txt
     PYTHONPATH=<other checkout>/src python scripts/report_digests.py > before.txt
     diff before.txt after.txt
 
 BLAS is pinned to one thread so the digests do not depend on the thread
-count.  The full list takes about half a minute, most of it `suite all`.
+count.  The full list takes about a minute, most of it `suite all` and
+the augmentation sets.
 """
 
 import os
@@ -27,7 +35,7 @@ import tempfile  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from pmkit import cli, serialize  # noqa: E402
+from pmkit import cli, opsim, serialize, spectral  # noqa: E402
 from pmkit.generators import GenSpec, generate  # noqa: E402
 
 # P, with two eigenvalues in the left half-plane and an indefinite
@@ -124,6 +132,108 @@ def _digest(path: str) -> str:
     return hashlib.sha256("".join(lines).encode()).hexdigest()
 
 
+def _plain(x):
+    """Outputs as plain Python values whose repr is exact (arrays as lists
+    of floats, dataclasses as their field values)."""
+    if isinstance(x, np.ndarray):
+        return (str(x.dtype), x.tolist())
+    if hasattr(x, "__dataclass_fields__"):
+        return (type(x).__name__,) + tuple(_plain(getattr(x, f)) for f in x.__dataclass_fields__)
+    if isinstance(x, (tuple, list)):
+        return tuple(_plain(v) for v in x)
+    return x
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return _plain(fn(*args, **kwargs))
+    except Exception as exc:  # the error is part of the output
+        return ("raised", type(exc).__name__, str(exc))
+
+
+def _augment_outputs() -> list:
+    """The seed sets and seeds of the seed-1 suite's augmentation check."""
+    out = []
+    for k in range(100):
+        g = np.random.default_rng(6_000_029 + k)
+        vals = []
+        for _ in range(int(g.integers(1, 4))):
+            a, b = g.uniform(-3.0, 3.0), g.uniform(0.25, 3.0)
+            vals += [complex(a, b), complex(a, -b)]
+        for _ in range(int(g.integers(0, 3))):
+            vals.append(complex(g.uniform(0.1, 3.0), 0.0))
+        out.append(_outcome(spectral.augment_to_P_set, vals, seed=int(g.integers(1 << 30))))
+    return out
+
+
+def _value_lists() -> list:
+    """Conjugate-closed lists of 2 to 1201 values (the expansion switches
+    to clongdouble past 800), with and without left-half-plane pairs and
+    one large value that sets the scale."""
+    rng = np.random.default_rng(5)
+    lists = []
+    for n, big, lo in ((2, 1.0, 0.1), (7, 1e6, -0.5), (40, 1.0, -0.5), (798, 40.0, 0.1),
+                       (799, 3e3, -0.5), (800, 40.0, 0.1), (801, 40.0, 0.1), (802, 50.0, -0.5),
+                       (1201, 1e3, 0.1), (1201, 2.0, 0.1)):
+        vals = [complex(big, 0.0)]
+        while len(vals) + 2 <= n:
+            a, b = rng.uniform(lo, 2.0), rng.uniform(0.1, 1.5)
+            vals += [complex(a, b), complex(a, -b)]
+        while len(vals) < n:
+            vals.append(complex(rng.uniform(0.2, 2.0), 0.0))
+        lists.append(vals)
+    lists.append([0.5] * 40)
+    lists.append([complex(-1, 2), complex(-1, -2)] + [0.5] * 16)
+    return lists
+
+
+def _sigma_outputs() -> list:
+    out = []
+    for vals in _value_lists():
+        out.append(_outcome(spectral.sigma_all, vals))
+        out.append(_outcome(spectral.is_P_set, vals))
+        out.append(_outcome(spectral.is_P_set, vals, variant="P0"))
+        out.append(_outcome(spectral.wedge_check, vals))
+        out.append(_outcome(spectral.wedge_check, vals, variant="P0"))
+    return out
+
+
+def _realize_outputs() -> list:
+    sets = ([1.0, 1.0], [2.0, 0.5, 3.0], [complex(1, 2), complex(1, -2)],
+            [complex(-1, 2), complex(-1, -2), 2.25], [complex(-0.5, 1), complex(-0.5, -1), 1.5, 1.5],
+            [complex(-1, 2), complex(-1, -2), 3.0, 3.0, 3.0], [1.0] * 13, [1.0, -1.0])
+    out = [_outcome(spectral.realize_P_set, vals, budget=3000, seed=seed) for vals in sets for seed in (0, 1)]
+    out += [_outcome(spectral.extremal_spectrum_search, n, budget=60, seed=n) for n in (3, 4, 5)]
+    return out
+
+
+def _interp_outputs() -> list:
+    def literal(mat):
+        return opsim.make_spec("dense-rule", "matrix-literal", {"matrix": np.asarray(mat, dtype=float).tolist()})
+
+    pdiag = literal(generate(GenSpec("P-diagdom", 5, seed=2)))
+    pairs = (
+        (literal([]), literal([]), 3),
+        (literal(np.diag([2.0])), literal([]), 1),
+        (pdiag, literal(np.diag([0.5, 1.0, 1.5, 2.0, 1.2])), 5),
+        (opsim.make_spec("banded", "tridiag", {"a": 2.0, "b": -1.0}), literal([]), 6),
+        (literal(np.diag([1.0, 0.0, 2.0])), literal([]), 3),
+        (literal([]), literal(np.diag([1.0, 0.0, 2.0])), 3),
+        (literal(np.diag([1.0, 0.0])), literal(np.diag([0.0, 1.0])), 2),
+        (literal(np.diag([1.0, -1.0])), literal(np.diag([-1.0, 1.0])), 2),
+        (literal([]), literal([]), 13),
+    )
+    return [_outcome(opsim.diag_interp_check, s, t, n, trials=30, seed=n) for s, t, n in pairs]
+
+
+API_GROUPS = (
+    ("augment_to_P_set seed-1 suite sets", _augment_outputs),
+    ("sigma_all is_P_set wedge_check", _sigma_outputs),
+    ("realize_P_set extremal_spectrum_search", _realize_outputs),
+    ("diag_interp_check", _interp_outputs),
+)
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for i, cmd in enumerate(_commands(tmp)):
@@ -132,6 +242,9 @@ def main() -> int:
                 code = cli.main(cmd + ["--out", out, "--quiet"])
             shown = [os.path.basename(a) if a.startswith(tmp) else a for a in cmd]
             print(f"{_digest(out)}  exit={code}  {' '.join(shown)}")
+    for label, outputs in API_GROUPS:
+        digest = hashlib.sha256(repr(outputs()).encode()).hexdigest()
+        print(f"{digest}  api  {label}")
     return 0
 
 

@@ -416,6 +416,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # glue "-1+2i,..." to its flag, or argparse reads the list as an option
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in ("--values", "--x") and argv[i].startswith("-"):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

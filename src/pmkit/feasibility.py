@@ -119,7 +119,7 @@ def exact_products(m, x) -> list[Fraction]:
     """Componentwise x_i (M x)_i evaluated exactly over rationals."""
     n = len(x)
     xs = [Fraction(float(v)) for v in x]
-    rows = [[Fraction(float(m[i][j] if not hasattr(m, "shape") else m[i, j])) for j in range(n)] for i in range(n)]
+    rows = [[Fraction(float(v)) for v in row] for row in m]
     out = []
     for i in range(n):
         mx = sum((rows[i][j] * xs[j] for j in range(n)), Fraction(0))

@@ -19,7 +19,7 @@ from typing import Any, Mapping, Optional, Sequence
 import numpy as np
 import scipy.linalg
 
-from .classify import NO, YES, is_column_sufficient, is_P_minors
+from .classify import MINORS_MAX_DIM, NO, YES, is_column_sufficient, is_P_minors
 from .errors import (
     DimensionTooLargeError,
     NoConvergenceError,
@@ -29,8 +29,9 @@ from .errors import (
     PreconditionNotEstablishedError,
     PreconditionViolatedError,
     RuleUndefinedError,
+    SingularMatrixError,
 )
-from .linalg import as_matrix, as_vector, eigenvalues, inf_norm, lu_factor_checked, principal_submatrices
+from .linalg import as_matrix, as_vector, eigenvalues, inf_norm, inverse, principal_submatrices
 from .tolerances import DEFAULT_TOL, Tolerances
 
 SECTION_MAX_ORDER = 64
@@ -141,7 +142,7 @@ def _equilibrated(mat: np.ndarray) -> np.ndarray:
 
 
 def is_P_operator_section(spec: OperatorSpec, n: int, tol: Tolerances = DEFAULT_TOL) -> str:
-    """Sign non-reversal P-test on the section (minor enumeration, n <= 12).
+    """Sign non-reversal P-test on the section (minor enumeration, n <= MINORS_MAX_DIM).
 
     The section is row-equilibrated first; see _equilibrated.
     """
@@ -181,7 +182,7 @@ def eigen_positivity_check(
         thr = tol.minor_for(inf_norm(sec.matrix), 1)
         ok = all(v > thr for v in reals)
         p_verdict = (
-            is_P_minors(_equilibrated(sec.matrix), tol)[0] if sec.order <= 12 else None
+            is_P_minors(_equilibrated(sec.matrix), tol)[0] if sec.order <= MINORS_MAX_DIM else None
         )
         contradiction = (not ok) and p_verdict == YES
         if contradiction:
@@ -336,15 +337,15 @@ def diag_interp_check(
     t_mat = section(spec_t, n).matrix
 
     def _inv_or_none(mat):
-        fac = lu_factor_checked(mat, tol.sing_for(inf_norm(mat)))
-        if fac is None:
+        try:  # both preconditions are minor tests: past their cap neither holds
+            return inverse(mat, tol) if n <= MINORS_MAX_DIM else None
+        except SingularMatrixError:
             return None
-        return scipy.linalg.lu_solve(fac, np.eye(mat.shape[0]), check_finite=False)
 
     t_inv = _inv_or_none(t_mat)
     s_inv = _inv_or_none(s_mat)
-    case1 = t_inv is not None and n <= 12 and is_P_minors(s_mat @ t_inv, tol)[0] == YES
-    case2 = s_inv is not None and n <= 12 and is_P_minors(s_inv @ t_mat, tol)[0] == YES
+    case1 = t_inv is not None and is_P_minors(s_mat @ t_inv, tol)[0] == YES
+    case2 = s_inv is not None and is_P_minors(s_inv @ t_mat, tol)[0] == YES
     if not case1 and not case2:
         raise PreconditionNotEstablishedError(
             "neither S T^{-1} nor S^{-1} T certified as a P-matrix"

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .classify import NO, YES, is_P_minors
+from .classify import MINORS_MAX_DIM, NO, YES, is_P_minors
 from .errors import (
     DimensionTooLargeError,
     NotAPSetError,
@@ -55,27 +55,38 @@ def _coerce(s, tol: Tolerances) -> CandidateSpectrum:
     return make_candidate(s, tol)
 
 
+def _scale(values: Sequence[complex]) -> float:
+    """L = max(1, max |lambda|), the scale of every sigma expansion."""
+    return max(1.0, max((abs(v) for v in values), default=1.0))
+
+
+def _expansion(values: Sequence[complex], scale: float):
+    """The one expansion of prod (x + lambda_i / L): yields (degree, coeffs)
+    for degree 0..n, coeffs[k] = sigma_k of the first `degree` values / L,
+    one array updated in place; clongdouble past FLOAT64_MAX_VALUES values.
+    """
+    n = len(values)
+    coeffs = np.zeros(n + 1, dtype=np.complex128 if n <= FLOAT64_MAX_VALUES else np.clongdouble)
+    coeffs[0] = 1.0
+    yield 0, coeffs
+    for deg, v in enumerate(values):
+        vs = complex(v) / scale
+        coeffs[1 : deg + 2] = coeffs[1 : deg + 2] + vs * coeffs[0 : deg + 1]
+        yield deg + 1, coeffs
+
+
 def _expand_scaled(cand: CandidateSpectrum) -> tuple[np.ndarray, float, float]:
     """Coefficients sigma_k(values / L) for k = 1..n plus (L, imag residue).
 
-    The one expansion of prod (x + lambda_i / L): requires conjugation
-    closure, caps the value count, and switches to clongdouble past
-    FLOAT64_MAX_VALUES values.
+    Requires conjugation closure and at most EXPANSION_MAX_VALUES values.
     """
     if not cand.closed_under_conjugation:
         raise NotConjugationClosedError("candidate spectrum has an unmatched non-real value")
-    n = len(cand.values)
-    if n > EXPANSION_MAX_VALUES:
+    if len(cand.values) > EXPANSION_MAX_VALUES:
         raise DimensionTooLargeError(f"expansion capped at {EXPANSION_MAX_VALUES} values")
-    dtype = np.complex128 if n <= FLOAT64_MAX_VALUES else np.clongdouble
-    scale = max(1.0, max((abs(v) for v in cand.values), default=1.0))
-    coeffs = np.zeros(n + 1, dtype=dtype)
-    coeffs[0] = 1.0
-    deg = 0
-    for v in cand.values:
-        vs = complex(v) / scale
-        coeffs[1 : deg + 2] = coeffs[1 : deg + 2] + vs * coeffs[0 : deg + 1]
-        deg += 1
+    scale = _scale(cand.values)
+    for _, coeffs in _expansion(cand.values, scale):
+        pass  # every factor in; coeffs is the full product
     residue = float(np.abs(coeffs.imag).max())
     return coeffs.real[1:], scale, residue
 
@@ -156,8 +167,7 @@ def wedge_check(s, variant: str = "P", tol: Tolerances = DEFAULT_TOL) -> WedgeRe
     sigma_ok = None
     if equality and cand.closed_under_conjugation:
         sig = sigma_all(cand, tol)
-        scale = max(1.0, max(abs(v) for v in cand.values))
-        thr = tol.minor * (1.0 + np.power(scale, np.arange(1, n + 1, dtype=float)))
+        thr = tol.minor * (1.0 + np.power(_scale(cand.values), np.arange(1, n + 1, dtype=float)))
         sigma_ok = bool((np.abs(sig[:-1]) <= thr[:-1]).all() and sig[-1] > thr[-1])
     return WedgeResult(verdict, max_arg, bound, equality, sigma_ok)
 
@@ -294,7 +304,7 @@ def _ladder_min_count(
     base: tuple[complex, ...], t: float, m_cap: int, tol: Tolerances
 ) -> Optional[int]:
     """Smallest m <= m_cap with base + m copies of t passing the P-set
-    test: one incremental expansion, tested after each added factor.
+    test: one expansion of base + m_cap copies, tested after each factor.
 
     Exact positivity is monotone in m, since multiplying a polynomial with
     positive coefficients by (x + t), t > 0, keeps them positive; the
@@ -302,31 +312,18 @@ def _ladder_min_count(
     m = 5..15 and fails for every m >= 16, where the top scaled
     coefficient (t/L)^m drops below tol.minor.
     """
+    m_cap = min(m_cap, EXPANSION_MAX_VALUES - len(base))
     if m_cap < 1 or t <= 0.0:
         return None
-    n_max = len(base) + m_cap
-    if n_max > EXPANSION_MAX_VALUES:
-        m_cap = EXPANSION_MAX_VALUES - len(base)
-        n_max = len(base) + m_cap
-        if m_cap < 1:
-            return None
-    dtype = np.complex128 if n_max <= FLOAT64_MAX_VALUES else np.clongdouble
-    scale = max(1.0, max((abs(v) for v in base), default=1.0), t)
-    coeffs = np.zeros(n_max + 1, dtype=dtype)
-    coeffs[0] = 1.0
-    deg = 0
-    for v in base:
-        coeffs[1 : deg + 2] = coeffs[1 : deg + 2] + (complex(v) / scale) * coeffs[0 : deg + 1]
-        deg += 1
-    ts = t / scale
-    thr_full = (tol.minor * (1.0 + np.power(scale, -np.arange(1, n_max + 1, dtype=float)))).astype(
-        np.float64 if dtype is np.complex128 else np.longdouble
-    )
-    for m in range(1, m_cap + 1):
-        coeffs[1 : deg + 2] = coeffs[1 : deg + 2] + ts * coeffs[0 : deg + 1]
-        deg += 1
-        if bool((coeffs.real[1 : deg + 1] > thr_full[:deg]).all()):
-            return m
+    values = base + (complex(t),) * m_cap
+    scale = _scale(values)
+    expansion = _expansion(values, scale)
+    _, coeffs = next(expansion)
+    # cast once, not at every comparison with longdouble coefficients
+    thr = _pset_thresholds(len(values), scale, tol).astype(coeffs.real.dtype)
+    for deg, coeffs in expansion:
+        if deg > len(base) and bool((coeffs.real[1 : deg + 1] > thr[:deg]).all()):
+            return deg - len(base)
     return None
 
 
@@ -369,6 +366,13 @@ def _block_form(cand: CandidateSpectrum) -> np.ndarray:
     return out
 
 
+def _random_similarity(block: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Q block Q^T, Q orthogonal from the QR of a Gaussian draw (signs by diag R)."""
+    q, r = np.linalg.qr(rng.standard_normal(block.shape))
+    q = q * np.sign(np.diag(r))
+    return q @ block @ q.T
+
+
 def realize_P_set(
     s, budget: int = 4000, seed: int = 0, tol: Tolerances = DEFAULT_TOL
 ) -> Optional[np.ndarray]:
@@ -383,8 +387,8 @@ def realize_P_set(
     if is_P_set(cand, tol) != YES:
         raise NotAPSetError("realization requires a P-set")
     n = len(cand.values)
-    if n > 12:
-        raise DimensionTooLargeError("realization verifies minors; capped at n=12")
+    if n > MINORS_MAX_DIM:
+        raise DimensionTooLargeError(f"realization verifies minors; capped at n={MINORS_MAX_DIM}")
     target = np.array(cand.values)
     block = _block_form(cand)
 
@@ -398,10 +402,7 @@ def realize_P_set(
         return block
     rng = np.random.default_rng(seed)
     for _ in range(budget):
-        g = rng.standard_normal((n, n))
-        q, r = np.linalg.qr(g)
-        q = q * np.sign(np.diag(r))
-        mat = q @ block @ q.T
+        mat = _random_similarity(block, rng)
         if accept(mat):
             return mat
     return None
@@ -480,10 +481,7 @@ def extremal_spectrum_search(
                 continue
             block = _block_form(cand)
             for _ in range(20):
-                g = rng.standard_normal((n, n))
-                q, r = np.linalg.qr(g)
-                q = q * np.sign(np.diag(r))
-                consider(q @ block @ q.T)
+                consider(_random_similarity(block, rng))
 
     return ExtremalSearchReport(
         n=n,

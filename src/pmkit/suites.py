@@ -19,7 +19,7 @@ from . import cayley, classify, lcp, opsim, spectral
 from .classify import NO, YES
 from .errors import UnknownSuiteError
 from .generators import GenSpec, generate
-from .linalg import eigenvalues, inverse
+from .linalg import charpoly, eigenvalues, inverse
 from .tolerances import DEFAULT_TOL, Tolerances
 
 AGREEMENT_TRIALS = 1000          # oracle agreement matrices, n in 2..6
@@ -53,7 +53,7 @@ class SuiteReport:
     name: str
     seed: int
     checks: list[CheckResult] = field(default_factory=list)
-    elapsed: float = 0.0
+    elapsed: float = 0.0  # set by run_suites
 
     @property
     def contradictions(self) -> int:
@@ -98,7 +98,6 @@ def _kellogg_violations(matrices, tol: Tolerances) -> int:
 
 def suite_classify(seed: int = 1, tol: Tolerances = DEFAULT_TOL) -> SuiteReport:
     rpt = SuiteReport("classify", seed)
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
 
     # the worked anchor: sigma-positive spectrum whose realizing matrix is not P
@@ -182,8 +181,6 @@ def suite_classify(seed: int = 1, tol: Tolerances = DEFAULT_TOL) -> SuiteReport:
     for k, n in enumerate(_sizes(rng, BRIDGE_TRIALS)):
         m = generate(GenSpec("arbitrary", n, seed=seed * 4_000_037 + k))
         sig = spectral.sigma_all(eigenvalues(m, tol).values, tol)
-        from .linalg import charpoly
-
         p = charpoly(m)
         for j in range(1, n + 1):
             ref = p.elementary(j)
@@ -239,13 +236,11 @@ def suite_classify(seed: int = 1, tol: Tolerances = DEFAULT_TOL) -> SuiteReport:
     rpt.add("powers-evidence", True, samples=POWERS_SAMPLES,
             all_powers_P=all_powers_p, positive_real=positive_real_confirmed)
 
-    rpt.elapsed = time.perf_counter() - t0
     return rpt
 
 
 def suite_cayley(seed: int = 1, tol: Tolerances = DEFAULT_TOL) -> SuiteReport:
     rpt = SuiteReport("cayley", seed)
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 11)
 
     inv_bad = idn_bad = fac_bad = path_bad = 0
@@ -289,13 +284,11 @@ def suite_cayley(seed: int = 1, tol: Tolerances = DEFAULT_TOL) -> SuiteReport:
             scaled_ok = False
     rpt.add("scaled-factor-examples", scaled_ok, cases=3)
 
-    rpt.elapsed = time.perf_counter() - t0
     return rpt
 
 
 def suite_lcp(seed: int = 1, tol: Tolerances = DEFAULT_TOL) -> SuiteReport:
     rpt = SuiteReport("lcp", seed)
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 23)
 
     multi = mismatch = skips = rays = invalid = 0
@@ -347,13 +340,11 @@ def suite_lcp(seed: int = 1, tol: Tolerances = DEFAULT_TOL) -> SuiteReport:
             matrices=LCP_CONTRA_MATRICES, samples_each=LCP_CONTRA_SAMPLES,
             found=found, rate=rate, threshold=LCP_CONTRA_RATE)
 
-    rpt.elapsed = time.perf_counter() - t0
     return rpt
 
 
 def suite_operator(seed: int = 1, tol: Tolerances = DEFAULT_TOL) -> SuiteReport:
     rpt = SuiteReport("operator", seed)
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 31)
 
     inv_sq = opsim.make_spec("diagonal", "inverse-square-diagonal", {"c": 1.0}, decay=True)
@@ -476,7 +467,6 @@ def suite_operator(seed: int = 1, tol: Tolerances = DEFAULT_TOL) -> SuiteReport:
                 nested_ok = False
     rpt.add("section-nesting", nested_ok)
 
-    rpt.elapsed = time.perf_counter() - t0
     return rpt
 
 
@@ -489,8 +479,11 @@ SUITES: dict[str, Callable[[int, Tolerances], SuiteReport]] = {
 
 
 def run_suites(name: str, seed: int = 1, tol: Tolerances = DEFAULT_TOL) -> list[SuiteReport]:
-    if name == "all":
-        return [fn(seed, tol) for fn in SUITES.values()]
-    if name not in SUITES:
+    if name != "all" and name not in SUITES:
         raise UnknownSuiteError(f"unknown suite {name!r}; known: {sorted(SUITES)} or 'all'")
-    return [SUITES[name](seed, tol)]
+    reports = []
+    for fn in SUITES.values() if name == "all" else (SUITES[name],):
+        t0 = time.perf_counter()
+        reports.append(fn(seed, tol))
+        reports[-1].elapsed = time.perf_counter() - t0
+    return reports

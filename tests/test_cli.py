@@ -80,6 +80,20 @@ class TestPset:
         assert main(["pset", "--values", "1+2i,1-2i", "--out", str(out)]) == 0
         assert read_report(out)["result"]["sigma"] == [2.0, 5.0]
 
+    def test_values_starting_with_minus(self, tmp_path):
+        # a list that starts with "-" is not read as an option, and gives
+        # the same report as the --values= form
+        spaced, glued = tmp_path / "spaced.json", tmp_path / "glued.json"
+        values = "-1+2i,-1-2i,3,3,3"
+        assert main(["pset", "--values", values, "--out", str(spaced), "--quiet"]) == 0
+        assert main(["pset", "--values=" + values, "--out", str(glued), "--quiet"]) == 0
+        a, b = read_report(spaced), read_report(glued)
+        a.pop("timestamp")
+        b.pop("timestamp")
+        assert a == b
+        assert a["result"]["is_P_set"] == "yes"
+        np.testing.assert_allclose(a["result"]["sigma"], [7.0, 14.0, 18.0, 81.0, 135.0])
+
 
 class TestLcp:
     @pytest.fixture()
@@ -167,6 +181,11 @@ class TestOpsim:
             == 0
         )
         assert read_report(out)["result"]["in_rev"] is False
+
+    def test_rev_vector_starting_with_minus(self, inv_sq_spec, tmp_path):
+        out = tmp_path / "rev.json"
+        assert main(["opsim", "rev", "--spec", inv_sq_spec, "--order", "2", "--x", "-1,1", "--out", str(out)]) == 0
+        assert read_report(out)["result"]["x"] == [-1.0, 1.0]
 
 
 class TestGen:

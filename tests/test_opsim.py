@@ -212,6 +212,14 @@ class TestInterp:
         with pytest.raises(PreconditionNotEstablishedError):
             opsim.diag_interp_check(left, diag_literal(-1.0, 1.0), 2, trials=5)
 
+    def test_singular_section_unestablished(self):
+        # a singular section has no inverse, so neither precondition holds;
+        # the singularity itself does not escape
+        singular = diag_literal(1.0, 0.0, 2.0)
+        for s, t in ((singular, IDENTITY), (IDENTITY, singular), (singular, diag_literal(0.0, 1.0, 1.0))):
+            with pytest.raises(PreconditionNotEstablishedError):
+                opsim.diag_interp_check(s, t, 3, trials=5)
+
     def test_random_p_pairs_no_violations(self):
         rng = np.random.default_rng(11)
         for _ in range(20):

@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from pmkit import classify, linalg, spectral
 from pmkit.classify import NO, YES
 from pmkit.errors import (
+    DimensionTooLargeError,
     NotAPSetError,
     NotConjugationClosedError,
     PreconditionViolatedError,
     ZeroElementInP0CheckError,
 )
+from pmkit.tolerances import DEFAULT_TOL
 
 EXAMPLE = np.array([[-1.0, -1.0], [4.0, 3.0]])
 
@@ -203,6 +205,43 @@ class TestAugment:
             spectral.augment_to_P_set([complex(1, 2)])
 
 
+def _pair(a, b):
+    return (complex(a, b), complex(a, -b))
+
+
+class TestLadder:
+    @staticmethod
+    def brute_min_count(base, t, cap):
+        for m in range(1, cap + 1):
+            union = spectral.CandidateSpectrum(base + (complex(t),) * m, True)
+            if spectral.is_P_set(union) == YES:
+                return m
+        return None
+
+    @pytest.mark.parametrize(
+        "base, t, cap, expected",
+        [
+            (_pair(-1, 2), 0.5, 30, 5),
+            (_pair(-1, 2), 0.5, 4, None),
+            (_pair(-1, 2), 2.25, 10, 1),
+            (_pair(-1, 2) + (0.3,), 1.0, 50, 2),
+            (_pair(-3, 4), 8.0, 100, 4),
+            (_pair(-3, 0.5), 3.0, 300, 146),
+            (_pair(-3, 0.5), 2.0, 300, None),
+            (_pair(-2.6697158040624913, 0.7835773885215302), 2.782333, 100, 47),
+        ],
+    )
+    def test_smallest_passing_count(self, base, t, cap, expected):
+        assert len(base) + cap <= spectral.FLOAT64_MAX_VALUES
+        got = spectral._ladder_min_count(base, t, cap, DEFAULT_TOL)
+        assert got == expected == self.brute_min_count(base, t, cap)
+
+    def test_not_monotone_in_the_count(self):
+        # {-1 +- 2i} with 0.5 passes from 5 copies on, and fails again at 16
+        union = spectral.CandidateSpectrum(_pair(-1, 2) + (0.5 + 0j,) * 16, True)
+        assert spectral.is_P_set(union) == NO
+
+
 class TestRealize:
     def test_pair_of_ones_gives_identity(self):
         m = spectral.realize_P_set([1.0, 1.0])
@@ -231,6 +270,10 @@ class TestRealize:
     def test_not_a_pset_rejected(self):
         with pytest.raises(NotAPSetError):
             spectral.realize_P_set([-1.0, 1.0])
+
+    def test_past_the_minor_cap_rejected(self):
+        with pytest.raises(DimensionTooLargeError):
+            spectral.realize_P_set([1.0] * (classify.MINORS_MAX_DIM + 1))
 
 
 class TestSpectraMatch:
