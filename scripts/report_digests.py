@@ -5,9 +5,11 @@ few API outputs that no report shows in full.
 Runs each command in-process through `pmkit.cli.main`, drops the report's
 `timestamp` line and prints one line per command: the sha256 of the rest
 of the report (or "-" when the command wrote none), the exit code and the
-command.  It then prints one sha256 line per API group: `augment_to_P_set`
-on the 100 seed sets of the seed-1 suite's augmentation check (the report
-keeps only a failure count and the largest addition count), `sigma_all`,
+command.  The commands cover every subcommand, valid and invalid
+threshold overrides and budget 0.  It then prints one sha256 line per API
+group: `augment_to_P_set` on the 100 seed sets of the seed-1 suite's
+augmentation check (the report keeps only a failure count and the
+largest addition count), `sigma_all`,
 `is_P_set` and `wedge_check` on value lists on both sides of 800 values,
 `realize_P_set` and `extremal_spectrum_search`, and `diag_interp_check`.
 Raised errors are digested as type and message.  Two checkouts give the
@@ -94,6 +96,13 @@ def _csuff_specs() -> dict:
 
 
 PSET_VALUES = ("1,1", "1+2i,1-2i", "1+2i,1-2i,0.5", "-1+2i,-1-2i,3,3,3", "2,-1")
+# threshold coefficient overrides: valid ones land in the report, invalid
+# ones (and budget 0) must fail before any verdict is taken
+TOL_OVERRIDES = (["--tol-minor=1e-8"], ["--tol-sing=1e-9"], ["--tol-minor=1e-12", "--tol-sing=1e-14"])
+BAD_ARGS = (["--tol-minor=nan"], ["--tol-minor=inf"], ["--tol-sing=0"])
+SQRT_SPEC = {"kind": "diagonal", "rule": {"name": "inverse-square-diagonal", "params": {"c": 1.0}}, "decay": True}
+TRIDIAG_SPEC = {"kind": "banded", "rule": {"name": "tridiag", "params": {"a": 2.0, "b": -1.0}}, "decay": False}
+POSITIVE = [[1.0, 2.0, 0.5], [0.3, 1.0, 2.0], [1.0, 1.0, 1.0]]
 
 
 def _commands(tmp: str) -> list[list[str]]:
@@ -121,6 +130,24 @@ def _commands(tmp: str) -> list[list[str]]:
         cmds.append(["opsim", "csuff", "--spec", path, "--order", order, "--seed", "1"])
     for values in PSET_VALUES:
         cmds.append(["pset", "--values=" + values])
+    sqrt_spec, tridiag = put("op-sqrt", SQRT_SPEC), put("op-tridiag", TRIDIAG_SPEC)
+    cmds += [["opsim", "sqrt", "--spec", sqrt_spec, "--order", order] for order in ("16", "64")]
+    cmds.append(["opsim", "minmax", "--spec", put("op-positive", _literal(POSITIVE)),
+                 "--order", "3", "--trials", "30", "--seed", "2"])
+    cmds.append(["opsim", "rev", "--spec", tridiag, "--order", "3", "--x=1,-1,1"])
+    cmds.append(["opsim", "rev", "--spec", sqrt_spec, "--order", "2", "--x=-1,1"])
+    cmds.append(["gen", "--class", "P-diagdom", "--n", "5", "--seed", "3"])
+    pdiag, example = os.path.join(tmp, "m-pdiag6.json"), os.path.join(tmp, "m-example.json")
+    for extra in TOL_OVERRIDES:
+        for path in (pdiag, example):
+            cmds.append(["classify", "--input", path, "--seed", "3"] + extra)
+        cmds.append(["factor", "--input", pdiag] + extra)
+    for extra in BAD_ARGS:
+        cmds.append(["classify", "--input", example] + extra)
+        cmds.append(["factor", "--input", example] + extra)
+    cmds.append(["classify", "--input", example, "--budget", "0"])
+    for name in ("cayley", "operator", "lcp"):
+        cmds.append(["suite", name, "--seed", "2"])
     return cmds
 
 

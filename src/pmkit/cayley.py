@@ -27,6 +27,8 @@ from .generators import GenSpec, generate
 from .linalg import _lu_with_pivot_check, as_matrix, as_vector, charpoly, eigenvalues, inverse
 from .tolerances import DEFAULT_TOL, Tolerances
 
+SM1_SIZES = (2, 3, 4, 5)  # matrix orders the positive-stability probe cycles through
+
 
 def _solve_matrix(mat: np.ndarray, rhs: np.ndarray, tol: Tolerances) -> np.ndarray:
     # One LU, solved column by column: a single multi-column lu_solve would
@@ -87,6 +89,12 @@ class FactorizationResult:
     left_is_P: str
     right_is_P: str
     u_path_residual: float
+
+    @property
+    def accepted(self) -> bool:
+        """The factorization holds: relative residual <= 1e-8 and both
+        factors certified P."""
+        return self.residual <= 1e-8 and self.left_is_P == YES and self.right_is_P == YES
 
 
 def factor_p(a, tol: Tolerances = DEFAULT_TOL) -> FactorizationResult:
@@ -234,12 +242,7 @@ class Sm1ProbeReport:
     all_confirmed: bool
 
 
-def sm1_probe(
-    trials: int = 1000,
-    seed: int = 0,
-    sizes: tuple[int, ...] = (2, 3, 4, 5),
-    tol: Tolerances = DEFAULT_TOL,
-) -> Sm1ProbeReport:
+def sm1_probe(trials: int = 1000, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Sm1ProbeReport:
     """Probe the claim "A P-matrix times a positive diagonal is positive
     stable" over random (A, D) pairs and log counterexamples.
 
@@ -254,7 +257,7 @@ def sm1_probe(
     tested = 0
     log: list[Sm1CounterExample] = []
     for k in range(trials):
-        n = int(sizes[k % len(sizes)])
+        n = SM1_SIZES[k % len(SM1_SIZES)]
         if k % 10 == 3:
             a = fixture + rng.uniform(-0.01, 0.01, (3, 3))
             n = 3

@@ -108,10 +108,8 @@ def is_P_submatrix_eigen(m, tol: Tolerances = DEFAULT_TOL) -> str:
         raise DimensionTooLargeError(f"submatrix-eigenvalue oracle capped at n={EIGEN_ORACLE_MAX_DIM}")
     for _, sub in principal_submatrices(mat):
         thr = tol.minor_for(inf_norm(sub), 1)
-        spec = eigenvalues(sub, tol, check_residual=False)
-        for lam in spec.values:
-            if abs(lam.imag) <= tol.conj_for(abs(lam)) and lam.real <= thr:
-                return NO
+        if any(v <= thr for v in eigenvalues(sub, tol, check_residual=False).real_values(tol)):
+            return NO
     return YES
 
 
@@ -237,6 +235,11 @@ def _orthant_reversal_point(mat: np.ndarray, signs: np.ndarray) -> Optional[np.n
     return _lp_point(np.zeros(mat.shape[0]), a_ub, b_ub, s.reshape(1, -1), np.ones(1))
 
 
+def _check_budget(budget: int) -> None:
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+
+
 def find_reversal_witness(
     m, budget: int = 2000, seed: int = 0, tol: Tolerances = DEFAULT_TOL
 ) -> Optional[np.ndarray]:
@@ -246,8 +249,7 @@ def find_reversal_witness(
     sign-pattern enumeration via linear feasibility for n <= 10.  Absence
     of a witness is NOT a P-certificate.
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    _check_budget(budget)
     mat = as_matrix(m)
     n = mat.shape[0]
     spent = 0
@@ -340,8 +342,9 @@ def is_column_sufficient(
     immediately at any n.  Otherwise, for n <= 3 the verdict is an exact
     decision (every orthant/violation-position system checked for
     emptiness over the rationals); for larger n a budgeted search returns
-    "no" or "unknown".
+    "no" or "unknown".  A budget below 1 raises ValueError at every n.
     """
+    _check_budget(budget)
     mat = as_matrix(m)
     n = mat.shape[0]
     spent = 0
@@ -452,9 +455,8 @@ def powers_P_check(m, kmax: int, tol: Tolerances = DEFAULT_TOL) -> PowersReport:
     all_p = all(v == YES for v in verdicts)
     positive_real: Optional[bool] = None
     if all_p:
-        positive_real = all(
-            abs(v.imag) <= tol.conj_for(abs(v)) and v.real > 0 for v in spec.values
-        )
+        reals = spec.real_values(tol)
+        positive_real = len(reals) == len(spec.values) and all(v > 0 for v in reals)
     return PowersReport(tuple(verdicts), all_p, positive_real, spec.values)
 
 

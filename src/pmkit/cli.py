@@ -16,12 +16,12 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
 
 from . import cayley, classify, lcp, opsim, serialize, spectral, suites
-from .classify import YES
 from .errors import PmkitError, UnknownSuiteError
 from .lcp import LCPInstance
 from .tolerances import DEFAULT_TOL, Tolerances
@@ -32,18 +32,10 @@ EXIT_USAGE = 2
 
 
 def _tolerances(args) -> Tolerances:
-    kwargs = {}
-    if getattr(args, "tol_minor", None) is not None:
-        if args.tol_minor <= 0:
-            raise ValueError("--tol-minor must be positive")
-        kwargs["minor"] = args.tol_minor
-    if getattr(args, "tol_sing", None) is not None:
-        if args.tol_sing <= 0:
-            raise ValueError("--tol-sing must be positive")
-        kwargs["sing"] = args.tol_sing
-    from dataclasses import replace
-
-    return replace(DEFAULT_TOL, **kwargs)
+    """The default coefficients with the --tol-* overrides; Tolerances
+    rejects a coefficient that is not positive and finite."""
+    overrides = {"minor": args.tol_minor, "sing": args.tol_sing}
+    return replace(DEFAULT_TOL, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _seed(args) -> int:
@@ -118,7 +110,6 @@ def _cmd_factor(args) -> int:
     tol = _tolerances(args)
     m = _load_matrix(args.input)
     res = cayley.factor_p(m, tol)
-    ok = res.residual <= 1e-8 and res.left_is_P == YES and res.right_is_P == YES
     result = {
         "u": serialize.matrix_to_obj(res.u),
         "factor_left": serialize.matrix_to_obj(res.factor_left),
@@ -132,7 +123,7 @@ def _cmd_factor(args) -> int:
         f"factor: residual={res.residual:.3e} left_is_P={res.left_is_P} right_is_P={res.right_is_P}"
     ]
     _emit(args, "factor", result, lines)
-    return EXIT_OK if ok else EXIT_CONTRADICTION
+    return EXIT_OK if res.accepted else EXIT_CONTRADICTION
 
 
 def _cmd_pset(args) -> int:
@@ -246,10 +237,10 @@ def _cmd_opsim(args) -> int:
 
     spec = opsim.spec_from_obj(serialize.load_json(args.spec))
     if args.action == "sqrt":
+        # operator_sqrt raises NoConvergenceError past its residual bound
         root = opsim.operator_sqrt(spec, args.order, tol)
         sec = opsim.section(spec, args.order).matrix
         resid = float(np.abs(root.matrix @ root.matrix - sec).max())
-        contradiction = resid > 1e-12 * (1.0 + float(np.abs(sec).max()))
         result = {
             "order": args.order,
             "root": serialize.matrix_to_obj(root.matrix),
@@ -258,19 +249,13 @@ def _cmd_opsim(args) -> int:
         lines = [f"opsim sqrt: order={args.order} residual={resid:.3e}"]
     elif args.action == "minmax":
         res = opsim.minmax_rho(spec, args.order, samples=args.trials, seed=_seed(args), tol=tol)
-        bracket_ok = (
-            res.sup_inf <= res.rho + 1e-9
-            and res.inf_sup >= res.rho - 1e-9
-            and abs(res.inf_sup - res.rho) <= 1e-6
-            and abs(res.sup_inf - res.rho) <= 1e-6
-        )
-        contradiction = not bracket_ok
+        contradiction = not res.bracket_ok
         result = {
             "rho": res.rho,
             "inf_sup": res.inf_sup,
             "sup_inf": res.sup_inf,
             "iterations": res.iterations,
-            "bracket_ok": bracket_ok,
+            "bracket_ok": res.bracket_ok,
         }
         lines = [
             f"opsim minmax: rho={res.rho:.10f} inf_sup={res.inf_sup:.10f} sup_inf={res.sup_inf:.10f}"

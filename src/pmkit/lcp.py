@@ -134,6 +134,11 @@ def lemke_solve(inst: LCPInstance, tol: Tolerances = DEFAULT_TOL) -> Optional[LC
     raise LcpCycleError("pivot cap 2^(n+2) exceeded; lexicographic rule should prevent this")
 
 
+def lemke_agrees(z_lemke: np.ndarray, z_ref: np.ndarray) -> bool:
+    """Lemke's z reproduces a reference solution: within 1e-6 (1 + ||z_ref||_inf)."""
+    return inf_norm(z_lemke - z_ref) <= 1e-6 * (1.0 + inf_norm(z_ref))
+
+
 @dataclass(frozen=True)
 class EnumerationResult:
     solutions: tuple[LCPSolution, ...]
@@ -235,7 +240,7 @@ def uniqueness_census(
             sol = lemke_solve(LCPInstance(mat, q), tol)
             if sol is None:
                 rays += 1
-            elif inf_norm(sol.z - sols[0]) > 1e-6 * (1.0 + inf_norm(sols[0])):
+            elif not lemke_agrees(sol.z, sols[0]):
                 mismatches += 1
         else:
             many += 1

@@ -59,12 +59,10 @@ def inf_norm(m: np.ndarray) -> float:
     return float(np.abs(a).sum(axis=1).max())
 
 
-def as_index_set(members: Iterable[int], n: int, allow_empty: bool = False) -> tuple[int, ...]:
-    """Validate a 1-based index set: unique, within 1..n, returned sorted."""
+def as_index_set(members: Iterable[int], n: int) -> tuple[int, ...]:
+    """Validate a 1-based index set: nonempty, unique, within 1..n, returned sorted."""
     idx = tuple(sorted(int(i) for i in members))
     if not idx:
-        if allow_empty:
-            return idx
         raise InvalidIndexError("index set must be nonempty")
     if len(set(idx)) != len(idx):
         raise InvalidIndexError(f"duplicate members in index set {idx}")

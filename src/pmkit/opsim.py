@@ -19,7 +19,7 @@ from typing import Any, Mapping, Optional, Sequence
 import numpy as np
 import scipy.linalg
 
-from .classify import MINORS_MAX_DIM, NO, YES, is_column_sufficient, is_P_minors
+from .classify import MINORS_MAX_DIM, NO, YES, is_column_sufficient, is_P_minors, reversal_products
 from .errors import (
     DimensionTooLargeError,
     NoConvergenceError,
@@ -181,9 +181,7 @@ def eigen_positivity_check(
         reals = spect.real_values(tol)
         thr = tol.minor_for(inf_norm(sec.matrix), 1)
         ok = all(v > thr for v in reals)
-        p_verdict = (
-            is_P_minors(_equilibrated(sec.matrix), tol)[0] if sec.order <= MINORS_MAX_DIM else None
-        )
+        p_verdict = is_P_operator_section(spec, sec.order, tol) if sec.order <= MINORS_MAX_DIM else None
         contradiction = (not ok) and p_verdict == YES
         if contradiction:
             violations += 1
@@ -197,7 +195,8 @@ def eigen_positivity_check(
 
 def operator_sqrt(spec: OperatorSpec, n: int, tol: Tolerances = DEFAULT_TOL) -> FiniteSection:
     """Section of R = diag(sqrt(lambda_i)) for a positive diagonal compact
-    spec; ||R_N^2 - T_N||_inf stays below 1e-12 by construction."""
+    spec; raises NoConvergenceError when ||R_N^2 - T_N||_inf exceeds
+    1e-12 (1 + ||T_N||_inf)."""
     if spec.kind != "diagonal":
         raise NonDiagonalSpecError("square root requires a diagonal spec")
     if not spec.decay:
@@ -238,6 +237,17 @@ class MinMaxResult:
     rho: float
     iterations: int
     perron: tuple[float, ...]
+
+    @property
+    def bracket_ok(self) -> bool:
+        """Both Collatz-Wielandt estimates bracket rho (slack 1e-9) and lie
+        within 1e-6 of it."""
+        return (
+            self.sup_inf <= self.rho + 1e-9
+            and self.inf_sup >= self.rho - 1e-9
+            and abs(self.inf_sup - self.rho) <= 1e-6
+            and abs(self.sup_inf - self.rho) <= 1e-6
+        )
 
 
 def minmax_rho(
@@ -543,7 +553,7 @@ def rev_membership(spec: OperatorSpec, n: int, x, tol: Tolerances = DEFAULT_TOL)
     x = 0 is the degenerate member (all products exactly zero)."""
     sec = section(spec, n)
     v = as_vector(x, n)
-    prods = v * (sec.matrix @ v)
+    prods = reversal_products(sec.matrix, v)
     thr = tol.minor_for(inf_norm(sec.matrix), 1) * max(1.0, float(np.abs(v).max()) ** 2)
     return RevQuery(tuple(float(p) for p in prods), bool((prods <= thr).all()))
 

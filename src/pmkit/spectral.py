@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
 from .classify import MINORS_MAX_DIM, NO, YES, is_P_minors
@@ -30,6 +31,7 @@ from .errors import (
     PreconditionViolatedError,
     ZeroElementInP0CheckError,
 )
+from .generators import _diagdom
 from .linalg import eigenvalues, pair_conjugates
 from .tolerances import DEFAULT_TOL, Tolerances
 
@@ -356,14 +358,7 @@ def _block_form(cand: CandidateSpectrum) -> np.ndarray:
         else:
             a, b = vals[group[0]].real, abs(vals[group[0]].imag)
             mats.append(np.array([[a, b], [-b, a]]))
-    n = sum(m.shape[0] for m in mats)
-    out = np.zeros((n, n))
-    pos = 0
-    for m in mats:
-        k = m.shape[0]
-        out[pos : pos + k, pos : pos + k] = m
-        pos += k
-    return out
+    return scipy.linalg.block_diag(*mats)
 
 
 def _random_similarity(block: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -462,10 +457,7 @@ def extremal_spectrum_search(
         if mode == 0:
             consider(rng.uniform(-1.0, 1.0, (n, n)))
         elif mode == 1:
-            m = rng.uniform(-1.0, 1.0, (n, n))
-            off = np.abs(m).sum(axis=1) - np.abs(np.diag(m))
-            np.fill_diagonal(m, off + rng.uniform(0.1, 1.0, n))
-            consider(m + rng.uniform(-0.3, 0.3, (n, n)))
+            consider(_diagdom(rng, n, 1.0) + rng.uniform(-0.3, 0.3, (n, n)))
         else:
             # random P-set with a left-half-plane pair, short realization try
             vals = []

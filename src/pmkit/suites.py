@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from math import atan2, pi
 from typing import Callable
 
 import numpy as np
@@ -80,17 +79,13 @@ def _sizes(rng: np.random.Generator, count: int, lo: int = 2, hi: int = 6) -> li
 
 
 def _kellogg_violations(matrices, tol: Tolerances) -> int:
-    """Count eigenvalues of P-matrices outside the open Kellogg wedge."""
-    bad = 0
-    for m in matrices:
-        n = m.shape[0]
-        if n < 2:
-            continue
-        bound = (n - 1) * pi / n
-        for v in eigenvalues(m, tol, check_residual=False).values:
-            if abs(atan2(v.imag, v.real)) >= bound:
-                bad += 1
-    return bad
+    """Count the matrices (n >= 2) whose spectrum wedge_check rejects."""
+    return sum(
+        1
+        for m in matrices
+        if m.shape[0] >= 2
+        and spectral.wedge_check(eigenvalues(m, tol, check_residual=False).values, tol=tol).verdict == NO
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +249,7 @@ def suite_cayley(seed: int = 1, tol: Tolerances = DEFAULT_TOL) -> SuiteReport:
         if ids.plus_residual > 1e-8 or ids.minus_singular or ids.minus_residual > 1e-8:
             idn_bad += 1
         res = cayley.factor_p(a, tol)
-        if res.residual > 1e-8 or res.left_is_P != YES or res.right_is_P != YES:
+        if not res.accepted:
             fac_bad += 1
         if res.u_path_residual > 1e-8:
             path_bad += 1
@@ -309,9 +304,7 @@ def suite_lcp(seed: int = 1, tol: Tolerances = DEFAULT_TOL) -> SuiteReport:
             sol = lcp.lemke_solve(inst, tol)
             if sol is None:
                 rays += 1
-            elif np.abs(sol.z - res.solutions[0].z).max() > 1e-6 * (
-                1.0 + np.abs(res.solutions[0].z).max()
-            ):
+            elif not lcp.lemke_agrees(sol.z, res.solutions[0].z):
                 mismatch += 1
     rpt.add(
         "forward-uniqueness",
@@ -370,13 +363,8 @@ def suite_operator(seed: int = 1, tol: Tolerances = DEFAULT_TOL) -> SuiteReport:
         m = np.random.default_rng(seed * 12_000_017 + k).uniform(0.1, 3.0, (n, n))
         spec = opsim.make_spec("dense-rule", "matrix-literal", {"matrix": m.tolist()})
         res = opsim.minmax_rho(spec, n, samples=48, seed=seed + k, tol=tol)
-        gap = max(abs(res.inf_sup - res.rho), abs(res.sup_inf - res.rho))
-        worst_gap = max(worst_gap, gap)
-        if (
-            res.sup_inf > res.rho + 1e-9
-            or res.inf_sup < res.rho - 1e-9
-            or gap > 1e-6
-        ):
+        worst_gap = max(worst_gap, abs(res.inf_sup - res.rho), abs(res.sup_inf - res.rho))
+        if not res.bracket_ok:
             mm_bad += 1
     rpt.add("minmax-bracketing", mm_bad == 0,
             sections=MINMAX_SECTIONS, failures=mm_bad, worst_gap=worst_gap)

@@ -2,13 +2,15 @@
 
 Every verdict in the package is taken against a threshold derived from one
 of the coefficients below, scaled by the magnitude of the data it judges.
-Reports embed the coefficient set actually used.
+Every coefficient must be positive and finite; a nan, infinite, zero or
+negative one raises ValueError.  Reports embed the coefficient set
+actually used.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 _EXP_CAP = 700.0  # exp(700) ~ 1e304, just under float64 overflow
 
@@ -30,6 +32,12 @@ class Tolerances:
     res: float = 1e-8    # linear-solve residual coefficient
     comp: float = 1e-8   # LCP complementarity, scaled by 1 + ||q||_inf
     zero: float = 1e-9   # kernel coordinate threshold, scaled by ||v||_inf
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"tolerance {f.name!r} must be positive and finite, got {value!r}")
 
     def sing_for(self, norm: float) -> float:
         return self.sing * norm

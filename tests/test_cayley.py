@@ -1,5 +1,7 @@
 """Transform identities, P-factorization, stability experiments."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,13 @@ class TestFactorP:
         res = cayley.factor_p(a)
         assert res.residual <= 1e-8
         assert res.left_is_P == YES and res.right_is_P == YES
+
+    def test_accepted_rejects_hand_built_failures(self):
+        res = cayley.factor_p(np.array(cayley.P_NOT_POSITIVE_STABLE))
+        assert res.accepted
+        assert not dataclasses.replace(res, residual=1e-6).accepted
+        assert not dataclasses.replace(res, left_is_P=NO).accepted
+        assert not dataclasses.replace(res, right_is_P=NO).accepted
 
 
 class TestHurwitz:

@@ -181,6 +181,18 @@ class TestNotPositiveStableFixture:
 
 
 class TestColumnSufficiency:
+    @pytest.mark.parametrize("n", [2, 13])
+    @pytest.mark.parametrize(
+        "fn",
+        [classify.is_column_sufficient, classify.is_row_sufficient, classify.is_sufficient,
+         classify.find_reversal_witness, classify.classify_matrix],
+    )
+    def test_budget_below_one_rejected_at_every_n(self, fn, n):
+        m = generate(GenSpec("P-diagdom", n, seed=1))
+        for budget in (0, -1):
+            with pytest.raises(ValueError, match="budget must be >= 1"):
+                fn(m, budget=budget)
+
     def test_identity(self):
         verdict, witness = classify.is_column_sufficient(np.eye(2))
         assert (verdict, witness) == (YES, None)

@@ -67,6 +67,29 @@ class TestFactor:
         assert main(["factor", "--input", example_matrix]) == 2
 
 
+class TestTolerances:
+    @pytest.mark.parametrize("flag, key", [("--tol-minor", "minor"), ("--tol-sing", "sing")])
+    @pytest.mark.parametrize("command", ["classify", "factor"])
+    def test_valid_override_lands_in_report(self, identity_matrix, tmp_path, flag, key, command):
+        out = tmp_path / "r.json"
+        assert main([command, "--input", identity_matrix, f"{flag}=2.5e-9", "--out", str(out), "--quiet"]) == 0
+        assert read_report(out)["tolerances"][key] == 2.5e-9
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("flag", ["--tol-minor", "--tol-sing"])
+    @pytest.mark.parametrize("command", ["classify", "factor"])
+    def test_invalid_coefficient_exit_2(self, example_matrix, tmp_path, capsys, value, flag, command):
+        out = tmp_path / "r.json"
+        assert main([command, "--input", example_matrix, f"{flag}={value}", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "positive and finite" in capsys.readouterr().err
+
+    def test_budget_zero_exit_2(self, example_matrix, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["classify", "--input", example_matrix, "--budget", "0", "--out", str(out)]) == 2
+        assert not out.exists()
+
+
 class TestPset:
     def test_values_flag(self, tmp_path, capsys):
         out = tmp_path / "p.json"

@@ -86,6 +86,12 @@ class TestEnumeration:
             dev = np.abs(sol.z - res.solutions[0].z).max()
             assert dev <= 1e-6 * (1.0 + np.abs(res.solutions[0].z).max())
 
+    def test_lemke_agreement_rejects_hand_built_mismatch(self):
+        ref = np.array([1.0, 0.0, 2.0])
+        assert lcp.lemke_agrees(ref + 2e-6, ref)  # within 1e-6 (1 + 2)
+        assert not lcp.lemke_agrees(ref + np.array([0.0, 4e-6, 0.0]), ref)
+        assert not lcp.lemke_agrees(np.zeros(3), ref)
+
     def test_every_solution_revalidates(self):
         rng = np.random.default_rng(4)
         for _ in range(100):

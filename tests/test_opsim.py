@@ -193,6 +193,15 @@ class TestMinMax:
         with pytest.raises(NonPositiveSectionError):
             opsim.minmax_rho(IDENTITY, 2)
 
+    def test_bracket_ok_rejects_hand_built_failures(self):
+        def result(inf_sup, sup_inf):
+            return opsim.MinMaxResult(inf_sup=inf_sup, sup_inf=sup_inf, rho=2.0, iterations=1, perron=(0.5, 0.5))
+
+        assert result(2.0, 2.0).bracket_ok
+        assert not result(2.0, 2.0 + 1e-8).bracket_ok  # sup_inf above rho past the slack
+        assert not result(2.0 - 1e-8, 2.0).bracket_ok  # inf_sup below rho past the slack
+        assert not result(2.0 + 1e-5, 2.0).bracket_ok  # brackets rho, but the gap exceeds 1e-6
+
 
 class TestInterp:
     def test_identity_pair(self):

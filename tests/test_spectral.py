@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmkit import classify, linalg, spectral
+from pmkit import classify, linalg, spectral, suites
 from pmkit.classify import NO, YES
 from pmkit.errors import (
     DimensionTooLargeError,
@@ -137,6 +137,12 @@ class TestWedge:
             vals = linalg.eigenvalues(m).values
             assert spectral.is_P_set(vals) == YES
             assert spectral.wedge_check(vals).verdict == YES
+
+    def test_suite_count_is_per_matrix(self):
+        # eigenvalues +-i sit on the n = 2 bound: one rejected matrix, not two values
+        rotation = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        assert suites._kellogg_violations([rotation], DEFAULT_TOL) == 1
+        assert suites._kellogg_violations([rotation, np.eye(2), np.eye(1)], DEFAULT_TOL) == 1
 
 
 class TestAugment:
