@@ -7,9 +7,9 @@ Runs each command in-process through `pmkit.cli.main`, drops the report's
 of the report (or "-" when the command wrote none), the exit code and the
 command.  The commands cover every subcommand, valid and invalid
 threshold overrides and budget 0.  It then prints one sha256 line per API
-group: `augment_to_P_set` on the 100 seed sets of the seed-1 suite's
-augmentation check (the report keeps only a failure count and the
-largest addition count), `sigma_all`,
+group: `augment_to_P_set` on the 100 seed sets of the augmentation check
+of the suite run with seed 1, 2 and 3 (one line each; the report keeps
+only a failure count and the largest addition count), `sigma_all`,
 `is_P_set` and `wedge_check` on value lists on both sides of 800 values,
 `realize_P_set` and `extremal_spectrum_search`, and `diag_interp_check`.
 Raised errors are digested as type and message.  Two checkouts give the
@@ -145,6 +145,7 @@ def _commands(tmp: str) -> list[list[str]]:
     for extra in BAD_ARGS:
         cmds.append(["classify", "--input", example] + extra)
         cmds.append(["factor", "--input", example] + extra)
+    cmds.append(["gen", "--class", "P-diagdom", "--n", "5", "--seed", "3", "--tol-minor=nan"])
     cmds.append(["classify", "--input", example, "--budget", "0"])
     for name in ("cayley", "operator", "lcp"):
         cmds.append(["suite", name, "--seed", "2"])
@@ -178,11 +179,12 @@ def _outcome(fn, *args, **kwargs):
         return ("raised", type(exc).__name__, str(exc))
 
 
-def _augment_outputs() -> list:
-    """The seed sets and seeds of the seed-1 suite's augmentation check."""
+def _augment_outputs(suite_seed: int) -> list:
+    """The seed sets and seeds of the augmentation check of the suite run
+    with `suite_seed`."""
     out = []
     for k in range(100):
-        g = np.random.default_rng(6_000_029 + k)
+        g = np.random.default_rng(suite_seed * 6_000_029 + k)
         vals = []
         for _ in range(int(g.integers(1, 4))):
             a, b = g.uniform(-3.0, 3.0), g.uniform(0.25, 3.0)
@@ -254,7 +256,9 @@ def _interp_outputs() -> list:
 
 
 API_GROUPS = (
-    ("augment_to_P_set seed-1 suite sets", _augment_outputs),
+    ("augment_to_P_set seed-1 suite sets", lambda: _augment_outputs(1)),
+    ("augment_to_P_set seed-2 suite sets", lambda: _augment_outputs(2)),
+    ("augment_to_P_set seed-3 suite sets", lambda: _augment_outputs(3)),
     ("sigma_all is_P_set wedge_check", _sigma_outputs),
     ("realize_P_set extremal_spectrum_search", _realize_outputs),
     ("diag_interp_check", _interp_outputs),

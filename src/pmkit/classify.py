@@ -26,7 +26,7 @@ from scipy.optimize import linprog
 
 from . import feasibility
 from .errors import DimensionTooLargeError, PreconditionViolatedError
-from .linalg import as_matrix, as_vector, eigenvalues, inf_norm, principal_submatrices
+from .linalg import as_matrix, as_vector, eigenvalues, inf_norm, principal_stacks, principal_submatrices
 from .tolerances import DEFAULT_TOL, Tolerances
 
 YES = "yes"
@@ -71,19 +71,24 @@ def _minor_sweep(m, strict: bool, tol: Tolerances):
     """Shortlex sweep over all 2^n - 1 principal minors.
 
     With `strict` every minor must exceed +tol.minor_for(||m||, k) (P);
-    otherwise none may fall below -tol.minor_for(||m||, k) (P0).  Returns
-    (verdict, first violating index set or None).
+    otherwise none may fall below -tol.minor_for(||m||, k) (P0).  Each
+    size k is one batched determinant over the stack of its k x k
+    submatrices (the same LAPACK LU per matrix, so the same bits as one
+    call each), sizes in increasing order; the first violating row of the
+    first failing size is the shortlex-first violating index set.
+    Returns (verdict, that set 1-based or None).
     """
     mat = as_matrix(m)
     n = mat.shape[0]
     if n > MINORS_MAX_DIM:
         raise DimensionTooLargeError(f"minor enumeration capped at n={MINORS_MAX_DIM}")
     norm = inf_norm(mat)
-    for sel, sub in principal_submatrices(mat):
-        minor = float(np.linalg.det(sub))
-        thr = tol.minor_for(norm, len(sel))
-        if (minor <= thr) if strict else (minor < -thr):
-            return NO, tuple(i + 1 for i in sel)
+    for idx, stack in principal_stacks(mat):
+        minors = np.linalg.det(stack)
+        thr = tol.minor_for(norm, idx.shape[1])
+        bad = (minors <= thr) if strict else (minors < -thr)
+        if bad.any():
+            return NO, tuple(int(i) + 1 for i in idx[np.argmax(bad)])
     return YES, None
 
 

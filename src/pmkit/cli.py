@@ -298,6 +298,7 @@ def _cmd_opsim(args) -> int:
 def _cmd_gen(args) -> int:
     from .generators import GenSpec, generate
 
+    _tolerances(args)  # gen takes no threshold, but rejects a bad override like every command
     m = generate(GenSpec(args.class_tag, args.n, seed=_seed(args), scale=args.scale))
     obj = serialize.matrix_to_obj(m)
     # the artifact is the matrix itself, directly usable as --input elsewhere

@@ -188,11 +188,21 @@ def enumerate_solutions(inst: LCPInstance, tol: Tolerances = DEFAULT_TOL) -> Enu
     components clear -tau_minor.  Singular bases are skipped and counted.
     Distinct solutions are merged within 1e-8.
     """
-    if inst.n > ENUM_MAX_DIM:
+    return next(enumerate_for_each(inst.m, [inst.q], tol))
+
+
+def enumerate_for_each(m, qs, tol: Tolerances = DEFAULT_TOL):
+    """enumerate_solutions(LCPInstance.make(m, q)) for each q in `qs`, in
+    order, over one basis table of `m` (built when the first result is
+    taken)."""
+    mat = as_matrix(m)
+    if mat.shape[0] > ENUM_MAX_DIM:
         raise DimensionTooLargeError(f"enumeration capped at n={ENUM_MAX_DIM}")
-    bases, skipped = _basis_table(inst.m, tol)
-    sols = _solve_bases(inst.m, bases, inst.q, tol)
-    return EnumerationResult(tuple(_solution_from_z(inst, z) for z in sols), skipped)
+    bases, skipped = _basis_table(mat, tol)
+    for q in qs:
+        inst = LCPInstance(mat, as_vector(q, mat.shape[0]))
+        sols = _solve_bases(mat, bases, inst.q, tol)
+        yield EnumerationResult(tuple(_solution_from_z(inst, z) for z in sols), skipped)
 
 
 @dataclass(frozen=True)

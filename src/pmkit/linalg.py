@@ -79,15 +79,24 @@ def principal_submatrix(m, a: Iterable[int]) -> np.ndarray:
     return mat[np.ix_(sel, sel)]
 
 
+def principal_stacks(mat: np.ndarray):
+    """The principal submatrices of each size k = 1..n as one batch:
+    yields (idx, stack), `idx` the (C(n, k), k) intp array of 0-based
+    index sets in lexicographic order and `stack[j]` = mat[idx[j], idx[j]]
+    of shape (C(n, k), k, k)."""
+    n = mat.shape[0]
+    for k in range(1, n + 1):
+        idx = np.array(list(combinations(range(n), k)), dtype=np.intp)
+        yield idx, mat[idx[:, :, None], idx[:, None, :]]
+
+
 def principal_submatrices(mat: np.ndarray):
     """Every principal submatrix as (sel, mat[sel, sel]), `sel` a 0-based
     index list, smallest size first and lexicographic within each size
     (shortlex)."""
-    n = mat.shape[0]
-    for k in range(1, n + 1):
-        for alpha in combinations(range(n), k):
-            sel = list(alpha)
-            yield sel, mat[np.ix_(sel, sel)]
+    for idx, stack in principal_stacks(mat):
+        for sel, sub in zip(idx.tolist(), stack):
+            yield sel, sub
 
 
 def lu_factor_checked(mat: np.ndarray, thr: float):

@@ -249,7 +249,10 @@ def augment_to_P_set(c, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Optiona
     and random tuples drawn from `seed`); phase two runs equal-value
     ladders, each one incremental scan over the count that returns the
     smallest passing count for its magnitude (the thresholded test is not
-    monotone in the count, so a later count may fail again).  None on
+    monotone in the count, so a later count may fail again) and stops at
+    the first proven dead end, where the top scaled coefficient has
+    fallen to the smallest threshold and further copies can only shrink
+    it (see _ladder_min_count).  None on
     budget exhaustion (the augmentation theorem guarantees existence, so
     persistent failure at small sizes signals a bug).
     """
@@ -306,13 +309,22 @@ def _ladder_min_count(
     base: tuple[complex, ...], t: float, m_cap: int, tol: Tolerances
 ) -> Optional[int]:
     """Smallest m <= m_cap with base + m copies of t passing the P-set
-    test: one expansion of base + m_cap copies, tested after each factor.
+    test: one expansion of base + m_cap copies, tested after each factor,
+    or None.
 
     Exact positivity is monotone in m, since multiplying a polynomial with
     positive coefficients by (x + t), t > 0, keeps them positive; the
     thresholded test is not.  {-1 +- 2i} with m copies of 0.5 passes for
     m = 5..15 and fails for every m >= 16, where the top scaled
     coefficient (t/L)^m drops below tol.minor.
+
+    The scan returns None at the first proven dead end: once every base
+    value is in and the top scaled coefficient is at or below the smallest
+    threshold, no later count can pass.  L >= t, so each further factor
+    multiplies the top coefficient by t/L in (0, 1]; rounding is monotone,
+    so a coefficient at or below that floor stays there (a nonpositive one
+    stays nonpositive); and every threshold is at least the floor.  A NaN
+    compares False and keeps scanning, as without the exit.
     """
     m_cap = min(m_cap, EXPANSION_MAX_VALUES - len(base))
     if m_cap < 1 or t <= 0.0:
@@ -323,7 +335,10 @@ def _ladder_min_count(
     _, coeffs = next(expansion)
     # cast once, not at every comparison with longdouble coefficients
     thr = _pset_thresholds(len(values), scale, tol).astype(coeffs.real.dtype)
+    floor = thr.min()
     for deg, coeffs in expansion:
+        if deg >= len(base) and coeffs.real[deg] <= floor:
+            return None  # dead end: the top coefficient cannot pass again
         if deg > len(base) and bool((coeffs.real[1 : deg + 1] > thr[:deg]).all()):
             return deg - len(base)
     return None

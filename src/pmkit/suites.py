@@ -291,10 +291,9 @@ def suite_lcp(seed: int = 1, tol: Tolerances = DEFAULT_TOL) -> SuiteReport:
     for k, n in enumerate(_sizes(rng, LCP_FORWARD_MATRICES)):
         m = generate(GenSpec("P-diagdom", n, seed=seed * 9_000_043 + k))
         pool.append(m)
-        for j in range(LCP_FORWARD_QS):
-            q = rng.uniform(-5.0, 5.0, n)
+        qs = [rng.uniform(-5.0, 5.0, n) for _ in range(LCP_FORWARD_QS)]
+        for q, res in zip(qs, lcp.enumerate_for_each(m, qs, tol)):
             inst = lcp.LCPInstance(m, q)
-            res = lcp.enumerate_solutions(inst, tol)
             skips += res.singular_skipped
             if len(res.solutions) != 1:
                 multi += 1

@@ -1,5 +1,7 @@
 """Class-membership tests: P / P0 / Z / positive stable / sufficiency."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from pmkit import classify, feasibility, linalg
 from pmkit.classify import NO, UNKNOWN, YES
 from pmkit.errors import DimensionTooLargeError, PreconditionViolatedError
 from pmkit.generators import GenSpec, generate
+from pmkit.tolerances import DEFAULT_TOL
 
 EXAMPLE = np.array([[-1.0, -1.0], [4.0, 3.0]])  # not P, spectrum {1,1}
 
@@ -72,6 +75,66 @@ class TestLexIndexSets:
         for sel, sub in swept:
             assert isinstance(sel, list)
             np.testing.assert_array_equal(sub, linalg.principal_submatrix(m, [i + 1 for i in sel]))
+
+
+class TestBatchedSweep:
+    @staticmethod
+    def reference_sweep(m, strict):
+        """One determinant per index set, in shortlex order."""
+        norm = linalg.inf_norm(m)
+        for alpha in classify.lex_index_sets(m.shape[0]):
+            sel = [i - 1 for i in alpha]
+            minor = float(np.linalg.det(m[np.ix_(sel, sel)]))
+            thr = DEFAULT_TOL.minor_for(norm, len(sel))
+            if (minor <= thr) if strict else (minor < -thr):
+                return NO, alpha
+        return YES, None
+
+    @staticmethod
+    def planted(n, cycles, rng):
+        """Unit diagonal, small noise, and a -2 cycle on each index set:
+        the cycle's own minor is 1 - 2^k < 0, its proper subsets are ~1."""
+        m = np.eye(n) + rng.uniform(-0.01, 0.01, (n, n))
+        for alpha in cycles:
+            for a, b in zip(alpha, alpha[1:] + alpha[:1]):
+                m[a - 1, b - 1] = -2.0
+        return m
+
+    def batch(self):
+        rng = np.random.default_rng(41)
+        mats = [rng.uniform(-1.0, 1.0, (n, n)) for n in range(1, 8) for _ in range(6)]
+        mats += [generate(GenSpec(tag, n, seed=s)) for tag in ("P-diagdom", "M-matrix", "sym-PD", "non-P", "Z")
+                 for n in (1, 3, 6, 9) for s in range(2)]
+        plants = ([(2, 5)], [(3, 4)], [(1, 6, 8)], [(2, 5, 7), (1, 6, 8)], [(3, 4, 7, 8)],
+                  [(2, 3, 5, 6, 8)], [(4, 5)], [(1, 2, 3, 4, 5, 6, 7, 8)])
+        mats += [self.planted(8, cycles, rng) for cycles in plants]
+        return mats
+
+    def test_same_verdict_and_witness_as_per_subset_loop(self):
+        sizes, positions = set(), set()
+        for m in self.batch():
+            for fn, strict in ((classify.is_P_minors, True), (classify.is_P0_minors, False)):
+                got = fn(m)
+                assert got == self.reference_sweep(m, strict)
+                if got[1] is not None:
+                    sizes.add(len(got[1]))
+                    positions.add(got[1])
+        assert {1, 2, 3, 4, 5, 8} <= sizes
+        assert {(2, 5), (3, 4), (4, 5), (1, 6, 8)} <= positions
+
+    def test_stacks_in_shortlex_order(self):
+        for n in range(1, 5):
+            m = np.arange(float(n * n)).reshape(n, n)
+            stacks = list(linalg.principal_stacks(m))
+            assert [idx.shape[1] for idx, _ in stacks] == list(range(1, n + 1))
+            rows = [tuple(int(i) + 1 for i in row) for idx, _ in stacks for row in idx]
+            assert rows == list(classify.lex_index_sets(n))
+            for idx, stack in stacks:
+                k = idx.shape[1]
+                assert idx.dtype == np.intp and idx.shape == (math.comb(n, k), k)
+                assert stack.shape == (idx.shape[0], k, k)
+                for sel, sub in zip(idx, stack):
+                    np.testing.assert_array_equal(sub, m[np.ix_(sel, sel)])
 
 
 class TestSubmatrixEigenOracle:

@@ -84,6 +84,21 @@ class TestTolerances:
         assert not out.exists()
         assert "positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("flag", ["--tol-minor", "--tol-sing"])
+    def test_gen_invalid_coefficient_exit_2(self, tmp_path, capsys, value, flag):
+        out = tmp_path / "g.json"
+        assert main(["gen", "--class", "P-diagdom", "--n", "2", f"{flag}={value}", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "positive and finite" in capsys.readouterr().err
+
+    def test_gen_valid_override_same_matrix(self, tmp_path):
+        plain, override = tmp_path / "plain.json", tmp_path / "override.json"
+        args = ["gen", "--class", "P-diagdom", "--n", "3", "--quiet", "--out"]
+        assert main(args + [str(plain)]) == 0
+        assert main(args + [str(override), "--tol-minor=1e-8"]) == 0
+        assert plain.read_bytes() == override.read_bytes()
+
     def test_budget_zero_exit_2(self, example_matrix, tmp_path):
         out = tmp_path / "r.json"
         assert main(["classify", "--input", example_matrix, "--budget", "0", "--out", str(out)]) == 2

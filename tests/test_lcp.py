@@ -152,6 +152,35 @@ class TestCensus:
         assert lcp.uniqueness_census(nilpotent, trials=5).singular_skips == 3
 
 
+class TestEnumerateForEach:
+    def test_same_as_one_call_per_instance(self, monkeypatch):
+        tables = []
+        basis_table = lcp._basis_table
+
+        def counted(m, tol):
+            tables.append(m)
+            return basis_table(m, tol)
+
+        monkeypatch.setattr(lcp, "_basis_table", counted)
+        rng = np.random.default_rng(12)
+        mats = [generate(GenSpec("P-diagdom", 6, seed=11)), np.diag([-1.0, 1.0]),
+                np.array([[0.0, 0.0], [1.0, 0.0]]), np.zeros((2, 2))]
+        for m in mats:
+            qs = [rng.uniform(-5.0, 5.0, m.shape[0]) for _ in range(12)]
+            qs.append(np.zeros(m.shape[0]))
+            del tables[:]
+            results = list(lcp.enumerate_for_each(m, qs))
+            assert len(tables) == 1 and len(results) == len(qs)
+            for q, res in zip(qs, results):
+                ref = lcp.enumerate_solutions(inst(m, q))
+                assert res.singular_skipped == ref.singular_skipped
+                assert len(res.solutions) == len(ref.solutions)
+                for got, want in zip(res.solutions, ref.solutions):
+                    np.testing.assert_array_equal(got.z, want.z)
+                    np.testing.assert_array_equal(got.w, want.w)
+                    assert got.basis == want.basis
+
+
 class TestCaps:
     def test_enum_cap(self):
         with pytest.raises(Exception):

@@ -247,6 +247,48 @@ class TestLadder:
         union = spectral.CandidateSpectrum(_pair(-1, 2) + (0.5 + 0j,) * 16, True)
         assert spectral.is_P_set(union) == NO
 
+    @staticmethod
+    def full_scan(base, t, cap):
+        """The ladder scan without the dead-end exit: every count up to the cap."""
+        values = base + (complex(t),) * min(cap, spectral.EXPANSION_MAX_VALUES - len(base))
+        scale = spectral._scale(values)
+        expansion = spectral._expansion(values, scale)
+        _, coeffs = next(expansion)
+        thr = spectral._pset_thresholds(len(values), scale, DEFAULT_TOL).astype(coeffs.real.dtype)
+        for deg, coeffs in expansion:
+            if deg > len(base) and bool((coeffs.real[1 : deg + 1] > thr[:deg]).all()):
+                return deg - len(base)
+        return None
+
+    def test_dead_end_exit_matches_full_scan(self):
+        # caps past FLOAT64_MAX_VALUES run in clongdouble; t = 6 sets the
+        # scale itself for the small bases, so t/L = 1 there; with 1e-8 in
+        # the base and t = 6, 3 copies pass with the top coefficient at
+        # 2.3e-10, just above the floor
+        bases = (_pair(-1, 2), _pair(-1, 2) + (0.3,), _pair(-1, 2) + (1e-8,), _pair(-3, 0.5),
+                 _pair(-3, 4), _pair(-0.2, 3) + _pair(0.5, 1), _pair(1, 1))
+        got = []
+        for base in bases:
+            for t in (0.5, 2.0, 6.0):
+                for cap in (4, 60, 900):
+                    m = spectral._ladder_min_count(base, t, cap, DEFAULT_TOL)
+                    assert m == self.full_scan(base, t, cap), (base, t, cap)
+                    got.append(m)
+        assert None in got and any(m is not None for m in got)
+
+    def test_dead_end_stops_far_below_the_cap(self, monkeypatch):
+        degrees = []
+        expansion = spectral._expansion
+
+        def spy(values, scale):
+            for deg, coeffs in expansion(values, scale):
+                degrees.append(deg)
+                yield deg, coeffs
+
+        monkeypatch.setattr(spectral, "_expansion", spy)
+        assert spectral._ladder_min_count(_pair(-3, 0.5), 2.0, 6000, DEFAULT_TOL) is None
+        assert max(degrees) < 100
+
 
 class TestRealize:
     def test_pair_of_ones_gives_identity(self):
