@@ -11,7 +11,9 @@ group: `augment_to_P_set` on the 100 seed sets of the augmentation check
 of the suite run with seed 1, 2 and 3 (one line each; the report keeps
 only a failure count and the largest addition count), `sigma_all`,
 `is_P_set` and `wedge_check` on value lists on both sides of 800 values,
-`realize_P_set` and `extremal_spectrum_search`, and `diag_interp_check`.
+`realize_P_set` and `extremal_spectrum_search`, `diag_interp_check`, and
+the sign-reversal and sufficiency searches at their phase-boundary
+budgets for n = 2..13.
 Raised errors are digested as type and message.  Two checkouts give the
 same outputs exactly when their lines are equal, so a refactor is checked
 with one diff:
@@ -34,10 +36,11 @@ import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import tempfile  # noqa: E402
+from itertools import count  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from pmkit import cli, opsim, serialize, spectral  # noqa: E402
+from pmkit import classify, cli, opsim, serialize, spectral  # noqa: E402
 from pmkit.generators import GenSpec, generate  # noqa: E402
 
 # P, with two eigenvalues in the left half-plane and an indefinite
@@ -255,6 +258,29 @@ def _interp_outputs() -> list:
     return [_outcome(opsim.diag_interp_check, s, t, n, trials=30, seed=n) for s, t, n in pairs]
 
 
+def _search_outputs() -> list:
+    """find_reversal_witness and column / row sufficiency at n = 2..13 on an
+    arbitrary and a non-P draw and on I - 3C (C the cyclic shift, slightly
+    perturbed: no axis candidate refutes it) at budget 1, the end of the
+    2n^2 axis phase and one past it, and one past the random phase of each
+    search."""
+    out = []
+    for n in range(2, 14):
+        shift = np.roll(np.eye(n), 1, axis=1)
+        perturb = 0.05 * np.random.default_rng(n).uniform(-1.0, 1.0, (n, n))
+        mats = (generate(GenSpec("arbitrary", n, seed=n)), generate(GenSpec("non-P", n, seed=n)),
+                np.eye(n) - 3.0 * shift + perturb)
+        axis = 2 * n * n
+        for m in mats:
+            # each search's random phase draws max(budget // share, 16) points
+            for share, searches in ((4, (classify.find_reversal_witness,)),
+                                    (2, (classify.is_column_sufficient, classify.is_row_sufficient))):
+                end = next(b for b in count(axis) if b - axis >= max(b // share, 16))
+                for budget in (1, axis, axis + 1, end + 1):
+                    out += [_outcome(fn, m, budget=budget, seed=n) for fn in searches]
+    return out
+
+
 API_GROUPS = (
     ("augment_to_P_set seed-1 suite sets", lambda: _augment_outputs(1)),
     ("augment_to_P_set seed-2 suite sets", lambda: _augment_outputs(2)),
@@ -262,6 +288,7 @@ API_GROUPS = (
     ("sigma_all is_P_set wedge_check", _sigma_outputs),
     ("realize_P_set extremal_spectrum_search", _realize_outputs),
     ("diag_interp_check", _interp_outputs),
+    ("find_reversal_witness is_column_sufficient is_row_sufficient", _search_outputs),
 )
 
 

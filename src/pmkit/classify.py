@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, islice, product
 from typing import Optional
 
 import numpy as np
@@ -245,48 +245,37 @@ def _check_budget(budget: int) -> None:
         raise ValueError("budget must be >= 1")
 
 
+def _first_witness(mat: np.ndarray, candidates, strict: bool, tol: Tolerances) -> Optional[np.ndarray]:
+    """The gated form of the first candidate that passes the exact gate,
+    or None; None candidates (infeasible LPs) are skipped."""
+    for x in candidates:
+        if x is not None:
+            out = _gate_witness(mat, x, strict, tol)
+            if out is not None:
+                return out
+    return None
+
+
 def find_reversal_witness(
     m, budget: int = 2000, seed: int = 0, tol: Tolerances = DEFAULT_TOL
 ) -> Optional[np.ndarray]:
     """Search for x != 0 with x_i (m x)_i <= 0 for all i (certifies not-P).
 
-    Phases: deterministic axis candidates, seeded random sampling, then
-    sign-pattern enumeration via linear feasibility for n <= 10.  Absence
-    of a witness is NOT a P-certificate.
+    Phases: the 2n^2 deterministic axis candidates, max(budget // 4, 16)
+    seeded Gaussian draws, then for n <= 10 one LP point per sign pattern.
+    The budget counts every candidate, infeasible LPs included, and stops
+    the search wherever it runs out (at n >= 32 the default 2000 ends it
+    inside the axis phase).  Absence of a witness is NOT a P-certificate.
     """
     _check_budget(budget)
     mat = as_matrix(m)
     n = mat.shape[0]
-    spent = 0
-
-    for cand in _axis_candidates(n):
-        if spent >= budget:
-            return None
-        spent += 1
-        out = _gate_witness(mat, cand, strict=False, tol=tol)
-        if out is not None:
-            return out
-
     rng = np.random.default_rng(seed)
-    n_random = min(max(budget // 4, 16), budget - spent)
-    for _ in range(max(n_random, 0)):
-        spent += 1
-        out = _gate_witness(mat, rng.standard_normal(n), strict=False, tol=tol)
-        if out is not None:
-            return out
-
-    if n <= REVERSAL_LP_MAX_DIM:
-        for signs in product((1.0, -1.0), repeat=n):
-            if spent >= budget:
-                return None
-            spent += 1
-            x = _orthant_reversal_point(mat, np.array(signs))
-            if x is None:
-                continue
-            out = _gate_witness(mat, x, strict=False, tol=tol)
-            if out is not None:
-                return out
-    return None
+    normals = (rng.standard_normal(n) for _ in range(max(budget // 4, 16)))
+    patterns = product((1.0, -1.0), repeat=n) if n <= REVERSAL_LP_MAX_DIM else ()
+    orthants = (_orthant_reversal_point(mat, signs) for signs in patterns)
+    # islice pulls no item past its stop, so no LP beyond the budget is solved
+    return _first_witness(mat, islice(chain(_axis_candidates(n), normals, orthants), budget), False, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +326,35 @@ def _csu_violation_lp_max(mat: np.ndarray, signs, i: int) -> Optional[np.ndarray
     )
 
 
+def _exact_orthant_points(mat: np.ndarray):
+    """Per orthant and violation position, the exact Fourier-Motzkin point
+    of its system and, when there is one, the violation-maximizing LP
+    point (backstop when the first is only sub-threshold)."""
+    n = mat.shape[0]
+    for signs in product((1, -1), repeat=n):
+        for i in range(n):
+            # feasible_point reads a row as coeffs . x + const >= 0
+            a_ub, b_ub = _reversal_cone(mat, signs, i)
+            point = feasibility.feasible_point(list(-a_ub), list(b_ub))
+            if point is not None:
+                yield np.array([float(v) for v in point])
+                yield _csu_violation_lp_max(mat, signs, i)
+
+
+def _sampled_points(mat: np.ndarray, budget: int, seed: int):
+    """max(budget // 2, 16) seeded Gaussian draws, then for n <= 10 one LP
+    point per (orthant, violation position) in a seeded shuffled order."""
+    n = mat.shape[0]
+    rng = np.random.default_rng(seed)
+    for _ in range(max(budget // 2, 16)):
+        yield rng.standard_normal(n)
+    pattern_pool = list(product((1, -1), repeat=n)) if n <= REVERSAL_LP_MAX_DIM else []
+    rng.shuffle(pattern_pool)
+    for signs in pattern_pool:
+        for i in range(n):
+            yield _lp_point(np.zeros(n), *_reversal_cone(mat, signs, i))
+
+
 def is_column_sufficient(
     m, budget: int = 2000, seed: int = 0, tol: Tolerances = DEFAULT_TOL
 ):
@@ -344,15 +362,18 @@ def is_column_sufficient(
 
     "no" carries an exact-validated witness.  Matrices whose symmetric
     part is positive semidefinite (within tolerance) are certified "yes"
-    immediately at any n.  Otherwise, for n <= 3 the verdict is an exact
-    decision (every orthant/violation-position system checked for
-    emptiness over the rationals); for larger n a budgeted search returns
-    "no" or "unknown".  A budget below 1 raises ValueError at every n.
+    immediately at any n.  Otherwise the 2n^2 axis candidates always run
+    in full.  For n <= 3 the verdict is then an exact decision (every
+    orthant/violation-position system checked for emptiness over the
+    rationals) and the budget is not used.  For larger n a search returns
+    "no" or "unknown"; what is left of the budget after the axis scan
+    counts every further candidate, infeasible LPs included, so at
+    n >= 32 the default 2000 stops the search after the axis scan.  A
+    budget below 1 raises ValueError at every n.
     """
     _check_budget(budget)
     mat = as_matrix(m)
     n = mat.shape[0]
-    spent = 0
 
     # PSD shortcut: if the symmetric part is positive semidefinite within
     # tolerance, any x with all products <= 0 has every product bounded
@@ -362,59 +383,15 @@ def is_column_sufficient(
     if sym_min >= -tol.minor_for(inf_norm(mat), 1) / n:
         return YES, None
 
-    for cand in _axis_candidates(n):
-        spent += 1
-        out = _gate_witness(mat, cand, strict=True, tol=tol)
-        if out is not None:
-            return NO, out
-
-    if n <= EXACT_SUFFICIENCY_MAX_DIM:
-        for signs in product((1, -1), repeat=n):
-            for i in range(n):
-                # feasible_point reads a row as coeffs . x + const >= 0
-                a_ub, b_ub = _reversal_cone(mat, signs, i)
-                point = feasibility.feasible_point(list(-a_ub), list(b_ub))
-                if point is None:
-                    continue
-                x = np.array([float(v) for v in point])
-                out = _gate_witness(mat, x, strict=True, tol=tol)
-                if out is not None:
-                    return NO, out
-                # Feasible but below the minor threshold: push the
-                # violation as far as the cone allows before giving up.
-                x = _csu_violation_lp_max(mat, signs, i)
-                if x is not None:
-                    out = _gate_witness(mat, x, strict=True, tol=tol)
-                    if out is not None:
-                        return NO, out
-        # Every orthant system is empty or carries only sub-threshold
-        # violations; that is a "yes" under the declared tolerances.
-        return YES, None
-
-    rng = np.random.default_rng(seed)
-    n_random = max(budget // 2, 16)
-    for _ in range(n_random):
-        if spent >= budget:
-            break
-        spent += 1
-        out = _gate_witness(mat, rng.standard_normal(n), strict=True, tol=tol)
-        if out is not None:
-            return NO, out
-
-    pattern_pool = list(product((1, -1), repeat=n)) if n <= REVERSAL_LP_MAX_DIM else []
-    rng.shuffle(pattern_pool)
-    for signs in pattern_pool:
-        for i in range(n):
-            if spent >= budget:
-                return UNKNOWN, None
-            spent += 1
-            x = _lp_point(np.zeros(n), *_reversal_cone(mat, signs, i))
-            if x is None:
-                continue
-            out = _gate_witness(mat, x, strict=True, tol=tol)
-            if out is not None:
-                return NO, out
-    return UNKNOWN, None
+    exact = n <= EXACT_SUFFICIENCY_MAX_DIM
+    rest = (_exact_orthant_points(mat) if exact
+            else islice(_sampled_points(mat, budget, seed), max(budget - 2 * n * n, 0)))
+    out = _first_witness(mat, chain(_axis_candidates(n), rest), True, tol)
+    if out is not None:
+        return NO, out
+    # n <= 3: every orthant system is empty or carries only sub-threshold
+    # violations, a "yes" under the declared tolerances
+    return (YES if exact else UNKNOWN), None
 
 
 def is_row_sufficient(m, budget: int = 2000, seed: int = 0, tol: Tolerances = DEFAULT_TOL):
@@ -424,8 +401,10 @@ def is_row_sufficient(m, budget: int = 2000, seed: int = 0, tol: Tolerances = DE
 
 
 def is_sufficient(m, budget: int = 2000, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> str:
+    """Column and row sufficient; the row search is seeded with seed + 1,
+    as in classify_matrix, so both give the same verdict."""
     col, _ = is_column_sufficient(m, budget=budget, seed=seed, tol=tol)
-    row, _ = is_row_sufficient(m, budget=budget, seed=seed, tol=tol)
+    row, _ = is_row_sufficient(m, budget=budget, seed=seed + 1, tol=tol)
     return verdict_and(col, row)
 
 

@@ -227,12 +227,15 @@ def uniqueness_census(
     singular bases skipped; skips downgrade the verdict to inconclusive).
     When the count is one, lemke_solve must reproduce the solution within
     1e-6.  `stop_early` returns as soon as a count != 1 shows up, for
-    contrapositive sampling.
+    contrapositive sampling.  `trials` below 1 raises ValueError: no
+    verdict rests on zero samples.
     """
     mat = as_matrix(m)
     n = mat.shape[0]
     if n > CENSUS_MAX_DIM:
         raise DimensionTooLargeError(f"census capped at n={CENSUS_MAX_DIM}")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
 
     bases, skipped_bases = _basis_table(mat, tol)

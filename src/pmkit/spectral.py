@@ -15,6 +15,7 @@ floating-point range.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -46,8 +47,13 @@ class CandidateSpectrum:
 
 
 def make_candidate(values: Sequence[complex], tol: Tolerances = DEFAULT_TOL) -> CandidateSpectrum:
-    """Canonicalize a raw value list (conjugate pairing computed, not assumed)."""
-    vals, _, closed = pair_conjugates([complex(v) for v in values], tol)
+    """Canonicalize a raw value list (conjugate pairing computed, not
+    assumed).  A non-finite value (nan or inf in either part) raises
+    ValueError."""
+    raw = [complex(v) for v in values]
+    if not all(cmath.isfinite(v) for v in raw):
+        raise ValueError("spectral values must all be finite")
+    vals, _, closed = pair_conjugates(raw, tol)
     return CandidateSpectrum(vals, closed)
 
 

@@ -1,6 +1,7 @@
 """Class-membership tests: P / P0 / Z / positive stable / sufficiency."""
 
 import math
+from itertools import count, product
 
 import numpy as np
 import pytest
@@ -288,6 +289,25 @@ class TestColumnSufficiency:
         assert classify.is_sufficient(np.array([[0.0, 0.0], [1.0, 0.0]])) == NO
         assert classify.is_sufficient(np.diag([1.0, 0.0])) == YES
 
+    def test_is_sufficient_agrees_with_classify_matrix(self):
+        # both seed the row search with seed + 1; arbitrary n=4 seed 274 at
+        # budget 40 once read "unknown" here and "no" in the report
+        cases = [(generate(GenSpec("arbitrary", 4, seed=274)), 40, 0)]
+        rng = np.random.default_rng(17)
+        for _ in range(24):
+            n = int(rng.integers(4, 7))
+            kind = ("arbitrary", "non-P", "P-diagdom")[int(rng.integers(3))]
+            m = generate(GenSpec(kind, n, seed=int(rng.integers(1000))))
+            cases.append((m, int(rng.choice([1, 40, 60, 90])), int(rng.integers(5))))
+        cases += [(_triangular_p(n), 40, 0) for n in (4, 5, 6)]  # "unknown" at n > 3
+        verdicts = set()
+        for m, budget, seed in cases:
+            got = classify.is_sufficient(m, budget=budget, seed=seed)
+            assert got == classify.classify_matrix(m, budget=budget, seed=seed).verdicts["sufficient"]
+            verdicts.add(got)
+        assert classify.is_sufficient(cases[0][0], budget=40, seed=0) == NO
+        assert {NO, UNKNOWN} <= verdicts
+
     def test_exact_decision_on_3x3(self):
         # positive definite symmetric => column sufficient
         m = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
@@ -367,6 +387,230 @@ class TestWitnessGate:
         assert classify.find_reversal_witness(m, budget=100) is None
         assert calls["gate"] == 97  # 72 axis candidates + 25 Gaussian draws
         assert calls["exact"] == calls["gate"]
+
+
+def _reference_find_reversal_witness(m, budget, seed, tol=DEFAULT_TOL):
+    """The reversal search as one hand-counted loop per phase, kept to
+    pin the candidate stream of `find_reversal_witness`."""
+    classify._check_budget(budget)
+    mat = linalg.as_matrix(m)
+    n = mat.shape[0]
+    spent = 0
+
+    for cand in classify._axis_candidates(n):
+        if spent >= budget:
+            return None
+        spent += 1
+        out = classify._gate_witness(mat, cand, strict=False, tol=tol)
+        if out is not None:
+            return out
+
+    rng = np.random.default_rng(seed)
+    n_random = min(max(budget // 4, 16), budget - spent)
+    for _ in range(max(n_random, 0)):
+        spent += 1
+        out = classify._gate_witness(mat, rng.standard_normal(n), strict=False, tol=tol)
+        if out is not None:
+            return out
+
+    if n <= classify.REVERSAL_LP_MAX_DIM:
+        for signs in product((1.0, -1.0), repeat=n):
+            if spent >= budget:
+                return None
+            spent += 1
+            x = classify._orthant_reversal_point(mat, np.array(signs))
+            if x is None:
+                continue
+            out = classify._gate_witness(mat, x, strict=False, tol=tol)
+            if out is not None:
+                return out
+    return None
+
+
+def _reference_is_column_sufficient(m, budget, seed, tol=DEFAULT_TOL):
+    """The sufficiency search as one hand-counted loop per phase, kept to
+    pin the candidate stream of `is_column_sufficient`."""
+    classify._check_budget(budget)
+    mat = linalg.as_matrix(m)
+    n = mat.shape[0]
+    spent = 0
+
+    sym_min = float(np.linalg.eigvalsh(0.5 * (mat + mat.T)).min())
+    if sym_min >= -tol.minor_for(linalg.inf_norm(mat), 1) / n:
+        return YES, None
+
+    for cand in classify._axis_candidates(n):
+        spent += 1
+        out = classify._gate_witness(mat, cand, strict=True, tol=tol)
+        if out is not None:
+            return NO, out
+
+    if n <= classify.EXACT_SUFFICIENCY_MAX_DIM:
+        for signs in product((1, -1), repeat=n):
+            for i in range(n):
+                a_ub, b_ub = classify._reversal_cone(mat, signs, i)
+                point = feasibility.feasible_point(list(-a_ub), list(b_ub))
+                if point is None:
+                    continue
+                x = np.array([float(v) for v in point])
+                out = classify._gate_witness(mat, x, strict=True, tol=tol)
+                if out is not None:
+                    return NO, out
+                x = classify._csu_violation_lp_max(mat, signs, i)
+                if x is not None:
+                    out = classify._gate_witness(mat, x, strict=True, tol=tol)
+                    if out is not None:
+                        return NO, out
+        return YES, None
+
+    rng = np.random.default_rng(seed)
+    n_random = max(budget // 2, 16)
+    for _ in range(n_random):
+        if spent >= budget:
+            break
+        spent += 1
+        out = classify._gate_witness(mat, rng.standard_normal(n), strict=True, tol=tol)
+        if out is not None:
+            return NO, out
+
+    pattern_pool = list(product((1, -1), repeat=n)) if n <= classify.REVERSAL_LP_MAX_DIM else []
+    rng.shuffle(pattern_pool)
+    for signs in pattern_pool:
+        for i in range(n):
+            if spent >= budget:
+                return UNKNOWN, None
+            spent += 1
+            x = classify._lp_point(np.zeros(n), *classify._reversal_cone(mat, signs, i))
+            if x is None:
+                continue
+            out = classify._gate_witness(mat, x, strict=True, tol=tol)
+            if out is not None:
+                return NO, out
+    return UNKNOWN, None
+
+
+def _phase_budgets(n: int, share: int) -> list:
+    """Budget 1, the end of the 2n^2 axis phase and one past it, and the
+    budgets around the end of the random phase, which draws
+    max(budget // share, 16) points."""
+    axis = 2 * n * n
+    end = next(b for b in count(axis) if b - axis >= max(b // share, 16))
+    return sorted({1, axis, axis + 1, end - 1, end, end + 1})
+
+
+def _cyclic(n: int, a: float) -> np.ndarray:
+    """I + a C for the cyclic shift C, plus a seeded perturbation: every
+    1x1 and 2x2 minor is near 1, so no axis candidate refutes it, and its
+    witnesses (when it has any) come from the random or LP phases."""
+    rng = np.random.default_rng(n)
+    return np.eye(n) + a * np.roll(np.eye(n), 1, axis=1) + 0.05 * rng.uniform(-1, 1, (n, n))
+
+
+def _triangular_p(n: int) -> np.ndarray:
+    """A permuted unit upper-triangular P-matrix with an indefinite
+    symmetric part: no witness, so every phase runs to its end."""
+    rng = np.random.default_rng(100 + n)
+    perm = np.eye(n)[rng.permutation(n)]
+    return perm @ (np.eye(n) + np.triu(rng.uniform(-4, 4, (n, n)), 1)) @ perm.T
+
+
+def _search_batch(n: int) -> list:
+    return [generate(GenSpec("arbitrary", n, seed=n)), _cyclic(n, -3.0), _cyclic(n, 3.0), _triangular_p(n)]
+
+
+def _same(got, want) -> bool:
+    if isinstance(got, tuple):
+        return got[0] == want[0] and _same(got[1], want[1])
+    if got is None or want is None:
+        return got is want
+    return got.dtype == want.dtype and np.array_equal(got, want)
+
+
+class TestSearchStreams:
+    """The candidate-stream searches against the phase-by-phase loops they
+    replace, at every phase boundary: the same candidates reach the gate
+    in the same order, and the same verdicts and witness bits come out."""
+
+    @staticmethod
+    def _record_gate(monkeypatch):
+        # a gate that rejects everything and records what it was offered
+        seen = []
+
+        def record(mat, x, strict, tol=DEFAULT_TOL):
+            seen.append((strict, x.tobytes()))
+            return None
+
+        monkeypatch.setattr(classify, "_gate_witness", record)
+        return seen
+
+    @pytest.mark.parametrize("n", range(2, 14))
+    def test_reversal_stream_matches_reference(self, monkeypatch, n):
+        seen = self._record_gate(monkeypatch)
+        for m in _search_batch(n):
+            for budget in _phase_budgets(n, 4):
+                assert classify.find_reversal_witness(m, budget=budget, seed=n) is None
+                got = seen[:]
+                seen.clear()
+                assert _reference_find_reversal_witness(m, budget, n) is None
+                assert got == seen and len(got) <= budget
+                seen.clear()
+
+    @pytest.mark.parametrize("n", range(2, 14))
+    def test_sufficiency_stream_matches_reference(self, monkeypatch, n):
+        seen = self._record_gate(monkeypatch)
+        # the exact n <= 3 decision does not read the budget past its check
+        budgets = _phase_budgets(n, 2) if n > classify.EXACT_SUFFICIENCY_MAX_DIM else [1]
+        for m in _search_batch(n):
+            for budget in budgets:
+                got = classify.is_column_sufficient(m, budget=budget, seed=n), seen[:]
+                seen.clear()
+                assert got == (_reference_is_column_sufficient(m, budget, n), seen)
+                seen.clear()
+
+    # with the real gate a search with no witness pays one exact check per
+    # candidate, so the witness bits are compared at n <= 6 and at three
+    # budgets: 1, one past the axis phase and one past the random phase
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_reversal_search_matches_reference(self, n):
+        found = 0
+        for m in _search_batch(n)[:3]:
+            for budget in (1, 2 * n * n + 1, _phase_budgets(n, 4)[-1]):
+                got = classify.find_reversal_witness(m, budget=budget, seed=n)
+                assert _same(got, _reference_find_reversal_witness(m, budget, n)), budget
+                found += got is not None
+        assert found > 0
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_sufficiency_search_matches_reference(self, n):
+        verdicts = set()
+        for m in _search_batch(n)[:3]:
+            for budget in (1, 2 * n * n + 1, _phase_budgets(n, 2)[-1]):
+                for mat in (m, m.T):  # column and row sufficiency
+                    got = classify.is_column_sufficient(mat, budget=budget, seed=n)
+                    assert _same(got, _reference_is_column_sufficient(mat, budget, n)), budget
+                    verdicts.add(got[0])
+        assert NO in verdicts
+
+    @pytest.mark.parametrize("n", [4, 7])
+    @pytest.mark.parametrize("left", [1, 5, 16])
+    def test_lp_solves_equal_the_budget_left(self, monkeypatch, n, left):
+        # no witness exists, so every LP the budget leaves after the axis
+        # and random phases is solved, and not one more
+        m = _triangular_p(n)
+        axis = 2 * n * n
+        solves = []
+        lp_point = classify._lp_point
+
+        def spy(*args):
+            solves.append(1)
+            return lp_point(*args)
+
+        monkeypatch.setattr(classify, "_lp_point", spy)
+        for share, search in ((4, classify.find_reversal_witness), (2, classify.is_column_sufficient)):
+            budget = next(b for b in count(axis) if b - axis - max(b // share, 16) == left)
+            solves.clear()
+            assert search(m, budget=budget) in (None, (UNKNOWN, None))
+            assert len(solves) == left
 
 
 class TestPowers:

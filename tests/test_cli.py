@@ -133,6 +133,13 @@ class TestPset:
         np.testing.assert_allclose(a["result"]["sigma"], [7.0, 14.0, 18.0, 81.0, 135.0])
 
 
+    @pytest.mark.parametrize("values", ["1e400", "1,nan", "1e400+2i,1e400-2i"])
+    def test_non_finite_values_exit_2(self, tmp_path, values):
+        out = tmp_path / "p.json"
+        assert main(["pset", "--values=" + values, "--out", str(out)]) == 2
+        assert not out.exists()
+
+
 class TestLcp:
     @pytest.fixture()
     def instance(self, tmp_path):
@@ -163,6 +170,11 @@ class TestLcp:
         rpt = read_report(out)
         assert rpt["result"]["verdict"] == "consistent-with-P"
         assert rpt["result"]["counts"]["one"] == 40
+
+    def test_census_no_trials_exit_2(self, instance, tmp_path):
+        out = tmp_path / "c.json"
+        assert main(["lcp", "census", "--input", instance, "--trials", "0", "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestOpsim:

@@ -128,6 +128,16 @@ class TestCensus:
         assert rpt.example_bad_q is not None
         assert rpt.trials <= 500
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_no_trials_rejected(self, monkeypatch, trials):
+        # zero samples would read consistent-with-P even for non-P diag(-1, 1);
+        # the census refuses before it builds its basis table
+        built = []
+        monkeypatch.setattr(lcp, "_basis_table", lambda *args: built.append(args))
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            lcp.uniqueness_census(np.diag([-1.0, 1.0]), trials=trials)
+        assert built == []
+
     def test_singular_skips_inconclusive(self):
         rpt = lcp.uniqueness_census(np.zeros((2, 2)), trials=10, seed=4)
         assert rpt.singular_skips == 3

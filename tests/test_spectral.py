@@ -324,6 +324,31 @@ class TestRealize:
             spectral.realize_P_set([1.0] * (classify.MINORS_MAX_DIM + 1))
 
 
+class TestNonFiniteValues:
+    INF = float("inf")
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [complex(1, INF), complex(1, -INF)],  # once a P-set with sigma [2, 1]
+            [INF],  # once "no" with sigma [nan]
+            [float("nan"), 1.0],
+            [complex(INF, 2), complex(INF, -2)],
+        ],
+    )
+    def test_rejected_like_matrix_entries(self, values):
+        with pytest.raises(ValueError, match="must all be finite"):
+            spectral.make_candidate(values)
+        for fn in (spectral.is_P_set, spectral.sigma_all, spectral.wedge_check):
+            with pytest.raises(ValueError, match="must all be finite"):
+                fn(values)
+
+    def test_augment_rejects_at_once(self):
+        # this input once kept the augmentation ladder running for minutes
+        with pytest.raises(ValueError, match="must all be finite"):
+            spectral.augment_to_P_set([complex(-1, 2), complex(-1, -2), self.INF])
+
+
 class TestSpectraMatch:
     def test_permutation_invariance(self):
         a = [complex(1, 2), complex(1, -2), 3.0]
