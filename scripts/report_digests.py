@@ -6,7 +6,8 @@ Runs each command in-process through `pmkit.cli.main`, drops the report's
 `timestamp` line and prints one line per command: the sha256 of the rest
 of the report (or "-" when the command wrote none), the exit code and the
 command.  The commands cover every subcommand, valid and invalid
-threshold overrides and budget 0.  It then prints one sha256 line per API
+threshold overrides, budget 0, the seed defaults and two flags that an
+action does not read.  It then prints one sha256 line per API
 group: `augment_to_P_set` on the 100 seed sets of the augmentation check
 of the suite run with seed 1, 2 and 3 (one line each; the report keeps
 only a failure count and the largest addition count), `sigma_all`,
@@ -152,6 +153,14 @@ def _commands(tmp: str) -> list[list[str]]:
     cmds.append(["classify", "--input", example, "--budget", "0"])
     for name in ("cayley", "operator", "lcp"):
         cmds.append(["suite", name, "--seed", "2"])
+    # the seed defaults: 0 for classify and the census, 1 for a suite
+    p6 = os.path.join(tmp, "lcp-p6.json")
+    cmds.append(["classify", "--input", pdiag])
+    cmds.append(["lcp", "census", "--input", p6, "--trials", "60"])
+    cmds.append(["suite", "operator"])
+    # flags these actions do not read
+    cmds.append(["lcp", "solve", "--input", p6, "--trials", "5"])
+    cmds.append(["opsim", "sqrt", "--spec", sqrt_spec, "--order", "16", "--x=1"])
     return cmds
 
 

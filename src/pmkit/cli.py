@@ -13,7 +13,6 @@ arguments and seed, except for the timestamp field.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from dataclasses import replace
@@ -22,27 +21,13 @@ from typing import Optional
 import numpy as np
 
 from . import cayley, classify, lcp, opsim, serialize, spectral, suites
-from .errors import PmkitError, UnknownSuiteError
-from .lcp import LCPInstance
+from .errors import PmkitError
+from .generators import GenSpec, generate
 from .tolerances import DEFAULT_TOL, Tolerances
 
 EXIT_OK = 0
 EXIT_CONTRADICTION = 1
 EXIT_USAGE = 2
-
-
-def _tolerances(args) -> Tolerances:
-    """The default coefficients with the --tol-* overrides; Tolerances
-    rejects a coefficient that is not positive and finite."""
-    overrides = {"minor": args.tol_minor, "sing": args.tol_sing}
-    return replace(DEFAULT_TOL, **{k: v for k, v in overrides.items() if v is not None})
-
-
-def _seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return int(args.seed)
-    env = os.environ.get("PMKIT_SEED")
-    return int(env) if env else 0
 
 
 def _load_matrix(path: str) -> np.ndarray:
@@ -52,48 +37,40 @@ def _load_matrix(path: str) -> np.ndarray:
     return serialize.matrix_from_obj(serialize.load_json(path))
 
 
-def _emit(args, command: str, result: dict, summary_lines: list[str]) -> None:
-    report = {
-        "command": command,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "seed": _seed(args),
-        "tolerances": _tolerances(args).as_dict(),
-        "result": result,
-    }
-    out_path = getattr(args, "out", None)
-    quiet = getattr(args, "quiet", False)
-    if out_path:
-        serialize.write_json(out_path, report)
-        if not quiet:
-            for line in summary_lines:
-                print(line)
-            print(f"report written to {out_path}")
+def _emit(args, tol: Tolerances, result, summary_lines: list[str]) -> None:
+    report = result  # gen's artifact is the bare matrix, directly usable as --input elsewhere
+    if args.command != "gen":
+        report = {
+            "command": "-".join([args.command] + [getattr(args, k) for k in ("action", "name") if k in args]),
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            "seed": args.seed,
+            "tolerances": tol.as_dict(),
+            "result": result,
+        }
+        if args.out:
+            summary_lines = summary_lines + [f"report written to {args.out}"]
+    if args.out:
+        serialize.write_json(args.out, report)
     else:
-        if not quiet:
-            for line in summary_lines:
-                print(line, file=sys.stderr)
         sys.stdout.write(serialize.dumps_canonical(report))
+    if not args.quiet:
+        for line in summary_lines:
+            print(line, file=sys.stdout if args.out else sys.stderr)
 
 
 def _parse_values(text: str) -> list[complex]:
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip().replace("i", "j")
-        if not tok:
-            continue
-        out.append(complex(tok))
-    return out
+    # a trailing "i" is the imaginary unit; "inf" keeps its letters
+    toks = [tok.strip() for tok in text.split(",")]
+    return [complex(tok[:-1] + "j" if tok.endswith("i") else tok) for tok in toks if tok]
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: (args, tol) -> (result, summary lines, contradiction)
 
 
-def _cmd_classify(args) -> int:
-    tol = _tolerances(args)
+def _cmd_classify(args, tol):
     m = _load_matrix(args.input)
-    rpt = classify.classify_matrix(m, budget=args.budget, seed=_seed(args), tol=tol)
-    result = rpt.as_obj(m)
+    rpt = classify.classify_matrix(m, budget=args.budget, seed=args.seed, tol=tol)
     lines = [f"classify: {args.input}"]
     for cls in sorted(rpt.verdicts):
         wit = rpt.witnesses.get(cls)
@@ -102,14 +79,11 @@ def _cmd_classify(args) -> int:
             vals = [round(float(v), 6) for v in np.atleast_1d(np.asarray(wit, dtype=float))]
             extra = f"  witness={vals}"
         lines.append(f"  {cls}: {rpt.verdicts[cls]}{extra}")
-    _emit(args, "classify", result, lines)
-    return EXIT_OK
+    return rpt.as_obj(m), lines, False
 
 
-def _cmd_factor(args) -> int:
-    tol = _tolerances(args)
-    m = _load_matrix(args.input)
-    res = cayley.factor_p(m, tol)
+def _cmd_factor(args, tol):
+    res = cayley.factor_p(_load_matrix(args.input), tol)
     result = {
         "u": serialize.matrix_to_obj(res.u),
         "factor_left": serialize.matrix_to_obj(res.factor_left),
@@ -122,18 +96,14 @@ def _cmd_factor(args) -> int:
     lines = [
         f"factor: residual={res.residual:.3e} left_is_P={res.left_is_P} right_is_P={res.right_is_P}"
     ]
-    _emit(args, "factor", result, lines)
-    return EXIT_OK if res.accepted else EXIT_CONTRADICTION
+    return result, lines, not res.accepted
 
 
-def _cmd_pset(args) -> int:
-    tol = _tolerances(args)
-    if args.values:
+def _cmd_pset(args, tol):
+    if args.values is not None:
         vals = _parse_values(args.values)
-    elif args.input:
-        vals = list(serialize.values_from_obj(serialize.load_json(args.input)))
     else:
-        raise ValueError("pset needs --values or --input")
+        vals = list(serialize.values_from_obj(serialize.load_json(args.input)))
     cand = spectral.make_candidate(vals, tol)
     sig = spectral.sigma_all(cand, tol)
     verdict = spectral.is_P_set(cand, tol)
@@ -148,176 +118,153 @@ def _cmd_pset(args) -> int:
         f"pset: is_P_set={verdict} sigma={[round(float(x), 6) for x in sig]}",
         f"  wedge: {wedge.verdict} (max |arg| = {wedge.max_arg:.4f} < {wedge.bound:.4f})",
     ]
-    _emit(args, "pset", result, lines)
-    return EXIT_OK
+    return result, lines, False
 
 
-def _cmd_lcp(args) -> int:
-    tol = _tolerances(args)
-    m, q = serialize.lcp_instance_from_obj(serialize.load_json(args.input))
-    inst = LCPInstance(m, q)
-    anomaly = False
-    if args.action == "solve":
-        sol = lcp.lemke_solve(inst, tol)
-        if sol is None:
-            result = {"status": "ray-termination"}
-            lines = ["lcp solve: ray termination (no solution found)"]
-        else:
-            valid = lcp.validate_solution(inst, sol, tol)
-            anomaly = not valid
-            result = {
-                "status": "solved",
-                "z": [float(x) for x in sol.z],
-                "w": [float(x) for x in sol.w],
-                "basis": list(sol.basis),
-                "valid": valid,
-            }
-            lines = [f"lcp solve: z={[round(float(x), 6) for x in sol.z]} valid={valid}"]
-    elif args.action == "enumerate":
-        res = lcp.enumerate_solutions(inst, tol)
-        result = {
-            "count": len(res.solutions),
-            "singular_skipped": res.singular_skipped,
-            "solutions": [
-                {"z": [float(x) for x in s.z], "w": [float(x) for x in s.w], "basis": list(s.basis)}
-                for s in res.solutions
-            ],
-        }
-        lines = [
-            f"lcp enumerate: {len(res.solutions)} solution(s), {res.singular_skipped} singular bases skipped"
-        ]
-    else:  # census
-        rpt = lcp.uniqueness_census(m, trials=args.trials, seed=_seed(args), tol=tol)
-        anomaly = rpt.lemke_mismatches > 0 or rpt.lemke_rays > 0
-        result = {
-            "trials": rpt.trials,
-            "counts": {"zero": rpt.count_zero, "one": rpt.count_one, "many": rpt.count_many},
-            "verdict": rpt.verdict,
-            "lemke_mismatches": rpt.lemke_mismatches,
-            "lemke_rays": rpt.lemke_rays,
-            "singular_skips": rpt.singular_skips,
-            "example_bad_q": list(rpt.example_bad_q) if rpt.example_bad_q else None,
-        }
-        lines = [
-            f"lcp census: verdict={rpt.verdict} counts(0/1/many)="
-            f"{rpt.count_zero}/{rpt.count_one}/{rpt.count_many}"
-        ]
-    _emit(args, f"lcp-{args.action}", result, lines)
-    return EXIT_CONTRADICTION if anomaly else EXIT_OK
+def _cmd_lcp_solve(args, tol):
+    inst = lcp.LCPInstance(*serialize.lcp_instance_from_obj(serialize.load_json(args.input)))
+    sol = lcp.lemke_solve(inst, tol)
+    if sol is None:
+        return {"status": "ray-termination"}, ["lcp solve: ray termination (no solution found)"], False
+    valid = lcp.validate_solution(inst, sol, tol)
+    result = {
+        "status": "solved",
+        "z": [float(x) for x in sol.z],
+        "w": [float(x) for x in sol.w],
+        "basis": list(sol.basis),
+        "valid": valid,
+    }
+    return result, [f"lcp solve: z={[round(float(x), 6) for x in sol.z]} valid={valid}"], not valid
 
 
-def _cmd_opsim(args) -> int:
-    tol = _tolerances(args)
-    contradiction = False
-    if args.action == "interp":
-        obj = serialize.load_json(args.spec)
-        if not isinstance(obj, dict) or "s" not in obj or "t" not in obj:
-            raise ValueError('interp spec file must be {"s": <opspec>, "t": <opspec>}')
-        spec_s = opsim.spec_from_obj(obj["s"])
-        spec_t = opsim.spec_from_obj(obj["t"])
-        rpt = opsim.diag_interp_check(
-            spec_s, spec_t, args.order, trials=args.trials, seed=_seed(args), tol=tol
-        )
-        contradiction = bool(rpt.violations)
-        result = {
-            "case1_established": rpt.case1_established,
-            "case2_established": rpt.case2_established,
-            "trials": rpt.trials_case1 + rpt.trials_case2,
-            "violations": [
-                {"case": c, "d": list(d), "abs_det": v} for c, d, v in rpt.violations
-            ],
-            "min_abs_det": rpt.min_abs_det,
-        }
-        lines = [
-            f"opsim interp: {rpt.trials_case1 + rpt.trials_case2} trials, "
-            f"{len(rpt.violations)} violations, min |det| = {rpt.min_abs_det:.3e}"
-        ]
-        _emit(args, "opsim-interp", result, lines)
-        return EXIT_CONTRADICTION if contradiction else EXIT_OK
+def _cmd_lcp_enumerate(args, tol):
+    inst = lcp.LCPInstance(*serialize.lcp_instance_from_obj(serialize.load_json(args.input)))
+    res = lcp.enumerate_solutions(inst, tol)
+    result = {
+        "count": len(res.solutions),
+        "singular_skipped": res.singular_skipped,
+        "solutions": [
+            {"z": [float(x) for x in s.z], "w": [float(x) for x in s.w], "basis": list(s.basis)}
+            for s in res.solutions
+        ],
+    }
+    lines = [
+        f"lcp enumerate: {len(res.solutions)} solution(s), {res.singular_skipped} singular bases skipped"
+    ]
+    return result, lines, False
 
+
+def _cmd_lcp_census(args, tol):
+    m, _ = serialize.lcp_instance_from_obj(serialize.load_json(args.input))
+    rpt = lcp.uniqueness_census(m, trials=args.trials, seed=args.seed, tol=tol)
+    result = {
+        "trials": rpt.trials,
+        "counts": {"zero": rpt.count_zero, "one": rpt.count_one, "many": rpt.count_many},
+        "verdict": rpt.verdict,
+        "lemke_mismatches": rpt.lemke_mismatches,
+        "lemke_rays": rpt.lemke_rays,
+        "singular_skips": rpt.singular_skips,
+        "example_bad_q": list(rpt.example_bad_q) if rpt.example_bad_q else None,
+    }
+    lines = [
+        f"lcp census: verdict={rpt.verdict} counts(0/1/many)="
+        f"{rpt.count_zero}/{rpt.count_one}/{rpt.count_many}"
+    ]
+    return result, lines, rpt.lemke_mismatches > 0 or rpt.lemke_rays > 0
+
+
+def _cmd_opsim_interp(args, tol):
+    obj = serialize.load_json(args.spec)
+    if not isinstance(obj, dict) or "s" not in obj or "t" not in obj:
+        raise ValueError('interp spec file must be {"s": <opspec>, "t": <opspec>}')
+    spec_s = opsim.spec_from_obj(obj["s"])
+    spec_t = opsim.spec_from_obj(obj["t"])
+    rpt = opsim.diag_interp_check(spec_s, spec_t, args.order, trials=args.trials, seed=args.seed, tol=tol)
+    result = {
+        "case1_established": rpt.case1_established,
+        "case2_established": rpt.case2_established,
+        "trials": rpt.trials_case1 + rpt.trials_case2,
+        "violations": [{"case": c, "d": list(d), "abs_det": v} for c, d, v in rpt.violations],
+        "min_abs_det": rpt.min_abs_det,
+    }
+    lines = [
+        f"opsim interp: {rpt.trials_case1 + rpt.trials_case2} trials, "
+        f"{len(rpt.violations)} violations, min |det| = {rpt.min_abs_det:.3e}"
+    ]
+    return result, lines, bool(rpt.violations)
+
+
+def _cmd_opsim_sqrt(args, tol):
     spec = opsim.spec_from_obj(serialize.load_json(args.spec))
-    if args.action == "sqrt":
-        # operator_sqrt raises NoConvergenceError past its residual bound
-        root = opsim.operator_sqrt(spec, args.order, tol)
-        sec = opsim.section(spec, args.order).matrix
-        resid = float(np.abs(root.matrix @ root.matrix - sec).max())
-        result = {
-            "order": args.order,
-            "root": serialize.matrix_to_obj(root.matrix),
-            "square_residual": resid,
-        }
-        lines = [f"opsim sqrt: order={args.order} residual={resid:.3e}"]
-    elif args.action == "minmax":
-        res = opsim.minmax_rho(spec, args.order, samples=args.trials, seed=_seed(args), tol=tol)
-        contradiction = not res.bracket_ok
-        result = {
-            "rho": res.rho,
-            "inf_sup": res.inf_sup,
-            "sup_inf": res.sup_inf,
-            "iterations": res.iterations,
-            "bracket_ok": res.bracket_ok,
-        }
-        lines = [
-            f"opsim minmax: rho={res.rho:.10f} inf_sup={res.inf_sup:.10f} sup_inf={res.sup_inf:.10f}"
-        ]
-    elif args.action == "csuff":
-        rpt = opsim.csufficient_kernel_search(spec, args.order, seed=_seed(args), tol=tol)
-        contradiction = not rpt.consistent
-        result = {
-            "refuted": rpt.refuted,
-            "classifier_verdict": rpt.classifier_verdict,
-            "consistent": rpt.consistent,
-            "combinations_tested": rpt.combinations_tested,
-            "refutations": [
-                {
-                    "alpha": list(r.alpha),
-                    "d": list(r.d_values),
-                    "kernel_vector": list(r.kernel_vector),
-                    "witness": list(r.full_witness),
-                }
-                for r in rpt.refutations
-            ],
-        }
-        lines = [
-            f"opsim csuff: refuted={rpt.refuted} classifier={rpt.classifier_verdict} "
-            f"consistent={rpt.consistent}"
-        ]
-    elif args.action == "rev":
-        if args.x is None:
-            raise ValueError("opsim rev needs --x")
-        x = [float(v) for v in args.x.split(",")]
-        q = opsim.rev_membership(spec, args.order, x, tol)
-        result = {"x": x, "products": list(q.products), "in_rev": q.in_rev}
-        lines = [f"opsim rev: in_rev={q.in_rev} products={[round(p, 6) for p in q.products]}"]
-    else:
-        raise ValueError(f"unknown opsim action {args.action!r}")
-    _emit(args, f"opsim-{args.action}", result, lines)
-    return EXIT_CONTRADICTION if contradiction else EXIT_OK
+    # operator_sqrt raises NoConvergenceError past its residual bound
+    root = opsim.operator_sqrt(spec, args.order, tol)
+    sec = opsim.section(spec, args.order).matrix
+    resid = float(np.abs(root.matrix @ root.matrix - sec).max())
+    result = {
+        "order": args.order,
+        "root": serialize.matrix_to_obj(root.matrix),
+        "square_residual": resid,
+    }
+    return result, [f"opsim sqrt: order={args.order} residual={resid:.3e}"], False
 
 
-def _cmd_gen(args) -> int:
-    from .generators import GenSpec, generate
+def _cmd_opsim_minmax(args, tol):
+    spec = opsim.spec_from_obj(serialize.load_json(args.spec))
+    res = opsim.minmax_rho(spec, args.order, samples=args.trials, seed=args.seed, tol=tol)
+    result = {
+        "rho": res.rho,
+        "inf_sup": res.inf_sup,
+        "sup_inf": res.sup_inf,
+        "iterations": res.iterations,
+        "bracket_ok": res.bracket_ok,
+    }
+    lines = [
+        f"opsim minmax: rho={res.rho:.10f} inf_sup={res.inf_sup:.10f} sup_inf={res.sup_inf:.10f}"
+    ]
+    return result, lines, not res.bracket_ok
 
-    _tolerances(args)  # gen takes no threshold, but rejects a bad override like every command
-    m = generate(GenSpec(args.class_tag, args.n, seed=_seed(args), scale=args.scale))
-    obj = serialize.matrix_to_obj(m)
-    # the artifact is the matrix itself, directly usable as --input elsewhere
-    if args.out:
-        serialize.write_json(args.out, obj)
-        if not args.quiet:
-            print(f"gen: {args.class_tag} n={args.n} seed={_seed(args)} -> {args.out}")
-    else:
-        sys.stdout.write(serialize.dumps_canonical(obj))
-    return EXIT_OK
+
+def _cmd_opsim_csuff(args, tol):
+    spec = opsim.spec_from_obj(serialize.load_json(args.spec))
+    rpt = opsim.csufficient_kernel_search(spec, args.order, seed=args.seed, tol=tol)
+    result = {
+        "refuted": rpt.refuted,
+        "classifier_verdict": rpt.classifier_verdict,
+        "consistent": rpt.consistent,
+        "combinations_tested": rpt.combinations_tested,
+        "refutations": [
+            {
+                "alpha": list(r.alpha),
+                "d": list(r.d_values),
+                "kernel_vector": list(r.kernel_vector),
+                "witness": list(r.full_witness),
+            }
+            for r in rpt.refutations
+        ],
+    }
+    lines = [
+        f"opsim csuff: refuted={rpt.refuted} classifier={rpt.classifier_verdict} "
+        f"consistent={rpt.consistent}"
+    ]
+    return result, lines, not rpt.consistent
 
 
-def _cmd_suite(args) -> int:
-    tol = _tolerances(args)
-    if args.seed is None and "PMKIT_SEED" not in os.environ:
-        seed = 1  # suites default to the documented acceptance seed
-    else:
-        seed = _seed(args)
-    reports = suites.run_suites(args.name, seed=seed, tol=tol)
+def _cmd_opsim_rev(args, tol):
+    spec = opsim.spec_from_obj(serialize.load_json(args.spec))
+    x = [float(v) for v in args.x.split(",")]
+    q = opsim.rev_membership(spec, args.order, x, tol)
+    result = {"x": x, "products": list(q.products), "in_rev": q.in_rev}
+    return result, [f"opsim rev: in_rev={q.in_rev} products={[round(p, 6) for p in q.products]}"], False
+
+
+def _cmd_gen(args, tol):
+    m = generate(GenSpec(args.class_tag, args.n, seed=args.seed, scale=args.scale))
+    lines = [f"gen: {args.class_tag} n={args.n} seed={args.seed} -> {args.out}"] if args.out else []
+    return serialize.matrix_to_obj(m), lines, False
+
+
+def _cmd_suite(args, tol):
+    reports = suites.run_suites(args.name, seed=args.seed, tol=tol)
     lines = []
     contradictions = 0
     for rpt in reports:
@@ -329,8 +276,7 @@ def _cmd_suite(args) -> int:
         for c in rpt.checks:
             lines.append(f"  [{'PASS' if c.passed else 'FAIL'}] {c.name}")
     result = {"suites": [r.as_obj() for r in reports], "contradictions": contradictions}
-    _emit(args, f"suite-{args.name}", result, lines)
-    return EXIT_CONTRADICTION if contradictions else EXIT_OK
+    return result, lines, contradictions > 0
 
 
 # ---------------------------------------------------------------------------
@@ -343,59 +289,74 @@ def build_parser() -> argparse.ArgumentParser:
         "LCP cross-validation, and finite-section operator experiments",
     )
 
-    def add_common(p):
-        p.add_argument("--tol-minor", type=float, default=None, help="minor positivity coefficient")
-        p.add_argument("--tol-sing", type=float, default=None, help="singularity pivot coefficient")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed (or PMKIT_SEED)")
-        p.add_argument("--out", type=str, default=None, help="write the JSON report here")
+    def command(sub, name, fn, help, seed=0):
+        p = sub.add_parser(name, help=help)
+        p.add_argument(
+            "--tol-minor", type=float, default=DEFAULT_TOL.minor, help="minor positivity coefficient"
+        )
+        p.add_argument(
+            "--tol-sing", type=float, default=DEFAULT_TOL.sing, help="singularity pivot coefficient"
+        )
+        p.add_argument("--seed", type=int, default=seed, help="RNG seed (default %(default)s)")
+        p.add_argument("--out", help="write the JSON report here")
         p.add_argument("--quiet", action="store_true", help="suppress the human-readable summary")
+        p.set_defaults(fn=fn)
+        return p
 
-    sub = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", help="class membership report for a matrix")
+    p = command(commands, "classify", _cmd_classify, "class membership report for a matrix")
     p.add_argument("--input", required=True, help="matrix JSON or CSV file")
     p.add_argument("--budget", type=int, default=2000)
-    add_common(p)
-    p.set_defaults(fn=_cmd_classify)
 
-    p = sub.add_parser("factor", help="factor a P-matrix into two P-matrices")
+    p = command(commands, "factor", _cmd_factor, "factor a P-matrix into two P-matrices")
     p.add_argument("--input", required=True)
-    add_common(p)
-    p.set_defaults(fn=_cmd_factor)
 
-    p = sub.add_parser("pset", help="sigma vector, P-set verdict, wedge bound")
-    p.add_argument("--values", help='comma-separated values, e.g. "1,1" or "1+2i,1-2i"')
-    p.add_argument("--input", help="spectrum JSON file")
-    add_common(p)
-    p.set_defaults(fn=_cmd_pset)
+    p = command(commands, "pset", _cmd_pset, "sigma vector, P-set verdict, wedge bound")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--values", help='comma-separated values, e.g. "1,1" or "1+2i,1-2i"')
+    source.add_argument("--input", help="spectrum JSON file")
 
-    p = sub.add_parser("lcp", help="solve / enumerate / census")
-    p.add_argument("action", choices=("solve", "enumerate", "census"))
-    p.add_argument("--input", required=True, help='instance JSON {"m": ..., "q": [...]}')
+    actions = commands.add_parser("lcp", help="solve / enumerate / census").add_subparsers(
+        dest="action", required=True
+    )
+
+    def lcp_action(name, fn, help):
+        p = command(actions, name, fn, help)
+        p.add_argument("--input", required=True, help='instance JSON {"m": ..., "q": [...]}')
+        return p
+
+    lcp_action("solve", _cmd_lcp_solve, "Lemke's method")
+    lcp_action("enumerate", _cmd_lcp_enumerate, "every solution, over all complementary bases")
+    p = lcp_action("census", _cmd_lcp_census, "solution counts for random q")
     p.add_argument("--trials", type=int, default=100)
-    add_common(p)
-    p.set_defaults(fn=_cmd_lcp)
 
-    p = sub.add_parser("opsim", help="operator finite-section experiments")
-    p.add_argument("action", choices=("sqrt", "minmax", "interp", "csuff", "rev"))
-    p.add_argument("--spec", required=True, help="operator spec JSON (interp: {'s':..., 't':...})")
-    p.add_argument("--order", type=int, required=True)
+    actions = commands.add_parser("opsim", help="operator finite-section experiments").add_subparsers(
+        dest="action", required=True
+    )
+
+    def opsim_action(name, fn, help, spec_help="operator spec JSON"):
+        p = command(actions, name, fn, help)
+        p.add_argument("--spec", required=True, help=spec_help)
+        p.add_argument("--order", type=int, required=True)
+        return p
+
+    opsim_action("sqrt", _cmd_opsim_sqrt, "square root of a diagonal section")
+    p = opsim_action("minmax", _cmd_opsim_minmax, "Perron root with its Collatz-Wielandt bracket")
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--x", type=str, default=None, help="vector for rev, comma-separated")
-    add_common(p)
-    p.set_defaults(fn=_cmd_opsim)
+    p = opsim_action("interp", _cmd_opsim_interp, "interpolant nonsingularity", '{"s": spec, "t": spec} JSON')
+    p.add_argument("--trials", type=int, default=100)
+    opsim_action("csuff", _cmd_opsim_csuff, "column-sufficiency kernel search")
+    p = opsim_action("rev", _cmd_opsim_rev, "sign-reversal membership")
+    p.add_argument("--x", required=True, help="vector, comma-separated")
 
-    p = sub.add_parser("gen", help="draw a matrix from a class generator")
+    p = command(commands, "gen", _cmd_gen, "draw a matrix from a class generator")
     p.add_argument("--class", dest="class_tag", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--scale", type=float, default=1.0)
-    add_common(p)
-    p.set_defaults(fn=_cmd_gen)
 
-    p = sub.add_parser("suite", help="run a property-suite batch")
-    p.add_argument("name", help="classify | cayley | lcp | operator | all")
-    add_common(p)
-    p.set_defaults(fn=_cmd_suite)
+    p = command(commands, "suite", _cmd_suite, "run a property-suite batch", seed=1)  # the acceptance seed
+    p.add_argument("name", choices=[*suites.SUITES, "all"])
 
     return parser
 
@@ -412,16 +373,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.fn(args)
-    except UnknownSuiteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        # Tolerances rejects a coefficient that is not positive and finite
+        tol = replace(DEFAULT_TOL, minor=args.tol_minor, sing=args.tol_sing)
+        result, lines, contradiction = args.fn(args, tol)
+        _emit(args, tol, result, lines)
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except PmkitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_CONTRADICTION if contradiction else EXIT_OK
 
 
 if __name__ == "__main__":

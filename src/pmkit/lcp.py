@@ -161,25 +161,6 @@ def _basis_table(mat: np.ndarray, tol: Tolerances):
     return bases, singular
 
 
-def _solve_bases(mat: np.ndarray, bases, q: np.ndarray, tol: Tolerances) -> list[np.ndarray]:
-    """Distinct solutions z of LCP(mat, q) over a basis table, accepted
-    and merged as enumerate_solutions describes."""
-    n = mat.shape[0]
-    thr_sign = tol.minor_for(inf_norm(mat), 1) * (1.0 + inf_norm(q))
-    sols: list[np.ndarray] = []
-    for sel, fac in bases:
-        z = np.zeros(n)
-        if sel:
-            z[sel] = scipy.linalg.lu_solve(fac, -q[sel], check_finite=False)
-        w = mat @ z + q
-        if z.min(initial=0.0) < -thr_sign or w.min(initial=0.0) < -thr_sign:
-            continue
-        zc = np.maximum(z, 0.0)
-        if not any(inf_norm(zc - s) <= 1e-8 * (1.0 + inf_norm(s)) for s in sols):
-            sols.append(zc)
-    return sols
-
-
 def enumerate_solutions(inst: LCPInstance, tol: Tolerances = DEFAULT_TOL) -> EnumerationResult:
     """Brute-force oracle over all 2^n complementary bases.
 
@@ -198,10 +179,23 @@ def enumerate_for_each(m, qs, tol: Tolerances = DEFAULT_TOL):
     mat = as_matrix(m)
     if mat.shape[0] > ENUM_MAX_DIM:
         raise DimensionTooLargeError(f"enumeration capped at n={ENUM_MAX_DIM}")
+    n = mat.shape[0]
     bases, skipped = _basis_table(mat, tol)
+    thr_minor = tol.minor_for(inf_norm(mat), 1)
     for q in qs:
-        inst = LCPInstance(mat, as_vector(q, mat.shape[0]))
-        sols = _solve_bases(mat, bases, inst.q, tol)
+        inst = LCPInstance(mat, as_vector(q, n))
+        thr_sign = thr_minor * (1.0 + inf_norm(inst.q))
+        sols: list[np.ndarray] = []
+        for sel, fac in bases:
+            z = np.zeros(n)
+            if sel:
+                z[sel] = scipy.linalg.lu_solve(fac, -inst.q[sel], check_finite=False)
+            w = mat @ z + inst.q
+            if z.min(initial=0.0) < -thr_sign or w.min(initial=0.0) < -thr_sign:
+                continue
+            zc = np.maximum(z, 0.0)
+            if not any(inf_norm(zc - s) <= 1e-8 * (1.0 + inf_norm(s)) for s in sols):
+                sols.append(zc)
         yield EnumerationResult(tuple(_solution_from_z(inst, z) for z in sols), skipped)
 
 
@@ -237,15 +231,15 @@ def uniqueness_census(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
+    qs = [rng.uniform(-5.0, 5.0, n) for _ in range(trials)]
 
-    bases, skipped_bases = _basis_table(mat, tol)
     zero = one = many = 0
     mismatches = rays = 0
+    skipped_bases = 0
     bad_q: Optional[tuple[float, ...]] = None
-    for _ in range(trials):
-        q = rng.uniform(-5.0, 5.0, n)
-        sols = _solve_bases(mat, bases, q, tol)
-        count = len(sols)
+    for q, res in zip(qs, enumerate_for_each(mat, qs, tol)):
+        skipped_bases = res.singular_skipped
+        count = len(res.solutions)
         if count == 0:
             zero += 1
         elif count == 1:
@@ -253,7 +247,7 @@ def uniqueness_census(
             sol = lemke_solve(LCPInstance(mat, q), tol)
             if sol is None:
                 rays += 1
-            elif not lemke_agrees(sol.z, sols[0]):
+            elif not lemke_agrees(sol.z, res.solutions[0].z):
                 mismatches += 1
         else:
             many += 1

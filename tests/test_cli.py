@@ -133,11 +133,12 @@ class TestPset:
         np.testing.assert_allclose(a["result"]["sigma"], [7.0, 14.0, 18.0, 81.0, 135.0])
 
 
-    @pytest.mark.parametrize("values", ["1e400", "1,nan", "1e400+2i,1e400-2i"])
-    def test_non_finite_values_exit_2(self, tmp_path, values):
+    @pytest.mark.parametrize("values", ["1e400", "1,nan", "1e400+2i,1e400-2i", "inf,1", "1+infi,1-infi"])
+    def test_non_finite_values_exit_2(self, tmp_path, capsys, values):
         out = tmp_path / "p.json"
         assert main(["pset", "--values=" + values, "--out", str(out)]) == 2
         assert not out.exists()
+        assert "must all be finite" in capsys.readouterr().err
 
 
 class TestLcp:
@@ -262,6 +263,14 @@ class TestSuite:
     def test_unknown_suite_exit_2(self):
         assert main(["suite", "bogus", "--quiet"]) == 2
 
+    @pytest.mark.parametrize("seed_args, seed", [([], 1), (["--seed", "3"], 3)])
+    def test_report_seed_is_the_run_seed(self, tmp_path, seed_args, seed):
+        out = tmp_path / "suite.json"
+        assert main(["suite", "operator", "--out", str(out), "--quiet"] + seed_args) == 0
+        rpt = read_report(out)
+        assert rpt["seed"] == seed
+        assert [s["seed"] for s in rpt["result"]["suites"]] == [seed]
+
     def test_operator_suite_exit_0(self, tmp_path):
         out = tmp_path / "suite.json"
         code = main(["suite", "operator", "--seed", "2", "--out", str(out), "--quiet"])
@@ -287,3 +296,55 @@ class TestUsage:
 
     def test_pset_requires_source(self):
         assert main(["pset"]) == 2
+
+    @pytest.mark.parametrize("command", ["lcp", "opsim"])
+    def test_action_required(self, command):
+        assert main([command]) == 2
+
+    @pytest.mark.parametrize(
+        "args, ignored",
+        [
+            (["lcp", "solve", "--input", "{inst}"], ["--trials", "5"]),
+            (["lcp", "enumerate", "--input", "{inst}"], ["--trials", "5"]),
+            (["opsim", "sqrt", "--spec", "{diagonal}", "--order", "2"], ["--trials", "5"]),
+            (["opsim", "csuff", "--spec", "{literal}", "--order", "2"], ["--trials", "5"]),
+            (["opsim", "rev", "--spec", "{diagonal}", "--order", "2", "--x=1,1"], ["--trials", "5"]),
+            (["opsim", "sqrt", "--spec", "{diagonal}", "--order", "2"], ["--x=1,1"]),
+            (["opsim", "minmax", "--spec", "{literal}", "--order", "2"], ["--x=1,1"]),
+            (["opsim", "interp", "--spec", "{pair}", "--order", "2"], ["--x=1,1"]),
+            (["opsim", "csuff", "--spec", "{literal}", "--order", "2"], ["--x=1,1"]),
+            (["pset", "--values", "1,1"], ["--input", "{values}"]),
+        ],
+    )
+    def test_flag_the_action_does_not_read_exit_2(self, tmp_path, args, ignored):
+        # each command runs without the flag, and ran with it before: the
+        # action ignored the flag
+        literal = {"kind": "dense-rule", "rule": {"name": "matrix-literal", "params": {"matrix": [[1.0, 1.0], [1.0, 1.0]]}}, "decay": False}
+        identity = {"kind": "dense-rule", "rule": {"name": "matrix-literal", "params": {"matrix": []}}, "decay": False}
+        files = {
+            "inst": serialize.lcp_instance_to_obj(np.eye(2), [-1.0, 2.0]),
+            "diagonal": {"kind": "diagonal", "rule": {"name": "inverse-square-diagonal", "params": {"c": 1.0}}, "decay": True},
+            "literal": literal,
+            "pair": {"s": identity, "t": identity},
+            "values": {"values": [{"re": 1.0, "im": 0.0}]},
+        }
+        paths = {}
+        for name, obj in files.items():
+            paths[name] = str(tmp_path / f"{name}.json")
+            serialize.write_json(paths[name], obj)
+        args, ignored = [a.format(**paths) for a in args], [a.format(**paths) for a in ignored]
+        assert main(args + ["--quiet"]) in (0, 1)
+        out = tmp_path / "r.json"
+        assert main(args + ignored + ["--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_rev_requires_x(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        serialize.write_json(str(spec), {"kind": "banded", "rule": {"name": "tridiag", "params": {"a": 2.0, "b": -1.0}}, "decay": False})
+        assert main(["opsim", "rev", "--spec", str(spec), "--order", "2"]) == 2
+
+    def test_environment_does_not_set_the_seed(self, identity_matrix, tmp_path, monkeypatch):
+        monkeypatch.setenv("PMKIT_SEED", "5")
+        out = tmp_path / "r.json"
+        assert main(["classify", "--input", identity_matrix, "--out", str(out), "--quiet"]) == 0
+        assert read_report(out)["seed"] == 0
