@@ -12,9 +12,11 @@ group: `augment_to_P_set` on the 100 seed sets of the augmentation check
 of the suite run with seed 1, 2 and 3 (one line each; the report keeps
 only a failure count and the largest addition count), `sigma_all`,
 `is_P_set` and `wedge_check` on value lists on both sides of 800 values,
-`realize_P_set` and `extremal_spectrum_search`, `diag_interp_check`, and
+`realize_P_set` and `extremal_spectrum_search`, `diag_interp_check`,
 the sign-reversal and sufficiency searches at their phase-boundary
-budgets for n = 2..13.
+budgets for n = 2..13, and the LCP layer (`enumerate_for_each`,
+`lemke_solve` and `uniqueness_census` with and without `stop_early`) at
+n = 1..10 and on degenerate q.
 Raised errors are digested as type and message.  Two checkouts give the
 same outputs exactly when their lines are equal, so a refactor is checked
 with one diff:
@@ -41,7 +43,7 @@ from itertools import count  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from pmkit import classify, cli, opsim, serialize, spectral  # noqa: E402
+from pmkit import classify, cli, lcp, opsim, serialize, spectral  # noqa: E402
 from pmkit.generators import GenSpec, generate  # noqa: E402
 
 # P, with two eigenvalues in the left half-plane and an indefinite
@@ -290,6 +292,28 @@ def _search_outputs() -> list:
     return out
 
 
+def _lcp_outputs() -> list:
+    """enumerate_for_each over random and degenerate q (zero entries,
+    repeated entries, q >= 0), lemke_solve on each q, and the census with
+    stop_early off and on, for five classes at n = 1..10 and for the
+    nilpotent, zero and diag(-1, 1) fixtures."""
+    rng = np.random.default_rng(9)
+    mats = [generate(GenSpec(tag, n, seed=n))
+            for tag in ("P-diagdom", "non-P", "M-matrix", "sym-PD", "arbitrary") for n in range(1, 11)]
+    mats += [np.array([[0.0, 0.0], [1.0, 0.0]]), np.zeros((2, 2)), np.diag([-1.0, 1.0])]
+    out = []
+    for i, m in enumerate(mats):
+        n = m.shape[0]
+        q = rng.uniform(-5.0, 5.0, n)
+        qs = [rng.uniform(-5.0, 5.0, n) for _ in range(4)]
+        qs += [np.zeros(n), np.where(np.arange(n) % 2 == 0, 0.0, q), np.full(n, q[0]), np.full(n, -1.0),
+               np.abs(q)]
+        out.append(_outcome(lambda: list(lcp.enumerate_for_each(m, qs))))
+        out += [_outcome(lcp.lemke_solve, lcp.LCPInstance.make(m, x)) for x in qs]
+        out += [_outcome(lcp.uniqueness_census, m, 12, seed=i, stop_early=stop) for stop in (False, True)]
+    return out
+
+
 API_GROUPS = (
     ("augment_to_P_set seed-1 suite sets", lambda: _augment_outputs(1)),
     ("augment_to_P_set seed-2 suite sets", lambda: _augment_outputs(2)),
@@ -298,6 +322,7 @@ API_GROUPS = (
     ("realize_P_set extremal_spectrum_search", _realize_outputs),
     ("diag_interp_check", _interp_outputs),
     ("find_reversal_witness is_column_sufficient is_row_sufficient", _search_outputs),
+    ("enumerate_for_each uniqueness_census lemke_solve", _lcp_outputs),
 )
 
 

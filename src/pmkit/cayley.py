@@ -19,23 +19,24 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .classify import YES, is_P_minors, is_positive_stable
 from .errors import NonPositiveDiagonalError, NotAPMatrixError, SingularMatrixError
 from .generators import GenSpec, generate
-from .linalg import _lu_with_pivot_check, as_matrix, as_vector, charpoly, eigenvalues, inverse
+from .linalg import _lu_with_pivot_check, as_matrix, as_vector, charpoly, eigenvalues, inverse, lu_solve
 from .tolerances import DEFAULT_TOL, Tolerances
 
 SM1_SIZES = (2, 3, 4, 5)  # matrix orders the positive-stability probe cycles through
 
 
 def _solve_matrix(mat: np.ndarray, rhs: np.ndarray, tol: Tolerances) -> np.ndarray:
-    # One LU, solved column by column: a single multi-column lu_solve would
-    # move the last bits of U(A) and of the factors.
+    # One LU, solved column by column: getrs on one right-hand side runs
+    # BLAS trsv, on a column block trsm, and the two round differently, so a
+    # single multi-column solve would move the last bits of U(A) and of the
+    # factors.
     fac = _lu_with_pivot_check(as_matrix(mat), tol)
     cols = [as_vector(rhs[:, j], rhs.shape[0]) for j in range(rhs.shape[1])]
-    return np.column_stack([scipy.linalg.lu_solve(fac, b, check_finite=False) for b in cols])
+    return np.column_stack([lu_solve(fac, b) for b in cols])
 
 
 def cayley_u(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

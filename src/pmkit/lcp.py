@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionTooLargeError, LcpCycleError
-from .linalg import as_matrix, as_vector, inf_norm, lu_factor_checked, principal_submatrices
+from .linalg import as_matrix, as_vector, inf_norm, lu_factor_checked, lu_solve, principal_stacks
 from .tolerances import DEFAULT_TOL, Tolerances
 
 LEMKE_MAX_DIM = 32
@@ -92,9 +91,9 @@ def lemke_solve(inst: LCPInstance, tol: Tolerances = DEFAULT_TOL) -> Optional[LC
 
     def pivot(row: int, col: int) -> None:
         tab[row] /= tab[row, col]
-        for r in range(n):
-            if r != row and tab[r, col] != 0.0:
-                tab[r] -= tab[r, col] * tab[row]
+        rows = tab[:, col] != 0.0
+        rows[row] = False
+        tab[rows] -= tab[rows, col][:, None] * tab[row]
 
     def lex_ratio_row(col: int) -> Optional[int]:
         cand = [r for r in range(n) if tab[r, col] > piv_tol]
@@ -146,18 +145,22 @@ class EnumerationResult:
 
 
 def _basis_table(mat: np.ndarray, tol: Tolerances):
-    """LU factors of M_aa for every complementary basis alpha, in shortlex
-    order with the empty basis first as ((), None), plus the count of
-    bases skipped as singular (a pivot <= tol.sing_for(max(||M_aa||, ||M||)))."""
+    """LU factors of M_aa for every nonempty complementary basis alpha, as
+    (alpha, factors) with alpha a 0-based index array, in shortlex order,
+    plus the count of bases skipped as singular (a pivot <=
+    tol.sing_for(max(||M_aa||, ||M||)))."""
     norm_m = inf_norm(mat)
-    bases: list = [((), None)]
+    bases: list = []
     singular = 0
-    for sel, sub in principal_submatrices(mat):
-        fac = lu_factor_checked(sub, tol.sing_for(max(inf_norm(sub), norm_m)))
-        if fac is None:
-            singular += 1
-        else:
-            bases.append((sel, fac))
+    for idx, stack in principal_stacks(mat):
+        # inf_norm of each M_aa, one reduction per size
+        norms = np.abs(stack).sum(axis=2).max(axis=1).tolist()
+        for sel, sub, norm in zip(idx, stack, norms):
+            fac = lu_factor_checked(sub, tol.sing_for(max(norm, norm_m)))
+            if fac is None:
+                singular += 1
+            else:
+                bases.append((sel, fac))
     return bases, singular
 
 
@@ -165,9 +168,10 @@ def enumerate_solutions(inst: LCPInstance, tol: Tolerances = DEFAULT_TOL) -> Enu
     """Brute-force oracle over all 2^n complementary bases.
 
     For each index set alpha: z_alpha solves M_aa z_alpha = -q_alpha with
-    the complement clamped to zero; a basis is accepted when all resulting
-    components clear -tau_minor.  Singular bases are skipped and counted.
-    Distinct solutions are merged within 1e-8.
+    the complement clamped to zero; a basis is accepted when every
+    component of z and of w = Mz + q is at least -thr, where
+    thr = tol.minor_for(||M||_inf, 1) * (1 + ||q||_inf).  Singular bases
+    are skipped and counted.  Distinct solutions are merged within 1e-8.
     """
     return next(enumerate_for_each(inst.m, [inst.q], tol))
 
@@ -185,13 +189,18 @@ def enumerate_for_each(m, qs, tol: Tolerances = DEFAULT_TOL):
     for q in qs:
         inst = LCPInstance(mat, as_vector(q, n))
         thr_sign = thr_minor * (1.0 + inf_norm(inst.q))
+        neg_q = -inst.q
+        # row 0 is the empty basis, row k the k-th table entry; one getrs per
+        # basis on one right-hand side (trsv): a block solve over several q
+        # would take trsm and move the last bits
+        zs = np.zeros((len(bases) + 1, n))
+        for row, (sel, fac) in zip(zs[1:], bases):
+            row[sel] = lu_solve(fac, neg_q[sel])
         sols: list[np.ndarray] = []
-        for sel, fac in bases:
-            z = np.zeros(n)
-            if sel:
-                z[sel] = scipy.linalg.lu_solve(fac, -inst.q[sel], check_finite=False)
+        # the z test on all rows at once, negated so that a NaN row passes
+        for z in zs[~(zs.min(axis=1) < -thr_sign)]:
             w = mat @ z + inst.q
-            if z.min(initial=0.0) < -thr_sign or w.min(initial=0.0) < -thr_sign:
+            if w.min(initial=0.0) < -thr_sign:
                 continue
             zc = np.maximum(z, 0.0)
             if not any(inf_norm(zc - s) <= 1e-8 * (1.0 + inf_norm(s)) for s in sols):

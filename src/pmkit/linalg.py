@@ -11,7 +11,6 @@ recursion and serves as the cross-check route everywhere else.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -28,6 +27,11 @@ from .errors import (
 from .tolerances import DEFAULT_TOL, Tolerances
 
 MAX_DIM = 64
+
+# The double-precision LAPACK LU pair, called without scipy's lu_factor /
+# lu_solve wrappers: on the small systems here the wrappers cost several
+# times the factorization or solve itself.
+_GETRF, _GETRS = scipy.linalg.lapack.get_lapack_funcs(("getrf", "getrs"), (np.empty((1, 1)),))
 
 
 def as_matrix(m) -> np.ndarray:
@@ -101,16 +105,24 @@ def principal_submatrices(mat: np.ndarray):
 
 def lu_factor_checked(mat: np.ndarray, thr: float):
     """LU factors `(lu, piv)` of `mat` with partial pivoting, or None when
-    LAPACK rejects the matrix or some pivot magnitude is <= `thr`."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        try:
-            lu, piv = scipy.linalg.lu_factor(mat, check_finite=False)
-        except (scipy.linalg.LinAlgError, ValueError):
-            return None
-    if np.abs(np.diag(lu)).min() <= thr:
+    LAPACK rejects the matrix or some pivot magnitude is <= `thr`.
+
+    Calls LAPACK `getrf` directly.  An exact zero pivot (`info > 0`) fails
+    the pivot test at any `thr` >= 0, so it needs no branch of its own."""
+    lu, piv, info = _GETRF(mat)
+    if info < 0 or np.abs(lu.diagonal()).min() <= thr:
         return None
     return lu, piv
+
+
+def lu_solve(fac, b: np.ndarray) -> np.ndarray:
+    """Solve with LU factors from `lu_factor_checked` through LAPACK `getrs`;
+    `b` is one right-hand side or a column block, and is not overwritten.
+    Bit for bit `scipy.linalg.lu_solve(fac, b, check_finite=False)`."""
+    x, info = _GETRS(fac[0], fac[1], b)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of getrs")
+    return x
 
 
 def _lu_with_pivot_check(mat: np.ndarray, tol: Tolerances):
@@ -131,14 +143,14 @@ def solve(m, b, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Solve m x = b; raises SingularMatrixError below the pivot threshold."""
     mat = as_matrix(m)
     rhs = as_vector(b, mat.shape[0])
-    lu, piv = _lu_with_pivot_check(mat, tol)
-    return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+    return lu_solve(_lu_with_pivot_check(mat, tol), rhs)
 
 
 def inverse(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     mat = as_matrix(m)
-    lu, piv = _lu_with_pivot_check(mat, tol)
-    return scipy.linalg.lu_solve((lu, piv), np.eye(mat.shape[0]), check_finite=False)
+    # one getrs on the whole identity (OpenBLAS takes trsm); column-by-column
+    # solves take trsv and would move the last bits of the inverse
+    return lu_solve(_lu_with_pivot_check(mat, tol), np.eye(mat.shape[0]))
 
 
 @dataclass(frozen=True)

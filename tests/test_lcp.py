@@ -1,11 +1,19 @@
 """LCP solver vs brute-force enumeration, and the uniqueness census."""
 
+import pickle
+import warnings
+from typing import Optional
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pmkit import lcp
+from pmkit.errors import LcpCycleError
 from pmkit.generators import GenSpec, generate
 from pmkit.lcp import LCPInstance
+from pmkit.linalg import as_matrix, as_vector, inf_norm, principal_submatrices
+from pmkit.tolerances import DEFAULT_TOL
 
 
 def inst(m, q):
@@ -199,3 +207,180 @@ class TestCaps:
     def test_census_cap(self):
         with pytest.raises(Exception):
             lcp.uniqueness_census(np.eye(11), trials=1)
+
+
+# The enumeration and Lemke loops as they stood before the LAPACK calls were
+# made direct and the screens vectorized: scipy's LU wrappers, one basis at
+# a time, one row update at a time.  The library must reproduce their
+# outputs bit for bit.
+
+
+def _reference_enumerate_for_each(m, qs, tol=DEFAULT_TOL):
+    mat = as_matrix(m)
+    n = mat.shape[0]
+    norm_m = inf_norm(mat)
+    bases: list = [((), None)]
+    skipped = 0
+    for sel, sub in principal_submatrices(mat):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            lu, piv = scipy.linalg.lu_factor(sub, check_finite=False)
+        if np.abs(np.diag(lu)).min() <= tol.sing_for(max(inf_norm(sub), norm_m)):
+            skipped += 1
+        else:
+            bases.append((sel, (lu, piv)))
+    thr_minor = tol.minor_for(norm_m, 1)
+    for q in qs:
+        inst = LCPInstance(mat, as_vector(q, n))
+        thr_sign = thr_minor * (1.0 + inf_norm(inst.q))
+        sols: list = []
+        for sel, fac in bases:
+            z = np.zeros(n)
+            if sel:
+                z[sel] = scipy.linalg.lu_solve(fac, -inst.q[sel], check_finite=False)
+            w = mat @ z + inst.q
+            if z.min(initial=0.0) < -thr_sign or w.min(initial=0.0) < -thr_sign:
+                continue
+            zc = np.maximum(z, 0.0)
+            if not any(inf_norm(zc - s) <= 1e-8 * (1.0 + inf_norm(s)) for s in sols):
+                sols.append(zc)
+        yield lcp.EnumerationResult(tuple(lcp._solution_from_z(inst, z) for z in sols), skipped)
+
+
+def _reference_lemke_solve(inst, tol=DEFAULT_TOL):
+    n = inst.n
+    m, q = inst.m, inst.q
+    if q.min(initial=0.0) >= 0.0:
+        return lcp._solution_from_z(inst, np.zeros(n))
+    tab = np.hstack([np.eye(n), -m, -np.ones((n, 1)), q.reshape(-1, 1)])
+    rhs_col = 2 * n + 1
+    z0_col = 2 * n
+    basis = list(range(n))
+    piv_tol = 1e-11 * (1.0 + inf_norm(m))
+
+    def pivot(row: int, col: int) -> None:
+        tab[row] /= tab[row, col]
+        for r in range(n):
+            if r != row and tab[r, col] != 0.0:
+                tab[r] -= tab[r, col] * tab[row]
+
+    def lex_ratio_row(col: int) -> Optional[int]:
+        cand = [r for r in range(n) if tab[r, col] > piv_tol]
+        if not cand:
+            return None
+        best = cand[0]
+        best_vec = np.concatenate(([tab[best, rhs_col]], tab[best, :n])) / tab[best, col]
+        for r in cand[1:]:
+            vec = np.concatenate(([tab[r, rhs_col]], tab[r, :n])) / tab[r, col]
+            diff = vec - best_vec
+            nz = np.nonzero(np.abs(diff) > 1e-12 * (1.0 + np.abs(best_vec)))[0]
+            if nz.size and diff[nz[0]] < 0:
+                best, best_vec = r, vec
+        return best
+
+    row = int(np.argmin(q))
+    pivot(row, z0_col)
+    leaving = basis[row]
+    basis[row] = z0_col
+    entering = n + leaving
+    for _ in range(2 ** (n + 2)):
+        row = lex_ratio_row(entering)
+        if row is None:
+            return None
+        pivot(row, entering)
+        leaving, basis[row] = basis[row], entering
+        if leaving == z0_col:
+            z = np.zeros(n)
+            for r, b in enumerate(basis):
+                if n <= b < 2 * n:
+                    z[b - n] = tab[r, rhs_col]
+            return lcp._solution_from_z(inst, np.maximum(z, 0.0))
+        entering = leaving + n if leaving < n else leaving - n
+    raise LcpCycleError("pivot cap 2^(n+2) exceeded; lexicographic rule should prevent this")
+
+
+FIXTURES = (np.array([[0.0, 0.0], [1.0, 0.0]]), np.zeros((2, 2)), np.diag([-1.0, 1.0]))
+
+
+def _degenerate_qs(rng, n: int) -> list:
+    """q with zero entries, with repeated entries, and q >= 0."""
+    q = rng.uniform(-5.0, 5.0, n)
+    with_zeros = np.where(np.arange(n) % 2 == 0, 0.0, q)
+    repeated = np.full(n, q[0])
+    repeated[n // 2:] = -1.0
+    return [np.zeros(n), with_zeros, repeated, np.abs(q), -np.abs(q)]
+
+
+def _lcp_cases():
+    """(m, qs) over seeded draws of five classes at n = 1..8 and the three
+    fixtures; each qs has 24 random q (a per-basis solve over all of them
+    at once would take the multi-column path) and the degenerate ones."""
+    rng = np.random.default_rng(10)
+    mats = [generate(GenSpec(tag, n, seed=100 * n + k))
+            for k, tag in enumerate(("P-diagdom", "non-P", "M-matrix", "sym-PD", "arbitrary"))
+            for n in range(1, 9)]
+    for m in mats + list(FIXTURES):
+        n = m.shape[0]
+        yield m, [rng.uniform(-5.0, 5.0, n) for _ in range(24)] + _degenerate_qs(rng, n)
+
+
+def _borderline_qs(m) -> list:
+    """Two q that put w_{n-1} of the basis {1..n-2} within one rounding of
+    the sign threshold -thr, one on each side, as one matrix-vector product
+    w = Mz + q rounds it (a matrix-matrix product over all bases rounds
+    differently).  q_n is the largest entry, so ||q||_inf and thr do not
+    move with q_{n-1}."""
+    n = m.shape[0]
+    k, big = n - 2, 10.0 * (1.0 + inf_norm(m))
+    sub = m[:k, :k]
+    q = np.zeros(n)
+    q[:k], q[-1] = -(sub @ np.ones(k)), big
+    z = np.zeros(n)
+    z[:k] = scipy.linalg.lu_solve(scipy.linalg.lu_factor(sub), -q[:k], check_finite=False)
+    thr = DEFAULT_TOL.minor_for(inf_norm(m), 1) * (1.0 + big)
+    s = (m @ z)[k]
+    qk = -thr - s
+    while s + qk >= -thr:
+        qk = np.nextafter(qk, -np.inf)
+    while s + qk < -thr:
+        qk = np.nextafter(qk, np.inf)
+    passing, failing = q.copy(), q.copy()
+    passing[k], failing[k] = qk, np.nextafter(qk, -np.inf)
+    return [passing, failing]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except LcpCycleError as exc:
+        return ("raised", str(exc))
+
+
+class TestAgainstReferenceLoops:
+    def test_enumeration_same_bits(self):
+        for m, qs in _lcp_cases():
+            got = list(lcp.enumerate_for_each(m, qs))
+            want = list(_reference_enumerate_for_each(m, qs))
+            assert pickle.dumps(got) == pickle.dumps(want)
+            one = [lcp.enumerate_solutions(inst(m, q)) for q in qs[-5:]]
+            assert pickle.dumps(one) == pickle.dumps(want[-5:])
+
+    def test_sign_threshold_borderline_same_bits(self):
+        for seed in range(16):
+            m = generate(GenSpec("P-diagdom", 6 + seed % 3, seed=seed))
+            qs = _borderline_qs(m)
+            got = list(lcp.enumerate_for_each(m, qs))
+            want = list(_reference_enumerate_for_each(m, qs))
+            assert pickle.dumps(got) == pickle.dumps(want)
+
+    def test_lemke_same_bits(self):
+        cases = list(_lcp_cases())
+        rng = np.random.default_rng(11)
+        for n in (16, 32):
+            cases.append((generate(GenSpec("P-diagdom", n, seed=n)),
+                          [rng.uniform(-5.0, 5.0, n) for _ in range(3)]))
+        for m, qs in cases:
+            for q in qs:
+                got = _outcome(lcp.lemke_solve, inst(m, q))
+                want = _outcome(_reference_lemke_solve, inst(m, q))
+                assert pickle.dumps(got) == pickle.dumps(want)

@@ -5,13 +5,17 @@ the stated independent method (cofactor expansion, adjugate formula,
 substitution) before being frozen here.
 """
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmkit import linalg
 from pmkit.errors import DimensionTooLargeError, InvalidIndexError, SingularMatrixError
+from pmkit.generators import CLASS_TAGS, GenSpec, generate
 
 EXAMPLE = [[-1.0, -1.0], [4.0, 3.0]]  # spectrum {1, 1}, not a P-matrix
 
@@ -92,6 +96,64 @@ class TestInverse:
             back = linalg.inverse(linalg.inverse(m))
             rel = np.linalg.norm(back - m) / np.linalg.norm(m)
             assert rel <= 1e-8
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestDirectLapack:
+    """lu_factor_checked and lu_solve call getrf/getrs without scipy's
+    wrappers; they must give scipy.linalg.lu_factor / lu_solve's bits."""
+
+    @pytest.mark.parametrize("tag", CLASS_TAGS)
+    def test_same_bits_as_scipy(self, tag):
+        rng = np.random.default_rng(len(tag))
+        for n in range(1, 13):
+            m = generate(GenSpec(tag, n, seed=n))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+                lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
+            fac = linalg.lu_factor_checked(m, 0.0)
+            _same_bits(m, generate(GenSpec(tag, n, seed=n)))
+            if np.abs(np.diag(lu)).min() == 0.0:
+                assert fac is None
+                continue
+            _same_bits(fac[0], lu)
+            _same_bits(fac[1], piv)
+            for k in (1, 2, n + 3):
+                b = rng.uniform(-5.0, 5.0, (n, k))
+                for rhs in (b[:, 0], b):
+                    want = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+                    before = rhs.copy()
+                    _same_bits(linalg.lu_solve(fac, rhs), want)
+                    _same_bits(rhs, before)
+            b = rng.uniform(-5.0, 5.0, n)
+            try:
+                x, inv = linalg.solve(m, b), linalg.inverse(m)
+            except SingularMatrixError:
+                continue  # a pivot below the scaled threshold: nothing to solve
+            _same_bits(x, scipy.linalg.lu_solve((lu, piv), b, check_finite=False))
+            _same_bits(inv, scipy.linalg.lu_solve((lu, piv), np.eye(n), check_finite=False))
+
+    def test_exact_zero_pivot(self):
+        # getrf reports info > 0 for an exactly zero pivot: column 1 of the
+        # first matrix is zero, and [[1, 2], [2, 4]] eliminates to u22 = 0
+        for m in (np.array([[0.0, 0.0], [0.0, 1.0]]), np.array([[1.0, 2.0], [2.0, 4.0]])):
+            assert scipy.linalg.lapack.dgetrf(m)[2] > 0
+            assert linalg.lu_factor_checked(m, 0.0) is None
+            with pytest.raises(SingularMatrixError):
+                linalg.solve(m, [1.0, 1.0])
+
+    def test_threshold_rejects_a_nonzero_pivot(self):
+        # the pivots of [[4, 2], [2, 1 + 1e-9]] are 4 and 1e-9: nonzero, so
+        # getrf succeeds, and only the threshold decides
+        m = np.array([[4.0, 2.0], [2.0, 1.0 + 1e-9]])
+        assert scipy.linalg.lapack.dgetrf(m)[2] == 0
+        assert linalg.lu_factor_checked(m, 1e-10) is not None
+        assert linalg.lu_factor_checked(m, 1e-8) is None
 
 
 class TestEigenvalues:
