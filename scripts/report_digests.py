@@ -10,7 +10,8 @@ threshold overrides, budget 0, the seed defaults and two flags that an
 action does not read.  It then prints one sha256 line per API
 group: `augment_to_P_set` on the 100 seed sets of the augmentation check
 of the suite run with seed 1, 2 and 3 (one line each; the report keeps
-only a failure count and the largest addition count), `sigma_all`,
+only a failure count and the largest addition count) and on three sets
+that a random tuple of distinct values decides, `sigma_all`,
 `is_P_set` and `wedge_check` on value lists on both sides of 800 values,
 `realize_P_set` and `extremal_spectrum_search`, `diag_interp_check`,
 the sign-reversal and sufficiency searches at their phase-boundary
@@ -209,6 +210,20 @@ def _augment_outputs(suite_seed: int) -> list:
     return out
 
 
+# (values, seed) where a random tuple of several distinct values wins
+# augment_to_P_set's dense phase; in the suite sets of seeds 1-10 only two
+# one-value tuples win (seed 3)
+RANDOM_TUPLE_CASES = (
+    ([complex(-1.2709828402885623, 1.671693904991313), complex(-1.2709828402885623, -1.671693904991313),
+      0.362074422666861], 1026970694),
+    ([complex(-0.22578742833737842, 0.5461795719882386), complex(-0.22578742833737842, -0.5461795719882386),
+      complex(-1.688825161831149, 2.744289720901905), complex(-1.688825161831149, -2.744289720901905),
+      5.685201850537812], 228954366),
+    ([complex(-5.841815268733481, 5.456870694387031), complex(-5.841815268733481, -5.456870694387031),
+      6.854809557046741, 4.724908738279774], 951572080),
+)
+
+
 def _value_lists() -> list:
     """Conjugate-closed lists of 2 to 1201 values (the expansion switches
     to clongdouble past 800), with and without left-half-plane pairs and
@@ -318,6 +333,8 @@ API_GROUPS = (
     ("augment_to_P_set seed-1 suite sets", lambda: _augment_outputs(1)),
     ("augment_to_P_set seed-2 suite sets", lambda: _augment_outputs(2)),
     ("augment_to_P_set seed-3 suite sets", lambda: _augment_outputs(3)),
+    ("augment_to_P_set random-tuple cases",
+     lambda: [_outcome(spectral.augment_to_P_set, vals, seed=seed) for vals, seed in RANDOM_TUPLE_CASES]),
     ("sigma_all is_P_set wedge_check", _sigma_outputs),
     ("realize_P_set extremal_spectrum_search", _realize_outputs),
     ("diag_interp_check", _interp_outputs),

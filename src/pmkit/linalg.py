@@ -12,6 +12,7 @@ recursion and serves as the cross-check route everywhere else.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -83,14 +84,23 @@ def principal_submatrix(m, a: Iterable[int]) -> np.ndarray:
     return mat[np.ix_(sel, sel)]
 
 
+@lru_cache(maxsize=None)
+def _index_sets(n: int, k: int) -> np.ndarray:
+    """The (C(n, k), k) intp array of 0-based k-subsets of range(n) in
+    lexicographic order, built once per (n, k) and read-only."""
+    idx = np.array(list(combinations(range(n), k)), dtype=np.intp)
+    idx.flags.writeable = False
+    return idx
+
+
 def principal_stacks(mat: np.ndarray):
     """The principal submatrices of each size k = 1..n as one batch:
-    yields (idx, stack), `idx` the (C(n, k), k) intp array of 0-based
-    index sets in lexicographic order and `stack[j]` = mat[idx[j], idx[j]]
-    of shape (C(n, k), k, k)."""
+    yields (idx, stack), `idx` the cached, read-only (C(n, k), k) intp
+    array of 0-based index sets in lexicographic order and `stack[j]` =
+    mat[idx[j], idx[j]] of shape (C(n, k), k, k)."""
     n = mat.shape[0]
     for k in range(1, n + 1):
-        idx = np.array(list(combinations(range(n), k)), dtype=np.intp)
+        idx = _index_sets(n, k)
         yield idx, mat[idx[:, :, None], idx[:, None, :]]
 
 

@@ -68,19 +68,48 @@ def _scale(values: Sequence[complex]) -> float:
     return max(1.0, max((abs(v) for v in values), default=1.0))
 
 
-def _expansion(values: Sequence[complex], scale: float):
-    """The one expansion of prod (x + lambda_i / L): yields (degree, coeffs)
-    for degree 0..n, coeffs[k] = sigma_k of the first `degree` values / L,
-    one array updated in place; clongdouble past FLOAT64_MAX_VALUES values.
+def _expansion(values, scales):
+    """The one expansion of prod (x + lambda_i / L), row-batched.
+
+    `values` is an (R, n) batch with one scale L per row in `scales`;
+    yields (degree, coeffs) for degree 0..n, coeffs the (R, n + 1) array
+    with coeffs[r, k] = sigma_k of the first `degree` values of row r / L_r,
+    updated in place; complex128 up to FLOAT64_MAX_VALUES values,
+    clongdouble past that.  A 1-D `values` with a float scale is one row,
+    and then coeffs is that row's (n + 1,) view.
+
+    Two bit traps, each measured to move sigma bits.  Each value is
+    divided componentwise, re / L and im / L: that gives the bits of
+    Python's complex(v) / L up to the sign of a zero part, which no
+    coefficient keeps (each entry starts at +0 and only has products added
+    to it), whereas numpy's complex128 / float64 multiplies by a
+    reciprocal.  And callers take L from Python abs (or np.hypot), never
+    from np.abs on complex128, which differs from Python abs in the last
+    bit.
     """
-    n = len(values)
-    coeffs = np.zeros(n + 1, dtype=np.complex128 if n <= FLOAT64_MAX_VALUES else np.clongdouble)
-    coeffs[0] = 1.0
-    yield 0, coeffs
-    for deg, v in enumerate(values):
-        vs = complex(v) / scale
-        coeffs[1 : deg + 2] = coeffs[1 : deg + 2] + vs * coeffs[0 : deg + 1]
-        yield deg + 1, coeffs
+    vals = np.asarray(values, dtype=np.complex128)
+    one_row = vals.ndim == 1
+    if one_row:
+        vals = vals.reshape(1, -1)
+    scale = np.asarray(scales, dtype=float).reshape(-1, 1)
+    vs = np.empty_like(vals)
+    vs.real = vals.real / scale
+    vs.imag = vals.imag / scale
+    rows, n = vals.shape
+    coeffs = np.zeros((rows, n + 1), dtype=np.complex128 if n <= FLOAT64_MAX_VALUES else np.clongdouble)
+    coeffs[:, 0] = 1.0
+    out = coeffs[0] if one_row else coeffs
+    yield 0, out
+    for deg in range(n):
+        coeffs[:, 1 : deg + 2] = coeffs[:, 1 : deg + 2] + vs[:, deg : deg + 1] * coeffs[:, : deg + 1]
+        yield deg + 1, out
+
+
+def _full_expansion(values, scales) -> np.ndarray:
+    """The coefficients of _expansion once every factor is in."""
+    for _, coeffs in _expansion(values, scales):
+        pass
+    return coeffs
 
 
 def _expand_scaled(cand: CandidateSpectrum) -> tuple[np.ndarray, float, float]:
@@ -93,8 +122,7 @@ def _expand_scaled(cand: CandidateSpectrum) -> tuple[np.ndarray, float, float]:
     if len(cand.values) > EXPANSION_MAX_VALUES:
         raise DimensionTooLargeError(f"expansion capped at {EXPANSION_MAX_VALUES} values")
     scale = _scale(cand.values)
-    for _, coeffs in _expansion(cand.values, scale):
-        pass  # every factor in; coeffs is the full product
+    coeffs = _full_expansion(cand.values, scale)
     residue = float(np.abs(coeffs.imag).max())
     return coeffs.real[1:], scale, residue
 
@@ -118,9 +146,12 @@ def sigma_all(s, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return _unscaled_sigma(*_expand_scaled(_coerce(s, tol)), tol)
 
 
-def _pset_thresholds(n: int, scale: float, tol: Tolerances) -> np.ndarray:
+def _pset_thresholds(n: int, scale, tol: Tolerances) -> np.ndarray:
+    """tol.minor * (1 + L^-k) for k = 1..n: shape (n,) for one scale L,
+    one such row per scale for a 1-D array of scales (each row computed
+    by the same elementwise power loop as the one-scale case)."""
     k = np.arange(1, n + 1, dtype=float)
-    return tol.minor * (1.0 + np.power(scale, -k))
+    return tol.minor * (1.0 + np.power(np.asarray(scale, dtype=float)[..., None], -k))
 
 
 def is_P_set(s, tol: Tolerances = DEFAULT_TOL, variant: str = "P") -> str:
@@ -190,6 +221,7 @@ _LADDER_MAGNITUDES = (0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0)
 _RANDOM_TUPLES = 120
 _MAX_ADDITIONS = 6000
 _DENSE_COUNT_LIMIT = 24
+_BATCH_MAX_COEFFS = 1 << 16  # per dense-phase expansion chunk: 1 MiB in complex128
 
 
 @dataclass(frozen=True)
@@ -207,11 +239,33 @@ def _check_augment_precondition(cand: CandidateSpectrum, tol: Tolerances) -> Non
             raise PreconditionViolatedError("real members must be positive")
 
 
-def _union_is_pset(base: tuple[complex, ...], additions: Sequence[float], tol: Tolerances) -> bool:
-    vals = base + tuple(complex(t) for t in additions)
-    if len(vals) > EXPANSION_MAX_VALUES:
-        return False
-    return is_P_set(CandidateSpectrum(vals, True), tol) == YES
+def _first_pset_row(base: tuple[complex, ...], additions: np.ndarray, tol: Tolerances) -> Optional[int]:
+    """Index of the first row r of the (R, m) positive `additions` whose
+    union base + additions[r] passes the P-set test, or None.
+
+    The unions are expanded as one batch, in consecutive row chunks of at
+    most _BATCH_MAX_COEFFS coefficients, and each row is judged against
+    is_P_set's thresholds at its own scale L = max(L(base), max row), the
+    _scale of the union because abs(complex(t)) == t for t > 0.  A union
+    of more than EXPANSION_MAX_VALUES values passes no row.
+    """
+    rows, m = additions.shape
+    n = len(base) + m
+    if n > EXPANSION_MAX_VALUES:
+        return None
+    union = np.empty((rows, n), dtype=np.complex128)
+    union[:, : len(base)] = base
+    union[:, len(base) :] = additions
+    scales = np.maximum(_scale(base), additions.max(axis=1))
+    chunk = max(1, _BATCH_MAX_COEFFS // (n + 1))
+    for start in range(0, rows, chunk):
+        part = slice(start, start + chunk)
+        scaled = _full_expansion(union[part], scales[part]).real[:, 1:]
+        thr = _pset_thresholds(n, scales[part], tol)
+        passed = (scaled > thr.astype(scaled.dtype)).all(axis=1)
+        if passed.any():
+            return start + int(np.argmax(passed))
+    return None
 
 
 def _kellogg_min_total(values: Sequence[complex]) -> int:
@@ -251,8 +305,11 @@ def augment_to_P_set(c, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Optiona
 
     Smallest addition count first; counts below the Kellogg-infeasible
     threshold are provably impossible and skipped outright.  Phase one
-    scans small counts densely over the magnitude grid (plus dip-targeted
-    and random tuples drawn from `seed`); phase two runs equal-value
+    scans small counts densely, one batch per count m tested in one
+    batched expansion (_first_pset_row): m copies of each grid or
+    dip-targeted magnitude in ascending order, then max(120 // m, 4)
+    random m-tuples drawn from `seed`, in draw order; the first passing
+    candidate of that order wins.  Phase two runs equal-value
     ladders, each one incremental scan over the count that returns the
     smallest passing count for its magnitude (the thresholded test is not
     monotone in the count, so a later count may fail again) and stops at
@@ -266,7 +323,7 @@ def augment_to_P_set(c, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Optiona
     _check_augment_precondition(cand, tol)
     base = cand.values
 
-    if _union_is_pset(base, (), tol):
+    if len(base) <= EXPANSION_MAX_VALUES and is_P_set(cand, tol) == YES:
         sig, scale = _result_sigma(base, (), tol)
         return AugmentResult((), sig, scale)
 
@@ -282,17 +339,18 @@ def augment_to_P_set(c, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Optiona
         return AugmentResult(adds, sig, scale)
 
     # dense small-count phase (mixed tuples only pay off at small counts;
-    # past that the equal-value ladders dominate)
+    # past that the equal-value ladders dominate): one batch per count,
+    # equal-value rows in magnitude order, then the random tuples in draw
+    # order (all drawn up front: the rng serves this phase alone)
     dense_hi = min(m_start + _DENSE_COUNT_LIMIT - 1, _MAX_ADDITIONS)
     if m_start <= 8:
         for m in range(m_start, dense_hi + 1):
-            for t in magnitudes:
-                if _union_is_pset(base, [t] * m, tol):
-                    return finish([t] * m)
-            for _ in range(max(_RANDOM_TUPLES // max(m, 1), 4)):
-                cand_adds = np.exp(rng.uniform(np.log(0.05), np.log(30.0), m))
-                if _union_is_pset(base, cand_adds, tol):
-                    return finish(cand_adds)
+            draws = [np.exp(rng.uniform(np.log(0.05), np.log(30.0), m))
+                     for _ in range(max(_RANDOM_TUPLES // max(m, 1), 4))]
+            additions = np.array([[t] * m for t in magnitudes] + draws)
+            hit = _first_pset_row(base, additions, tol)
+            if hit is not None:
+                return finish(additions[hit])
 
     # equal-value ladder phase: one incremental pass per magnitude returns
     # its smallest passing count; dip-targeted magnitudes run first and cap
@@ -336,7 +394,7 @@ def _ladder_min_count(
     if m_cap < 1 or t <= 0.0:
         return None
     values = base + (complex(t),) * m_cap
-    scale = _scale(values)
+    scale = max(_scale(base), t)  # the _scale of values: abs(complex(t)) == t
     expansion = _expansion(values, scale)
     _, coeffs = next(expansion)
     # cast once, not at every comparison with longdouble coefficients

@@ -270,6 +270,18 @@ class TestPrincipalSubmatrix:
         with pytest.raises(InvalidIndexError):
             linalg.principal_submatrix(np.eye(2), (1, 1))
 
+    def test_index_sets_cached_and_read_only(self):
+        # every sweep of the same n walks the same index arrays; a caller
+        # that wrote into one would corrupt every later sweep, so none can
+        a = np.arange(16.0).reshape(4, 4)
+        first = [idx for idx, _ in linalg.principal_stacks(a)]
+        again = [idx for idx, _ in linalg.principal_stacks(-a)]
+        assert all(x is y for x, y in zip(first, again))
+        for idx in first:
+            assert not idx.flags.writeable
+            with pytest.raises(ValueError):
+                idx[0, 0] = 1
+
 
 class TestValidation:
     def test_dimension_cap(self):

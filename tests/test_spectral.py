@@ -290,6 +290,239 @@ class TestLadder:
         assert max(degrees) < 100
 
 
+def _reference_expansion(values, scale):
+    """The expansion loop before row batching, one Python complex division
+    per value: the bit oracle of spectral._expansion."""
+    n = len(values)
+    coeffs = np.zeros(n + 1, dtype=np.complex128 if n <= spectral.FLOAT64_MAX_VALUES else np.clongdouble)
+    coeffs[0] = 1.0
+    for deg, v in enumerate(values):
+        vs = complex(v) / scale
+        coeffs[1 : deg + 2] = coeffs[1 : deg + 2] + vs * coeffs[0 : deg + 1]
+    return coeffs
+
+
+def _reference_scale(values):
+    return max(1.0, max((abs(complex(v)) for v in values), default=1.0))
+
+
+def _assert_same_coeffs(got, want):
+    assert got.dtype == want.dtype
+    if want.dtype == np.complex128:
+        assert got.tobytes() == want.tobytes()
+    else:
+        # clongdouble: equal values, but the padding bytes may differ
+        np.testing.assert_array_equal(got, want)
+
+
+def _kernel_rows(n, rows, rng):
+    """Seeded rows of n values: real and complex mixed, one power of ten
+    in 1e-5..1e5 per row, and some zero parts of either sign."""
+    vals = rng.uniform(-3.0, 3.0, (rows, n)) + 1j * rng.uniform(-3.0, 3.0, (rows, n))
+    vals.imag[rng.random((rows, n)) < 0.4] = 0.0
+    vals *= 10.0 ** rng.integers(-5, 6, (rows, 1))
+    vals.real[:, ::7] *= 0.0  # +0 or -0 by the sign of the draw
+    return vals
+
+
+def _suite_sets(seed):
+    """The (values, seed) pairs of the augmentation check of suite_classify."""
+    for k in range(suites.AUGMENT_TRIALS):
+        g = np.random.default_rng(seed * 6_000_029 + k)
+        vals = []
+        for _ in range(int(g.integers(1, 4))):
+            a, b = g.uniform(-3.0, 3.0), g.uniform(0.25, 3.0)
+            vals += [complex(a, b), complex(a, -b)]
+        for _ in range(int(g.integers(0, 3))):
+            vals.append(complex(g.uniform(0.1, 3.0), 0.0))
+        yield vals, int(g.integers(1 << 30))
+
+
+# (values, seed) where a random tuple of several distinct values wins the
+# dense phase
+RANDOM_TUPLE_CASES = (
+    (_pair(-1.2709828402885623, 1.671693904991313) + (0.362074422666861,), 1026970694),
+    (_pair(-0.22578742833737842, 0.5461795719882386) + _pair(-1.688825161831149, 2.744289720901905)
+     + (5.685201850537812,), 228954366),
+    (_pair(-5.841815268733481, 5.456870694387031) + (6.854809557046741, 4.724908738279774), 951572080),
+)
+
+
+class TestBatchedExpansion:
+    SIZES = tuple(range(1, 41)) + (799, 800, 801, 1200)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_rows_match_reference_loop(self, n):
+        rng = np.random.default_rng(n)
+        vals = _kernel_rows(n, 4 if n <= 40 else 2, rng)
+        scales = [_reference_scale(row) for row in vals]
+        batch = spectral._full_expansion(vals, scales)
+        assert batch.shape == (len(vals), n + 1)
+        for row, scale, got in zip(vals, scales, batch):
+            want = _reference_expansion(row, scale)
+            _assert_same_coeffs(got, want)
+            _assert_same_coeffs(spectral._full_expansion(row, scale), want)
+
+    def test_expand_scaled_takes_python_abs_scale(self):
+        rng = np.random.default_rng(100)
+        for n in self.SIZES[:-1]:
+            row = _kernel_rows(n, 1, rng)[0]
+            values = tuple(complex(v) for v in row) + tuple(complex(v) for v in np.conj(row[row.imag != 0.0]))
+            scaled, scale, _ = spectral._expand_scaled(spectral.CandidateSpectrum(values, True))
+            assert scale == _reference_scale(values)
+            _assert_same_coeffs(scaled, _reference_expansion(values, scale).real[1:])
+
+    def test_dense_batches_expand_reference_rows(self, monkeypatch):
+        # every row the dense phase expands has the bits of the old
+        # per-candidate expansion at the union's Python-abs scale
+        batches = []
+        expansion = spectral._expansion
+
+        def spy(values, scales):
+            for deg, coeffs in expansion(values, scales):
+                yield deg, coeffs
+            if np.ndim(values) == 2:
+                batches.append((np.array(values), np.array(scales), coeffs.copy()))
+
+        monkeypatch.setattr(spectral, "_expansion", spy)
+        sets = list(_suite_sets(1))[:12] + list(RANDOM_TUPLE_CASES)
+        for vals, seed in sets:
+            spectral.augment_to_P_set(list(vals), seed=seed)
+        rows = 0
+        for values, scales, coeffs in batches:
+            for row, scale, got in zip(values, scales, coeffs):
+                assert scale == _reference_scale(row)
+                _assert_same_coeffs(got, _reference_expansion(row, scale))
+                rows += 1
+        assert rows > 500
+
+    def test_first_passing_row_across_800_values(self):
+        rng = np.random.default_rng(3)
+        base = _pair(-0.3, 0.5) + tuple(complex(x) for x in rng.uniform(0.995, 1.0, 796))
+        found = []
+        for m, lo, hi in ((1, 1e-12, 1e-7), (2, 1e-12, 1e-7), (3, 1e-12, 1e-7), (4, 1e-12, 1e-7),
+                          (3, 1e-16, 1e-13)):
+            ts = np.geomspace(lo, hi, 12) ** (1.0 / m)
+            adds = np.array([[t] * m for t in ts] + [rng.uniform(ts[0], ts[-1], m) for _ in range(4)])
+            want = next((i for i, row in enumerate(adds) if spectral.is_P_set(
+                spectral.CandidateSpectrum(base + tuple(complex(t) for t in row), True)) == YES), None)
+            assert spectral._first_pset_row(base, adds, DEFAULT_TOL) == want
+            found.append(want)
+        assert None in found and any(i not in (None, 0) for i in found)
+
+    def test_chunks_keep_the_row_order(self, monkeypatch):
+        base = _pair(-1, 2)
+        ts = np.linspace(0.5, 4.0, 40)  # 2 < t < 2.5 passes with one addition
+        adds = ts[:, None]
+        want = next(i for i, t in enumerate(ts) if 2.0 < t < 2.5)
+        assert spectral._first_pset_row(base, adds, DEFAULT_TOL) == want
+        for rows in (1, 3, want, want + 1):
+            monkeypatch.setattr(spectral, "_BATCH_MAX_COEFFS", rows * (len(base) + 2))
+            assert spectral._first_pset_row(base, adds, DEFAULT_TOL) == want
+            assert spectral._first_pset_row(base, adds[:want], DEFAULT_TOL) is None
+
+    def test_past_the_expansion_cap_no_row_passes(self):
+        base = (1.0 + 0j,) * spectral.EXPANSION_MAX_VALUES
+        assert spectral._first_pset_row(base, np.ones((3, 1)), DEFAULT_TOL) is None
+
+
+def _reference_union_is_pset(base, additions, tol):
+    vals = base + tuple(complex(t) for t in additions)
+    if len(vals) > spectral.EXPANSION_MAX_VALUES:
+        return False
+    return spectral.is_P_set(spectral.CandidateSpectrum(vals, True), tol) == YES
+
+
+def _reference_augment_to_P_set(c, seed=0, tol=DEFAULT_TOL):
+    """augment_to_P_set before the batched dense phase: one is_P_set call
+    per candidate."""
+    cand = spectral._coerce(c, tol)
+    spectral._check_augment_precondition(cand, tol)
+    base = cand.values
+
+    if _reference_union_is_pset(base, (), tol):
+        sig, scale = spectral._result_sigma(base, (), tol)
+        return spectral.AugmentResult((), sig, scale)
+
+    m_start = max(1, spectral._kellogg_min_total(base) - len(base))
+    if m_start > spectral._MAX_ADDITIONS:
+        return None
+    magnitudes = tuple(sorted(set(list(spectral._AUGMENT_MAGNITUDES) + spectral._dip_targets(base))))
+    rng = np.random.default_rng(seed)
+
+    def finish(additions):
+        adds = tuple(sorted(float(t) for t in additions))
+        sig, scale = spectral._result_sigma(base, adds, tol)
+        return spectral.AugmentResult(adds, sig, scale)
+
+    dense_hi = min(m_start + spectral._DENSE_COUNT_LIMIT - 1, spectral._MAX_ADDITIONS)
+    if m_start <= 8:
+        for m in range(m_start, dense_hi + 1):
+            for t in magnitudes:
+                if _reference_union_is_pset(base, [t] * m, tol):
+                    return finish([t] * m)
+            for _ in range(max(spectral._RANDOM_TUPLES // max(m, 1), 4)):
+                cand_adds = np.exp(rng.uniform(np.log(0.05), np.log(30.0), m))
+                if _reference_union_is_pset(base, cand_adds, tol):
+                    return finish(cand_adds)
+
+    ladder_ts = tuple(spectral._dip_targets(base)) + spectral._LADDER_MAGNITUDES
+    best = None
+    cap = spectral._MAX_ADDITIONS
+    for t in dict.fromkeys(ladder_ts):
+        m_t = spectral._ladder_min_count(base, float(t), cap, tol)
+        if m_t is not None and (best is None or m_t < best[0]):
+            best = (m_t, float(t))
+            cap = m_t - 1
+    if best is not None:
+        m, t = best
+        return finish([t] * m)
+    return None
+
+
+class TestDensePhaseAgainstReference:
+    @staticmethod
+    def outcome(res):
+        return None if res is None else (res.additions, res.sigma, res.sigma_scale)
+
+    def test_seed_1_suite_sets(self):
+        for vals, seed in _suite_sets(1):
+            got = spectral.augment_to_P_set(vals, seed=seed)
+            assert self.outcome(got) == self.outcome(_reference_augment_to_P_set(vals, seed=seed)), vals
+
+    @pytest.mark.parametrize("vals, seed", RANDOM_TUPLE_CASES)
+    def test_random_tuple_wins(self, vals, seed):
+        got = spectral.augment_to_P_set(list(vals), seed=seed)
+        assert len(set(got.additions)) > 1  # no equal-value candidate decided it
+        assert self.outcome(got) == self.outcome(_reference_augment_to_P_set(list(vals), seed=seed))
+
+    @pytest.mark.parametrize("k", (17, 43))
+    def test_seed_3_suite_sets_won_by_one_random_value(self, k):
+        vals, seed = list(_suite_sets(3))[k]
+        got = spectral.augment_to_P_set(vals, seed=seed)
+        assert len(got.additions) == 1 and got.additions[0] not in spectral._AUGMENT_MAGNITUDES
+        assert self.outcome(got) == self.outcome(_reference_augment_to_P_set(vals, seed=seed))
+
+    def test_first_random_tuple_case_pinned(self):
+        vals, seed = RANDOM_TUPLE_CASES[0]
+        res = spectral.augment_to_P_set(list(vals), seed=seed)
+        assert res.additions == (3.0819393780949675, 3.8204743024817573)
+
+    def test_one_is_P_set_call_per_augmentation(self, monkeypatch):
+        calls = []
+        is_P_set = spectral.is_P_set
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return is_P_set(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "is_P_set", counting)
+        for vals, seed in list(_suite_sets(1))[:20] + list(RANDOM_TUPLE_CASES):
+            calls.clear()
+            spectral.augment_to_P_set(list(vals), seed=seed)
+            assert len(calls) == 1  # the base test; no dense candidate goes through it
+
+
 class TestRealize:
     def test_pair_of_ones_gives_identity(self):
         m = spectral.realize_P_set([1.0, 1.0])
