@@ -15,9 +15,11 @@ that a random tuple of distinct values decides, `sigma_all`,
 `is_P_set` and `wedge_check` on value lists on both sides of 800 values,
 `realize_P_set` and `extremal_spectrum_search`, `diag_interp_check`,
 the sign-reversal and sufficiency searches at their phase-boundary
-budgets for n = 2..13, and the LCP layer (`enumerate_for_each`,
+budgets for n = 2..13, the LCP layer (`enumerate_for_each`,
 `lemke_solve` and `uniqueness_census` with and without `stop_early`) at
-n = 1..10 and on degenerate q.
+n = 1..10 and on degenerate q, `lemke_solve` at n = 12..32 on random q,
+and `feasible_point` on the orthant systems of column sufficiency at
+n = 2, 3.
 Raised errors are digested as type and message.  Two checkouts give the
 same outputs exactly when their lines are equal, so a refactor is checked
 with one diff:
@@ -40,11 +42,11 @@ import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import tempfile  # noqa: E402
-from itertools import count  # noqa: E402
+from itertools import count, product  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from pmkit import classify, cli, lcp, opsim, serialize, spectral  # noqa: E402
+from pmkit import classify, cli, feasibility, lcp, opsim, serialize, spectral  # noqa: E402
 from pmkit.generators import GenSpec, generate  # noqa: E402
 
 # P, with two eigenvalues in the left half-plane and an indefinite
@@ -329,6 +331,44 @@ def _lcp_outputs() -> list:
     return out
 
 
+def _lemke_outputs() -> list:
+    """lemke_solve on random q (no ties) for three classes at n = 12..32."""
+    rng = np.random.default_rng(12)
+    out = []
+    for tag in ("P-diagdom", "M-matrix", "arbitrary"):
+        for n in (12, 16, 24, 32):
+            m = generate(GenSpec(tag, n, seed=n + 1))
+            out += [_outcome(lcp.lemke_solve, lcp.LCPInstance.make(m, rng.uniform(-5.0, 5.0, n)))
+                    for _ in range(4)]
+    return out
+
+
+def _feasibility_outputs() -> list:
+    """feasible_point, as exact fraction strings, on every orthant system
+    (with and without a violation position) of the two 3x3 P fixtures and
+    of seeded arbitrary, triangular (up to a cyclic permutation) and
+    small integer matrices at n = 2, 3."""
+    def exact(rows, consts):
+        point = feasibility.feasible_point(rows, consts)
+        return None if point is None else tuple(str(v) for v in point)
+
+    mats = [np.array(P_NOT_STABLE), np.array(P_TRIANGULAR)]
+    for n in (2, 3):
+        rng = np.random.default_rng(n)
+        shift = np.roll(np.eye(n), 1, axis=1)
+        for seed in range(4):
+            arb = generate(GenSpec("arbitrary", n, seed=seed))
+            mats += [arb, shift @ np.triu(arb) @ shift.T, rng.integers(-4, 5, (n, n)).astype(float)]
+    out = []
+    for mat in mats:
+        n = mat.shape[0]
+        for signs in product((1, -1), repeat=n):
+            for i in (None,) + tuple(range(n)):
+                a_ub, b_ub = classify._reversal_cone(mat, signs, i)
+                out.append(_outcome(exact, list(-a_ub), list(b_ub)))
+    return out
+
+
 API_GROUPS = (
     ("augment_to_P_set seed-1 suite sets", lambda: _augment_outputs(1)),
     ("augment_to_P_set seed-2 suite sets", lambda: _augment_outputs(2)),
@@ -340,6 +380,8 @@ API_GROUPS = (
     ("diag_interp_check", _interp_outputs),
     ("find_reversal_witness is_column_sufficient is_row_sufficient", _search_outputs),
     ("enumerate_for_each uniqueness_census lemke_solve", _lcp_outputs),
+    ("lemke_solve n = 12..32 random q", _lemke_outputs),
+    ("feasible_point orthant systems", _feasibility_outputs),
 )
 
 

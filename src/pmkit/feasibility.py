@@ -1,44 +1,50 @@
 """Exact rational feasibility for tiny linear inequality systems.
 
-Fourier-Motzkin elimination over `fractions.Fraction`.  Float inputs are
-converted exactly (every float is a rational), so feasibility decisions
-carry no rounding error.  Only intended for a handful of variables; the
-sufficiency decision procedure uses it for n <= 3.
+Fourier-Motzkin elimination over primitive integer rows.  Each float is a
+dyadic rational, so a constraint converts exactly to integers by scaling
+it by its largest power-of-two denominator; it is then divided by the gcd
+of its entries.  Two constraints are positive multiples of each other
+exactly when their primitive rows are equal, which is the dedupe key, and
+eliminating x_j combines a lower row L (a_l > 0) with an upper row U
+(a_u < 0) as (-a_u) L + a_l U, again made primitive.  Back-substitution
+runs in `fractions.Fraction`, so feasibility decisions and the returned
+point carry no rounding error.  Only intended for a handful of variables;
+the sufficiency decision procedure uses it for n <= 3.
 
 A constraint is a pair (coeffs, const) encoding  sum_j coeffs[j] x_j +
-const >= 0.
+const >= 0.  Internally a row is one tuple of ints, coeffs then const.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
-Constraint = tuple[tuple[Fraction, ...], Fraction]
+Row = tuple[int, ...]
 
 
-def _to_fraction_constraints(rows: Sequence[Sequence[float]], consts: Sequence[float]) -> list[Constraint]:
-    out = []
-    for row, c in zip(rows, consts):
-        out.append((tuple(Fraction(float(v)) for v in row), Fraction(float(c))))
-    return out
+def _integer_row(values: Sequence[float]) -> Row:
+    """The floats as integers, scaled by their largest denominator (a power
+    of two, so every other denominator divides it)."""
+    ratios = [float(v).as_integer_ratio() for v in values]
+    den = max(d for _, d in ratios)
+    return tuple(p * (den // d) for p, d in ratios)
 
 
-def _dedup(constraints: list[Constraint]) -> list[Constraint]:
-    seen = set()
-    out = []
-    for coeffs, const in constraints:
-        if all(c == 0 for c in coeffs):
-            if const < 0:
-                return [((), Fraction(-1))]  # infeasible marker: -1 >= 0
+def _dedup(rows: list[Row]) -> Optional[list[Row]]:
+    """Primitive rows in first-seen order, one per ray; rows with all
+    coefficients zero are dropped, or give None when their constant is
+    negative (the system is infeasible)."""
+    out: dict[Row, None] = {}
+    for row in rows:
+        if not any(row[:-1]):
+            if row[-1] < 0:
+                return None
             continue
-        # normalize by the first nonzero coefficient's absolute value
-        scale = next(abs(c) for c in coeffs if c != 0)
-        key = (tuple(c / scale for c in coeffs), const / scale)
-        if key not in seen:
-            seen.add(key)
-            out.append((key[0], key[1]))
-    return out
+        g = gcd(*row)
+        out[tuple(v // g for v in row) if g > 1 else row] = None
+    return list(out)
 
 
 def feasible_point(rows: Sequence[Sequence[float]], consts: Sequence[float]) -> Optional[tuple[Fraction, ...]]:
@@ -46,62 +52,50 @@ def feasible_point(rows: Sequence[Sequence[float]], consts: Sequence[float]) -> 
 
     Eliminates the last variable first; back-substitution picks interval
     midpoints so the returned point sits strictly inside whenever the
-    region has interior.
+    region has interior.  Rows of unequal length, or a constant count
+    other than the row count, raise ValueError.
     """
-    constraints = _dedup(_to_fraction_constraints(rows, consts))
-    if constraints and constraints[0][0] == ():
+    nvars = len(rows[0]) if len(rows) else 0
+    if any(len(row) != nvars for row in rows) or len(consts) != len(rows):
+        raise ValueError("feasible_point needs one constant per row and rows of equal length")
+    constraints = _dedup([_integer_row(list(row) + [c]) for row, c in zip(rows, consts)])
+    if constraints is None:
         return None
-    nvars = len(rows[0]) if rows else 0
     return _solve(constraints, nvars)
 
 
-def _solve(constraints: list[Constraint], nvars: int) -> Optional[tuple[Fraction, ...]]:
+def _solve(constraints: list[Row], nvars: int) -> Optional[tuple[Fraction, ...]]:
     if nvars == 0:
-        for coeffs, const in constraints:
-            if const < 0:
-                return None
-        return ()
+        return () if all(row[-1] >= 0 for row in constraints) else None
 
     j = nvars - 1
-    lowers: list[Constraint] = []  # a > 0: x_j >= -(rest + const)/a
-    uppers: list[Constraint] = []  # a < 0: x_j <= ...
-    passthrough: list[Constraint] = []
-    for coeffs, const in constraints:
-        a = coeffs[j] if len(coeffs) > j else Fraction(0)
-        reduced = (tuple(coeffs[:j]), const)
-        if a > 0:
-            lowers.append((tuple(c / a for c in coeffs[:j]), const / a))
-        elif a < 0:
-            uppers.append((tuple(c / (-a) for c in coeffs[:j]), const / (-a)))
-        else:
-            passthrough.append(reduced)
-
-    combined = list(passthrough)
-    for lc, lconst in lowers:
-        for uc, uconst in uppers:
-            # x_j >= -(lc.x + lconst)  and  -x_j >= -(uc.x + uconst)  combine to
-            # (lc + uc).x + (lconst + uconst) >= 0
-            coeffs = tuple(a + b for a, b in zip(lc, uc)) if j else ()
-            combined.append((coeffs, lconst + uconst))
+    lowers = [row for row in constraints if row[j] > 0]  # x_j >= bound
+    uppers = [row for row in constraints if row[j] < 0]  # x_j <= bound
+    combined = [row[:j] + row[j + 1:] for row in constraints if row[j] == 0]
+    for lo_row in lowers:
+        a_l = lo_row[j]
+        for up_row in uppers:
+            a_u = -up_row[j]
+            combined.append(tuple(a_u * lv + a_l * uv for lv, uv in zip(lo_row[:j] + lo_row[j + 1:],
+                                                                         up_row[:j] + up_row[j + 1:])))
     combined = _dedup(combined)
-    if combined and combined[0][0] == ():
+    if combined is None:
         return None
 
     inner = _solve(combined, j)
     if inner is None:
         return None
 
-    lo: Optional[Fraction] = None
-    hi: Optional[Fraction] = None
-    for lc, lconst in lowers:
-        bound = -(sum((c * x for c, x in zip(lc, inner)), Fraction(0)) + lconst)
-        if lo is None or bound > lo:
-            lo = bound
-    for uc, uconst in uppers:
-        bound = sum((c * x for c, x in zip(uc, inner)), Fraction(0)) + uconst
-        if hi is None or bound < hi:
-            hi = bound
+    # the bound -(sum_k c_k x_k + const) / a_j of each row, over the common
+    # denominator of x_0..x_{j-1}
+    den = lcm(*(x.denominator for x in inner))
+    nums = [x.numerator * (den // x.denominator) for x in inner]
 
+    def bound(row: Row) -> Fraction:
+        return Fraction(-(sum(c * v for c, v in zip(row, nums)) + row[-1] * den), row[j] * den)
+
+    lo = max(map(bound, lowers), default=None)
+    hi = min(map(bound, uppers), default=None)
     if lo is not None and hi is not None:
         if lo > hi:
             return None  # should not happen after elimination

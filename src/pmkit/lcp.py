@@ -49,31 +49,42 @@ class LCPSolution:
 def validate_solution(inst: LCPInstance, sol: LCPSolution, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Re-check the solution invariants independently of how it was found."""
     m, q = inst.m, inst.q
+    norm_m, norm_q = inf_norm(m), inf_norm(q)
+    norm_z, norm_w = inf_norm(sol.z), inf_norm(sol.w)
     res = inf_norm(sol.w - (m @ sol.z + q))
-    thr_res = tol.res * (inf_norm(m) * inf_norm(sol.z) + inf_norm(q) + 1.0)
-    thr_sign = tol.minor_for(inf_norm(m), 1) * (1.0 + inf_norm(sol.z) + inf_norm(sol.w))
+    thr_res = tol.res * (norm_m * norm_z + norm_q + 1.0)
+    thr_sign = tol.minor_for(norm_m, 1) * (1.0 + norm_z + norm_w)
     comp = abs(float(sol.z @ sol.w))
     return bool(
         res <= thr_res
         and sol.z.min(initial=0.0) >= -thr_sign
         and sol.w.min(initial=0.0) >= -thr_sign
-        and comp <= tol.comp_for(inf_norm(q)) * (1.0 + inf_norm(sol.z))
+        and comp <= tol.comp_for(norm_q) * (1.0 + norm_z)
     )
 
 
 def _solution_from_z(inst: LCPInstance, z: np.ndarray) -> LCPSolution:
     w = inst.m @ z + inst.q
-    basis = tuple(i + 1 for i in range(inst.n) if z[i] > 0.0)
+    basis = tuple((np.flatnonzero(z > 0.0) + 1).tolist())
     return LCPSolution(z, w, basis)
 
 
 def lemke_solve(inst: LCPInstance, tol: Tolerances = DEFAULT_TOL) -> Optional[LCPSolution]:
     """Lemke complementary pivoting with the all-ones covering vector.
 
-    Lexicographic ratio tests break degenerate ties (the classic
-    anti-cycling rule); the iteration cap 2^(n+2) backstops it, and
-    exceeding the cap raises LcpCycleError as an anomaly.  Returns None on
-    ray termination.
+    The tableau is laid out as [rhs | w_0..w_{n-1} | z_0..z_{n-1} | z0], so
+    variable v (w_i = i, z_i = n + i, z0 = 2n) sits in column v + 1 and a
+    row's lexicographic key (rhs, w-block) is the slice tab[r, :n+1].  The
+    ratio test divides the keys of all candidate rows (pivot-column entry
+    above the pivot tolerance) at once, then scans them in row order: a
+    candidate replaces the best one so far when its first component that
+    differs by more than 1e-12 (1 + |best component|) is smaller (Cottle,
+    Pang & Stone, The Linear Complementarity Problem, 1992, ch. 4).  The
+    band is relative to the running best, so the comparison is not
+    transitive and the scan order is part of the rule.  A pivot updates only
+    the rows whose pivot-column entry is nonzero.  The iteration cap
+    2^(n+2) backstops the rule, and exceeding the cap raises LcpCycleError
+    as an anomaly.  Returns None on ray termination.
     """
     n = inst.n
     if n > LEMKE_MAX_DIM:
@@ -82,38 +93,43 @@ def lemke_solve(inst: LCPInstance, tol: Tolerances = DEFAULT_TOL) -> Optional[LC
     if q.min(initial=0.0) >= 0.0:
         return _solution_from_z(inst, np.zeros(n))
 
-    # tableau columns: [w_0..w_{n-1} | z_0..z_{n-1} | z0 | rhs]
-    tab = np.hstack([np.eye(n), -m, -np.ones((n, 1)), q.reshape(-1, 1)])
-    rhs_col = 2 * n + 1
-    z0_col = 2 * n
+    tab = np.empty((n, 2 * n + 2))
+    tab[:, 0] = q
+    tab[:, 1:n + 1] = 0.0
+    tab[np.arange(n), np.arange(1, n + 1)] = 1.0
+    np.negative(m, out=tab[:, n + 1:2 * n + 1])
+    tab[:, 2 * n + 1] = -1.0
+    z0 = 2 * n
     basis = list(range(n))
     piv_tol = 1e-11 * (1.0 + inf_norm(m))
 
-    def pivot(row: int, col: int) -> None:
-        tab[row] /= tab[row, col]
-        rows = tab[:, col] != 0.0
-        rows[row] = False
-        tab[rows] -= tab[rows, col][:, None] * tab[row]
+    def pivot(row: int, var: int) -> None:
+        prow = tab[row]
+        prow /= prow[var + 1]
+        rows = tab[:, var + 1].nonzero()[0]
+        rows = rows[rows != row]
+        tab[rows] -= tab[rows, var + 1][:, None] * prow
 
-    def lex_ratio_row(col: int) -> Optional[int]:
-        cand = [r for r in range(n) if tab[r, col] > piv_tol]
-        if not cand:
-            return None
-        # compare (rhs, w-block) / pivot entry lexicographically
-        best = cand[0]
-        best_vec = np.concatenate(([tab[best, rhs_col]], tab[best, :n])) / tab[best, col]
-        for r in cand[1:]:
-            vec = np.concatenate(([tab[r, rhs_col]], tab[r, :n])) / tab[r, col]
-            diff = vec - best_vec
-            nz = np.nonzero(np.abs(diff) > 1e-12 * (1.0 + np.abs(best_vec)))[0]
-            if nz.size and diff[nz[0]] < 0:
-                best, best_vec = r, vec
-        return best
+    def lex_ratio_row(var: int) -> Optional[int]:
+        col = tab[:, var + 1]
+        cand = (col > piv_tol).nonzero()[0]
+        if cand.size <= 1:
+            return int(cand[0]) if cand.size else None
+        keys = (tab[cand, :n + 1] / col[cand, None]).tolist()
+        best, best_key = 0, keys[0]
+        for k in range(1, len(keys)):
+            for v, b in zip(keys[k], best_key):
+                d = v - b
+                if abs(d) > 1e-12 * (1.0 + abs(b)):
+                    if d < 0:
+                        best, best_key = k, keys[k]
+                    break
+        return int(cand[best])
 
     row = int(np.argmin(q))
-    pivot(row, z0_col)
+    pivot(row, z0)
     leaving = basis[row]
-    basis[row] = z0_col
+    basis[row] = z0
     entering = n + leaving  # complement of the leaving w-variable
 
     for _ in range(2 ** (n + 2)):
@@ -122,11 +138,11 @@ def lemke_solve(inst: LCPInstance, tol: Tolerances = DEFAULT_TOL) -> Optional[LC
             return None  # ray termination
         pivot(row, entering)
         leaving, basis[row] = basis[row], entering
-        if leaving == z0_col:
+        if leaving == z0:
             z = np.zeros(n)
             for r, b in enumerate(basis):
                 if n <= b < 2 * n:
-                    z[b - n] = tab[r, rhs_col]
+                    z[b - n] = tab[r, 0]
             z = np.maximum(z, 0.0)
             return _solution_from_z(inst, z)
         entering = leaving + n if leaving < n else leaving - n

@@ -247,7 +247,9 @@ def _reference_enumerate_for_each(m, qs, tol=DEFAULT_TOL):
         yield lcp.EnumerationResult(tuple(lcp._solution_from_z(inst, z) for z in sols), skipped)
 
 
-def _reference_lemke_solve(inst, tol=DEFAULT_TOL):
+def _reference_lemke_solve(inst, tol=DEFAULT_TOL, late=None):
+    """`late`, a list, gets one entry per ratio test that a key component
+    past the first (the rhs ratio) decided."""
     n = inst.n
     m, q = inst.m, inst.q
     if q.min(initial=0.0) >= 0.0:
@@ -274,6 +276,8 @@ def _reference_lemke_solve(inst, tol=DEFAULT_TOL):
             vec = np.concatenate(([tab[r, rhs_col]], tab[r, :n])) / tab[r, col]
             diff = vec - best_vec
             nz = np.nonzero(np.abs(diff) > 1e-12 * (1.0 + np.abs(best_vec)))[0]
+            if late is not None and nz.size and nz[0] > 0:
+                late.append(int(nz[0]))
             if nz.size and diff[nz[0]] < 0:
                 best, best_vec = r, vec
         return best
@@ -379,8 +383,15 @@ class TestAgainstReferenceLoops:
         for n in (16, 32):
             cases.append((generate(GenSpec("P-diagdom", n, seed=n)),
                           [rng.uniform(-5.0, 5.0, n) for _ in range(3)]))
+        for tag in ("P-diagdom", "Z", "arbitrary"):
+            for n in (10, 12, 24):
+                cases.append((generate(GenSpec(tag, n, seed=7 * n)),
+                              [rng.uniform(-5.0, 5.0, n) for _ in range(3)]))
+        late: list = []
         for m, qs in cases:
             for q in qs:
                 got = _outcome(lcp.lemke_solve, inst(m, q))
-                want = _outcome(_reference_lemke_solve, inst(m, q))
+                want = _outcome(_reference_lemke_solve, inst(m, q), DEFAULT_TOL, late)
                 assert pickle.dumps(got) == pickle.dumps(want)
+        # the w-block tie-break, not only the rhs ratio, was compared
+        assert len(late) > 0
