@@ -82,7 +82,11 @@ def lemke_solve(inst: LCPInstance, tol: Tolerances = DEFAULT_TOL) -> Optional[LC
     Pang & Stone, The Linear Complementarity Problem, 1992, ch. 4).  The
     band is relative to the running best, so the comparison is not
     transitive and the scan order is part of the rule.  A pivot updates only
-    the rows whose pivot-column entry is nonzero.  The iteration cap
+    the rows whose pivot-column entry is nonzero.  z0 enters on the last
+    row where q is smallest: after that pivot each other row tied at the
+    minimum reads (0, e_i - e_r), which is lexicographically positive only
+    for i < r, so with the first tied row the tableau would start outside
+    the invariant that the anti-cycling argument needs.  The iteration cap
     2^(n+2) backstops the rule, and exceeding the cap raises LcpCycleError
     as an anomaly.  Returns None on ray termination.
     """
@@ -126,7 +130,9 @@ def lemke_solve(inst: LCPInstance, tol: Tolerances = DEFAULT_TOL) -> Optional[LC
                     break
         return int(cand[best])
 
-    row = int(np.argmin(q))
+    # the last of the rows tied at min(q), so that every other tied row
+    # stays lexicographically positive after the first pivot
+    row = int(np.flatnonzero(q == q.min())[-1])
     pivot(row, z0)
     leaving = basis[row]
     basis[row] = z0

@@ -199,6 +199,39 @@ class TestEnumerateForEach:
                     assert got.basis == want.basis
 
 
+GEN_CLASSES = ("P-diagdom", "M-matrix", "sym-PD", "Z", "PSD", "non-P", "arbitrary")
+
+
+def _tied_cases():
+    """(class, m, q) with the minimum of q tied: q = -1, q = -3.7 and q
+    with its first ceil(n/2) entries -1, for seven classes at n = 2..10,
+    seeds 0-14, and two arbitrary n = 16 instances that cycled past the
+    pivot cap when the first tied row entered."""
+    rng = np.random.default_rng(3)
+    for tag in GEN_CLASSES:
+        for n in range(2, 11):
+            for seed in range(15):
+                m = generate(GenSpec(tag, n, seed=seed))
+                half = np.where(np.arange(n) < (n + 1) // 2, -1.0, rng.uniform(0.5, 3.0, n))
+                for q in (np.full(n, -1.0), np.full(n, -3.7), half):
+                    yield tag, m, q
+    yield "arbitrary", generate(GenSpec("arbitrary", 16, seed=16)), np.full(16, -1.0)
+    yield "arbitrary", generate(GenSpec("arbitrary", 16, seed=1016)), np.full(16, -3.7)
+
+
+class TestTiedMinimum:
+    def test_no_cycling_and_every_solution_validates(self):
+        solved = 0
+        for tag, m, q in _tied_cases():
+            sol = lcp.lemke_solve(inst(m, q))  # an LcpCycleError fails the test
+            if tag in ("P-diagdom", "M-matrix", "sym-PD"):
+                assert sol is not None  # LCP(M, q) has a solution for every P-matrix M
+            if sol is not None:
+                assert lcp.validate_solution(inst(m, q), sol)
+                solved += 1
+        assert solved > 1000
+
+
 class TestCaps:
     def test_enum_cap(self):
         with pytest.raises(Exception):
@@ -282,7 +315,7 @@ def _reference_lemke_solve(inst, tol=DEFAULT_TOL, late=None):
                 best, best_vec = r, vec
         return best
 
-    row = int(np.argmin(q))
+    row = int(np.flatnonzero(q == q.min())[-1])
     pivot(row, z0_col)
     leaving = basis[row]
     basis[row] = z0_col
