@@ -12,7 +12,8 @@ point carry no rounding error.  Only intended for a handful of variables;
 the sufficiency decision procedure uses it for n <= 3.
 
 A constraint is a pair (coeffs, const) encoding  sum_j coeffs[j] x_j +
-const >= 0.  Internally a row is one tuple of ints, coeffs then const.
+const >= 0.  Internally a row is one tuple of ints, coeffs then const,
+and keeps its width through elimination.
 """
 
 from __future__ import annotations
@@ -71,13 +72,12 @@ def _solve(constraints: list[Row], nvars: int) -> Optional[tuple[Fraction, ...]]
     j = nvars - 1
     lowers = [row for row in constraints if row[j] > 0]  # x_j >= bound
     uppers = [row for row in constraints if row[j] < 0]  # x_j <= bound
-    combined = [row[:j] + row[j + 1:] for row in constraints if row[j] == 0]
+    # rows keep their width: the eliminated coefficients stay as zeros
+    combined = [row for row in constraints if row[j] == 0]
     for lo_row in lowers:
-        a_l = lo_row[j]
         for up_row in uppers:
-            a_u = -up_row[j]
-            combined.append(tuple(a_u * lv + a_l * uv for lv, uv in zip(lo_row[:j] + lo_row[j + 1:],
-                                                                         up_row[:j] + up_row[j + 1:])))
+            a_l, a_u = lo_row[j], -up_row[j]
+            combined.append(tuple(a_u * lv + a_l * uv for lv, uv in zip(lo_row, up_row)))
     combined = _dedup(combined)
     if combined is None:
         return None

@@ -130,8 +130,6 @@ def lemke_solve(inst: LCPInstance, tol: Tolerances = DEFAULT_TOL) -> Optional[LC
                     break
         return int(cand[best])
 
-    # the last of the rows tied at min(q), so that every other tied row
-    # stays lexicographically positive after the first pivot
     row = int(np.flatnonzero(q == q.min())[-1])
     pivot(row, z0)
     leaving = basis[row]

@@ -243,9 +243,11 @@ class TestCaps:
 
 
 # The enumeration and Lemke loops as they stood before the LAPACK calls were
-# made direct and the screens vectorized: scipy's LU wrappers, one basis at
-# a time, one row update at a time.  The library must reproduce their
-# outputs bit for bit.
+# made direct and the screens and ratio tests vectorized: scipy's LU
+# wrappers, one basis at a time, one row update and one ratio-test key at a
+# time.  The Lemke loop's first pivot takes the last row tied at min(q), as
+# the library's does.  The library must reproduce their outputs bit for
+# bit.
 
 
 def _reference_enumerate_for_each(m, qs, tol=DEFAULT_TOL):
@@ -281,8 +283,8 @@ def _reference_enumerate_for_each(m, qs, tol=DEFAULT_TOL):
 
 
 def _reference_lemke_solve(inst, tol=DEFAULT_TOL, late=None):
-    """`late`, a list, gets one entry per ratio test that a key component
-    past the first (the rhs ratio) decided."""
+    """`late`, a list, gets one entry per ratio-test comparison that a key
+    component past the first (the rhs ratio) decided."""
     n = inst.n
     m, q = inst.m, inst.q
     if q.min(initial=0.0) >= 0.0:
