@@ -67,7 +67,7 @@ def feasible_point(rows: Sequence[Sequence[float]], consts: Sequence[float]) -> 
 
 def _solve(constraints: list[Row], nvars: int) -> Optional[tuple[Fraction, ...]]:
     if nvars == 0:
-        return () if all(row[-1] >= 0 for row in constraints) else None
+        return ()  # _dedup keeps only rows with a nonzero coefficient
 
     j = nvars - 1
     lowers = [row for row in constraints if row[j] > 0]  # x_j >= bound
