@@ -101,6 +101,9 @@ def _csuff_specs() -> dict:
         "diag-1-1": _literal(np.diag([1.0, -1.0])),
         "diag1110": _literal(np.diag([1.0, 1.0, 1.0, -1.0])),
         "eye4-tenth": _literal(np.eye(4) + 0.1),
+        # column sufficient (PSD); its kernel grid has float-residual hits
+        # whose witnesses fail the exact strict gate
+        "psd5-35": _literal(generate(GenSpec("PSD", 5, seed=35))),
     }
 
 

@@ -22,7 +22,6 @@ from itertools import chain, combinations, islice, product
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import feasibility
 from .errors import DimensionTooLargeError, PreconditionViolatedError
@@ -219,7 +218,10 @@ def _reversal_cone(mat: np.ndarray, signs, i: Optional[int] = None):
 
 
 def _lp_point(c: np.ndarray, a_ub, b_ub, a_eq=None, b_eq=None) -> Optional[np.ndarray]:
-    """A minimizer of c.x over the free variables, or None."""
+    """A minimizer of c.x over the free variables, or None.  scipy.optimize
+    is imported here, at the first LP, so importing pmkit does not load it."""
+    from scipy.optimize import linprog
+
     res = linprog(
         c=c,
         A_ub=a_ub,

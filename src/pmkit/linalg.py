@@ -1,8 +1,10 @@
 """Dense real linear algebra kernel for small matrices (n <= 64).
 
 Determinants, solves, and inverses go through LU with partial pivoting
-(LAPACK); pivot magnitudes are checked against the scaled singularity
-threshold so near-singular systems raise instead of returning garbage.
+(LAPACK `getrf`/`getrs`, bound from scipy.linalg at the first LU, so
+importing this module loads numpy only); pivot magnitudes are checked
+against the scaled singularity threshold so near-singular systems raise
+instead of returning garbage.
 Eigenvalues use the standard Hessenberg + shifted-QR path (LAPACK dgeev),
 except n <= 2 where the closed form is exact; the characteristic
 polynomial is computed independently by the Faddeev-LeVerrier trace
@@ -12,12 +14,11 @@ recursion and serves as the cross-check route everywhere else.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionTooLargeError,
@@ -28,11 +29,6 @@ from .errors import (
 from .tolerances import DEFAULT_TOL, Tolerances
 
 MAX_DIM = 64
-
-# The double-precision LAPACK LU pair, called without scipy's lu_factor /
-# lu_solve wrappers: on the small systems here the wrappers cost several
-# times the factorization or solve itself.
-_GETRF, _GETRS = scipy.linalg.lapack.get_lapack_funcs(("getrf", "getrs"), (np.empty((1, 1)),))
 
 
 def as_matrix(m) -> np.ndarray:
@@ -113,13 +109,25 @@ def principal_submatrices(mat: np.ndarray):
             yield sel, sub
 
 
+@cache
+def _lapack_lu():
+    """The double-precision LAPACK LU pair (getrf, getrs), bound once on
+    first use.  It is called without scipy's lu_factor / lu_solve
+    wrappers: on the small systems here the wrappers cost several times
+    the factorization or solve itself.  The import stays out of the
+    callers, where it would cost more per call than the cached lookup."""
+    import scipy.linalg.lapack
+
+    return scipy.linalg.lapack.get_lapack_funcs(("getrf", "getrs"), (np.empty((1, 1)),))
+
+
 def lu_factor_checked(mat: np.ndarray, thr: float):
     """LU factors `(lu, piv)` of `mat` with partial pivoting, or None when
     LAPACK rejects the matrix or some pivot magnitude is <= `thr`.
 
     Calls LAPACK `getrf` directly.  An exact zero pivot (`info > 0`) fails
     the pivot test at any `thr` >= 0, so it needs no branch of its own."""
-    lu, piv, info = _GETRF(mat)
+    lu, piv, info = _lapack_lu()[0](mat)
     if info < 0 or np.abs(lu.diagonal()).min() <= thr:
         return None
     return lu, piv
@@ -129,7 +137,7 @@ def lu_solve(fac, b: np.ndarray) -> np.ndarray:
     """Solve with LU factors from `lu_factor_checked` through LAPACK `getrs`;
     `b` is one right-hand side or a column block, and is not overwritten.
     Bit for bit `scipy.linalg.lu_solve(fac, b, check_finite=False)`."""
-    x, info = _GETRS(fac[0], fac[1], b)
+    x, info = _lapack_lu()[1](fac[0], fac[1], b)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of getrs")
     return x

@@ -17,7 +17,6 @@ from itertools import product
 from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .classify import MINORS_MAX_DIM, NO, YES, is_column_sufficient, is_P_minors, reversal_products
 from .errors import (
@@ -392,9 +391,11 @@ def diag_interp_check(
 def kernel_basis(mat, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Null-space basis via column-pivoted QR with the tau_zero rank
     threshold; returns an (n, k) array (k = 0 for nonsingular input)."""
+    from scipy.linalg import qr, solve_triangular
+
     m = as_matrix(mat)
     n = m.shape[0]
-    q, r, perm = scipy.linalg.qr(m, pivoting=True)
+    q, r, perm = qr(m, pivoting=True)
     diag = np.abs(np.diag(r))
     thr = tol.zero * (1.0 + (diag[0] if diag.size else 0.0))
     rank = int((diag > thr).sum())
@@ -403,7 +404,7 @@ def kernel_basis(mat, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     r11 = r[:rank, :rank]
     r12 = r[:rank, rank:]
     free = n - rank
-    top = -scipy.linalg.solve_triangular(r11, r12, check_finite=False) if rank else np.zeros((0, free))
+    top = -solve_triangular(r11, r12, check_finite=False) if rank else np.zeros((0, free))
     y = np.vstack([top, np.eye(free)])
     out = np.zeros((n, free))
     out[perm] = y

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
-from scipy.optimize import linear_sum_assignment
 
 from .classify import MINORS_MAX_DIM, NO, YES, is_P_minors
 from .errors import (
@@ -416,8 +414,11 @@ def spectra_match(a: Sequence[complex], b: Sequence[complex], tol: float = 1e-6)
     """Multiset eigenvalue comparison via Hungarian assignment.
 
     Returns (ok, max_deviation); ok when every matched pair is within
-    tol * (1 + |value|).
+    tol * (1 + |value|).  scipy.optimize is imported here, at the first
+    call, so importing pmkit does not load it.
     """
+    from scipy.optimize import linear_sum_assignment
+
     av = np.array([complex(v) for v in a])
     bv = np.array([complex(v) for v in b])
     if av.shape != bv.shape:
@@ -429,6 +430,8 @@ def spectra_match(a: Sequence[complex], b: Sequence[complex], tol: float = 1e-6)
 
 
 def _block_form(cand: CandidateSpectrum) -> np.ndarray:
+    from scipy.linalg import block_diag
+
     vals, pairing, _ = pair_conjugates(cand.values)
     mats = []
     for group in pairing:
@@ -437,7 +440,7 @@ def _block_form(cand: CandidateSpectrum) -> np.ndarray:
         else:
             a, b = vals[group[0]].real, abs(vals[group[0]].imag)
             mats.append(np.array([[a, b], [-b, a]]))
-    return scipy.linalg.block_diag(*mats)
+    return block_diag(*mats)
 
 
 def _random_similarity(block: np.ndarray, rng: np.random.Generator) -> np.ndarray:
