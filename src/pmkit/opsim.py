@@ -18,7 +18,15 @@ from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .classify import MINORS_MAX_DIM, NO, YES, is_column_sufficient, is_P_minors, reversal_products
+from .classify import (
+    MINORS_MAX_DIM,
+    NO,
+    YES,
+    _gate_witness,
+    is_column_sufficient,
+    is_P_minors,
+    reversal_products,
+)
 from .errors import (
     DimensionTooLargeError,
     NoConvergenceError,
@@ -498,8 +506,11 @@ def csufficient_kernel_search(
     """Search for an index set alpha and nonnegative diagonal D != 0 making
     T_alpha + D singular with a strictly nonzero kernel vector: such a
     vector refutes column sufficiency of the section (its zero-padding is
-    a sign-reversal witness with a strict product).  Cross-checked against
-    the direct classifier.
+    a sign-reversal witness with a strict product).  A grid hit counts
+    only when that zero-padding passes the classifier's exact strict
+    witness gate, and `full_witness` is the gated vector; a hit that fails
+    the gate (a float residual alone) is passed over and the grid for
+    that alpha goes on.  Cross-checked against the direct classifier.
     """
     if n > 8:
         raise DimensionTooLargeError("kernel search capped at n=8")
@@ -523,12 +534,15 @@ def csufficient_kernel_search(
                 continue
             full = np.zeros(n)
             full[sel] = v
+            witness = _gate_witness(mat, full, True, tol)
+            if witness is None:
+                continue
             refutations.append(
                 KernelRefutation(
                     alpha=tuple(i + 1 for i in sel),
                     d_values=tuple(float(x) for x in dvals),
                     kernel_vector=tuple(float(x) for x in v),
-                    full_witness=tuple(float(x) for x in full),
+                    full_witness=tuple(float(x) for x in witness),
                 )
             )
             break  # one refutation per alpha is enough

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from pmkit import opsim
+from pmkit import classify, opsim, serialize
 from pmkit.classify import NO, UNKNOWN, YES
+from pmkit.cli import main
 from pmkit.errors import (
     NonDiagonalSpecError,
     NonPositiveEigenvalueError,
@@ -13,6 +14,7 @@ from pmkit.errors import (
     PreconditionViolatedError,
     RuleUndefinedError,
 )
+from pmkit.generators import GenSpec, generate
 from pmkit.opsim import make_spec, section
 
 
@@ -271,8 +273,6 @@ class TestKernelSearch:
         assert rpt.refuted and rpt.classifier_verdict == NO and rpt.consistent
 
     def test_refutation_witness_is_reversal_witness(self):
-        from pmkit import classify
-
         spec = diag_literal(1.0, 1.0, -0.5)
         rpt = opsim.csufficient_kernel_search(spec, 3)
         assert rpt.refuted
@@ -280,6 +280,31 @@ class TestKernelSearch:
         for r in rpt.refutations:
             w = np.array(r.full_witness)
             assert classify.products_nonpositive_exact(mat, w, strict=True)
+
+    def test_float_residual_hits_on_a_psd_matrix_are_not_refutations(self, tmp_path):
+        # the kernel grid meets T_alpha + D with a float residual below its
+        # bound, but no zero-padded kernel vector passes the exact strict
+        # gate: the PSD matrix is column sufficient
+        mat = generate(GenSpec("PSD", 5, seed=35))
+        spec = make_spec("dense-rule", "matrix-literal", {"matrix": mat.tolist()})
+        path, out = tmp_path / "psd5.json", tmp_path / "csuff.json"
+        serialize.write_json(str(path), opsim.spec_to_obj(spec))
+        assert main(["opsim", "csuff", "--spec", str(path), "--order", "5", "--out", str(out), "--quiet"]) == 0
+        res = serialize.load_json(str(out))["result"]
+        assert not res["refuted"] and not res["refutations"]
+        assert res["classifier_verdict"] == YES and res["consistent"]
+
+    @pytest.mark.parametrize("spec,n", [
+        (diag_literal(1.0, -1.0), 2),
+        (make_spec("dense-rule", "matrix-literal", {"matrix": [[0.0, 0.0], [1.0, 0.0]]}), 2),
+        (diag_literal(1.0, 1.0, 1.0, -1.0), 4),
+    ])
+    def test_curated_refutations_pass_the_exact_gate(self, spec, n):
+        rpt = opsim.csufficient_kernel_search(spec, n)
+        assert rpt.refuted and rpt.classifier_verdict == NO and rpt.consistent
+        mat = section(spec, n).matrix
+        for r in rpt.refutations:
+            assert classify.products_nonpositive_exact(mat, np.array(r.full_witness), strict=True)
 
     def test_n4_curated_agreement(self):
         refuted_spec = diag_literal(1.0, 1.0, 1.0, -1.0)
