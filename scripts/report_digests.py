@@ -101,9 +101,12 @@ def _csuff_specs() -> dict:
         "diag-1-1": _literal(np.diag([1.0, -1.0])),
         "diag1110": _literal(np.diag([1.0, 1.0, 1.0, -1.0])),
         "eye4-tenth": _literal(np.eye(4) + 0.1),
-        # column sufficient (PSD); its kernel grid has float-residual hits
-        # whose witnesses fail the exact strict gate
+        # column sufficient (PSD): the classifier says yes, and no kernel
+        # refutation is reported
         "psd5-35": _literal(generate(GenSpec("PSD", 5, seed=35))),
+        # classifier "no"s that a float D grid missed
+        "arb4-14": _literal(generate(GenSpec("arbitrary", 4, seed=14))),
+        "z4-0": _literal(generate(GenSpec("Z", 4, seed=0))),
     }
 
 

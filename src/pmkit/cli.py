@@ -231,7 +231,6 @@ def _cmd_opsim_csuff(args, tol):
         "refuted": rpt.refuted,
         "classifier_verdict": rpt.classifier_verdict,
         "consistent": rpt.consistent,
-        "combinations_tested": rpt.combinations_tested,
         "refutations": [
             {
                 "alpha": list(r.alpha),

@@ -13,16 +13,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from fractions import Fraction
 from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
 
+from . import feasibility
 from .classify import (
     MINORS_MAX_DIM,
     NO,
     YES,
-    _gate_witness,
     is_column_sufficient,
     is_P_minors,
     reversal_products,
@@ -38,7 +38,7 @@ from .errors import (
     RuleUndefinedError,
     SingularMatrixError,
 )
-from .linalg import as_matrix, as_vector, eigenvalues, inf_norm, inverse, principal_submatrices
+from .linalg import as_matrix, as_vector, eigenvalues, inf_norm, inverse
 from .tolerances import DEFAULT_TOL, Tolerances
 
 SECTION_MAX_ORDER = 64
@@ -396,59 +396,6 @@ def diag_interp_check(
 # column sufficiency via singular perturbed sections
 
 
-def kernel_basis(mat, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Null-space basis via column-pivoted QR with the tau_zero rank
-    threshold; returns an (n, k) array (k = 0 for nonsingular input)."""
-    from scipy.linalg import qr, solve_triangular
-
-    m = as_matrix(mat)
-    n = m.shape[0]
-    q, r, perm = qr(m, pivoting=True)
-    diag = np.abs(np.diag(r))
-    thr = tol.zero * (1.0 + (diag[0] if diag.size else 0.0))
-    rank = int((diag > thr).sum())
-    if rank == n:
-        return np.zeros((n, 0))
-    r11 = r[:rank, :rank]
-    r12 = r[:rank, rank:]
-    free = n - rank
-    top = -solve_triangular(r11, r12, check_finite=False) if rank else np.zeros((0, free))
-    y = np.vstack([top, np.eye(free)])
-    out = np.zeros((n, free))
-    out[perm] = y
-    norms = np.linalg.norm(out, axis=0)
-    return out / np.where(norms > 0, norms, 1.0)
-
-
-def _strictly_nonzero_kernel_vector(
-    basis: np.ndarray, tol: Tolerances
-) -> Optional[np.ndarray]:
-    """A kernel vector with no zero coordinate, when one exists.
-
-    A coordinate vanishes on the whole kernel iff its basis row is zero;
-    otherwise a generic combination avoids all n hyperplanes.
-    """
-    n, k = basis.shape
-    if k == 0:
-        return None
-    row_scale = np.abs(basis).max()
-    if row_scale == 0.0:
-        return None
-    zero_rows = np.abs(basis).max(axis=1) <= tol.zero * row_scale
-    if zero_rows.any():
-        return None
-    rng = np.random.default_rng(12345)
-    for _ in range(64):
-        v = basis @ rng.standard_normal(k)
-        vmax = np.abs(v).max()
-        if vmax > 0 and np.abs(v).min() > tol.zero_for(vmax):
-            return v / vmax
-    return None
-
-
-GRID_D_VALUES = (0.0, 1e-3, 0.1, 0.5, 1.0, 10.0)
-
-
 @dataclass(frozen=True)
 class KernelRefutation:
     alpha: tuple[int, ...]
@@ -461,40 +408,28 @@ class KernelRefutation:
 class KernelSearchReport:
     refuted: bool
     refutations: tuple[KernelRefutation, ...]
-    combinations_tested: int
     classifier_verdict: str
     consistent: bool
 
 
-def _d_grid_for_alpha(sub_diag: np.ndarray, rng: np.random.Generator):
-    k = len(sub_diag)
-    targeted = tuple(sorted({float(-x) for x in sub_diag if x < 0}))
-    pool = tuple(sorted(set(GRID_D_VALUES) | set(targeted)))
-    if k <= 4:
-        for combo in product(pool, repeat=k):
-            if any(combo):
-                yield np.array(combo)
-        return
-    for v in pool:
-        if v:
-            yield np.full(k, v)
-    for i in range(k):
-        for v in pool:
-            if v:
-                d = np.zeros(k)
-                d[i] = v
-                yield d
-    if targeted:
-        d = np.zeros(k)
-        for i, x in enumerate(sub_diag):
-            if x < 0:
-                d[i] = -x
-        if d.any():
-            yield d
-    for _ in range(256):
-        d = rng.choice(pool, size=k)
-        if d.any():
-            yield d
+def _kernel_refutation(mat: np.ndarray, x: np.ndarray) -> Optional[KernelRefutation]:
+    """The singular perturbed section that a reversal witness x carries.
+
+    With alpha = supp(x) and d_i = -x_i (Tx)_i / x_i^2 on alpha,
+    (T_alpha,alpha + D) x_alpha = 0 exactly.  None unless D >= 0 and
+    D != 0 hold over the rationals.
+    """
+    prods = feasibility.exact_products(mat, x)
+    alpha = [i for i, v in enumerate(x) if v != 0.0]
+    d = [-prods[i] / Fraction(float(x[i])) ** 2 for i in alpha]
+    if any(v < 0 for v in d) or not any(d):
+        return None
+    return KernelRefutation(
+        alpha=tuple(i + 1 for i in alpha),
+        d_values=tuple(float(v) for v in d),
+        kernel_vector=tuple(float(x[i]) for i in alpha),
+        full_witness=tuple(float(v) for v in x),
+    )
 
 
 def csufficient_kernel_search(
@@ -503,53 +438,23 @@ def csufficient_kernel_search(
     seed: int = 0,
     tol: Tolerances = DEFAULT_TOL,
 ) -> KernelSearchReport:
-    """Search for an index set alpha and nonnegative diagonal D != 0 making
-    T_alpha + D singular with a strictly nonzero kernel vector: such a
-    vector refutes column sufficiency of the section (its zero-padding is
-    a sign-reversal witness with a strict product).  A grid hit counts
-    only when that zero-padding passes the classifier's exact strict
-    witness gate, and `full_witness` is the gated vector; a hit that fails
-    the gate (a float residual alone) is passed over and the grid for
-    that alpha goes on.  Cross-checked against the direct classifier.
+    """Column sufficiency of the section through its kernel
+    characterization: T is not column sufficient iff some T_alpha,alpha + D,
+    D >= 0 diagonal and D != 0, is singular with a kernel vector that has
+    no zero coordinate.  The refutation is built from the classifier's
+    strict reversal witness x (`full_witness`): alpha = supp(x),
+    d_i = -x_i (Tx)_i / x_i^2 and kernel vector x_alpha, and it counts only
+    when D >= 0 and D != 0 hold exactly.  A classifier "no" gives one
+    refutation; `consistent` is false only when its witness fails that
+    exact check.
     """
     if n > 8:
         raise DimensionTooLargeError("kernel search capped at n=8")
-    sec = section(spec, n)
-    mat = sec.matrix
-    rng = np.random.default_rng(seed)
-    refutations = []
-    tested = 0
-    for sel, sub in principal_submatrices(mat):
-        for dvals in _d_grid_for_alpha(np.diag(sub), rng):
-            tested += 1
-            msum = sub + np.diag(dvals)
-            basis = kernel_basis(msum, tol)
-            if basis.shape[1] == 0:
-                continue
-            v = _strictly_nonzero_kernel_vector(basis, tol)
-            if v is None:
-                continue
-            resid = inf_norm(msum @ v)
-            if resid > 1e-7 * (1.0 + inf_norm(msum)):
-                continue
-            full = np.zeros(n)
-            full[sel] = v
-            witness = _gate_witness(mat, full, True, tol)
-            if witness is None:
-                continue
-            refutations.append(
-                KernelRefutation(
-                    alpha=tuple(i + 1 for i in sel),
-                    d_values=tuple(float(x) for x in dvals),
-                    kernel_vector=tuple(float(x) for x in v),
-                    full_witness=tuple(float(x) for x in witness),
-                )
-            )
-            break  # one refutation per alpha is enough
-    refuted = bool(refutations)
-    verdict, _ = is_column_sufficient(mat, budget=2000, seed=seed, tol=tol)
-    consistent = not (refuted and verdict == YES) and not ((not refuted) and verdict == NO)
-    return KernelSearchReport(refuted, tuple(refutations), tested, verdict, consistent)
+    mat = section(spec, n).matrix
+    verdict, x = is_column_sufficient(mat, budget=2000, seed=seed, tol=tol)
+    refutation = _kernel_refutation(mat, x) if verdict == NO else None
+    refuted = refutation is not None
+    return KernelSearchReport(refuted, (refutation,) if refuted else (), verdict, refuted or verdict != NO)
 
 
 # ---------------------------------------------------------------------------

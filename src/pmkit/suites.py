@@ -387,7 +387,9 @@ def suite_operator(seed: int = 1, tol: Tolerances = DEFAULT_TOL) -> SuiteReport:
     rpt.add("diag-interpolation", interp_violations == 0,
             trials=interp_trials, violations=interp_violations)
 
-    # column sufficiency: kernel search vs classifier on the curated set
+    # column sufficiency: the classifier's verdict, and for each "no" the
+    # kernel refutation built from its witness and checked exactly, on the
+    # curated set
     def lit(mat, kind="dense-rule"):
         return opsim.make_spec(kind, "matrix-literal", {"matrix": np.asarray(mat, dtype=float).tolist()})
 

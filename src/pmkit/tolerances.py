@@ -31,7 +31,7 @@ class Tolerances:
     minor: float = 1e-10  # k x k minor positivity, scaled by 1 + ||m||_inf^k
     res: float = 1e-8    # linear-solve residual coefficient
     comp: float = 1e-8   # LCP complementarity, scaled by 1 + ||q||_inf
-    zero: float = 1e-9   # kernel coordinate threshold, scaled by ||v||_inf
+    zero: float = 1e-9   # read by no verdict; kept because reports embed the set
 
     def __post_init__(self):
         for f in fields(self):
@@ -50,9 +50,6 @@ class Tolerances:
 
     def comp_for(self, q_norm: float) -> float:
         return self.comp * (1.0 + q_norm)
-
-    def zero_for(self, v_norm: float) -> float:
-        return self.zero * v_norm
 
     def as_dict(self) -> dict:
         return asdict(self)

@@ -31,6 +31,19 @@ steps["realize"] = loaded()
 print(json.dumps(steps))
 """
 
+# the axis scan of the classifier finds the witness e_4, and the kernel
+# refutation is built from it in exact arithmetic: no scipy module loads
+CSUFF_PROBE = """
+import json, sys
+from pmkit import opsim
+
+rows = [[1.0 if i == j else 0.0 for j in range(4)] for i in range(4)]
+rows[3][3] = -1.0
+spec = opsim.make_spec("dense-rule", "matrix-literal", {"matrix": rows})
+assert opsim.csufficient_kernel_search(spec, 4).refuted
+print(json.dumps({m: m in sys.modules for m in ("scipy.linalg", "scipy.optimize", "scipy.sparse")}))
+"""
+
 
 def _fresh_run(code: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -46,3 +59,6 @@ def test_scipy_loads_only_with_the_calls_that_use_it():
     assert steps["reversal"]["scipy.linalg"] and steps["reversal"]["scipy.optimize"]
     assert steps["realize"]["scipy.linalg"] and steps["realize"]["scipy.optimize"]
 
+
+def test_kernel_search_on_an_axis_witness_loads_no_scipy():
+    assert _fresh_run(CSUFF_PROBE) == {"scipy.linalg": False, "scipy.optimize": False, "scipy.sparse": False}

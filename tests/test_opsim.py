@@ -1,5 +1,7 @@
 """Finite-section operator experiments."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,10 @@ def diag_literal(*values, kind="dense-rule", decay=False):
     n = len(values)
     rows = [[float(values[i]) if i == j else 0.0 for j in range(n)] for i in range(n)]
     return make_spec(kind, "matrix-literal", {"matrix": rows}, decay=decay)
+
+
+def literal_spec(mat):
+    return make_spec("dense-rule", "matrix-literal", {"matrix": np.asarray(mat, dtype=float).tolist()})
 
 
 INV_SQ = make_spec("diagonal", "inverse-square-diagonal", {"c": 1.0}, decay=True)
@@ -274,19 +280,59 @@ class TestKernelSearch:
 
     def test_refutation_witness_is_reversal_witness(self):
         nilpotent = make_spec("dense-rule", "matrix-literal", {"matrix": [[0.0, 0.0], [1.0, 0.0]]})
+        z3 = literal_spec(generate(GenSpec("Z", 3, seed=7)))
         for spec, n in ((diag_literal(1.0, 1.0, -0.5), 3), (diag_literal(1.0, -1.0), 2), (nilpotent, 2),
-                        (diag_literal(1.0, 1.0, 1.0, -1.0), 4)):
+                        (diag_literal(1.0, 1.0, 1.0, -1.0), 4), (z3, 3)):
             rpt = opsim.csufficient_kernel_search(spec, n)
             assert rpt.refuted
             mat = section(spec, n).matrix
             for r in rpt.refutations:
                 w = np.array(r.full_witness)
                 assert classify.products_nonpositive_exact(mat, w, strict=True)
+                # the kernel identity of the refutation, over the rationals
+                t = [[Fraction(float(v)) for v in row] for row in mat]
+                x = [Fraction(v) for v in r.full_witness]
+                alpha = [i - 1 for i in r.alpha]
+                assert alpha == [i for i, v in enumerate(x) if v != 0]
+                assert list(r.kernel_vector) == [r.full_witness[i] for i in alpha]
+                tx = [sum(t[i][j] * x[j] for j in range(n)) for i in range(n)]
+                d = [-x[i] * tx[i] / x[i] ** 2 for i in alpha]
+                for k, i in enumerate(alpha):
+                    assert sum(t[i][j] * x[j] for j in alpha) + d[k] * x[i] == 0
+                assert r.d_values == tuple(float(v) for v in d)
+                assert all(v >= 0 for v in d) and any(v > 0 for v in d)
+
+    def test_kernel_refutation_needs_a_nonzero_nonnegative_d(self):
+        nilpotent = np.array([[0.0, 0.0], [1.0, 0.0]])
+        # every product zero: D = 0
+        assert opsim._kernel_refutation(nilpotent, np.array([0.0, 1.0])) is None
+        # products (0, 1): d_2 = -1 < 0
+        assert opsim._kernel_refutation(nilpotent, np.array([1.0, 1.0])) is None
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("tag, n, gen_seed", [
+        ("arbitrary", 4, 14), ("arbitrary", 5, 15), ("arbitrary", 4, 50), ("Z", 3, 7), ("Z", 4, 0),
+    ])
+    def test_classifier_no_always_carries_a_refutation(self, tag, n, gen_seed, seed):
+        # a float D grid missed these; the classifier's witness refutes each
+        rpt = opsim.csufficient_kernel_search(literal_spec(generate(GenSpec(tag, n, seed=gen_seed))), n, seed=seed)
+        assert rpt.classifier_verdict == NO
+        assert rpt.refuted and len(rpt.refutations) == 1
+        assert rpt.consistent
+
+    def test_cli_exits_zero_on_a_classifier_no(self, tmp_path):
+        spec = literal_spec(generate(GenSpec("arbitrary", 4, seed=14)))
+        path, out = tmp_path / "arb4.json", tmp_path / "csuff.json"
+        serialize.write_json(str(path), opsim.spec_to_obj(spec))
+        assert main(["opsim", "csuff", "--spec", str(path), "--order", "4", "--out", str(out), "--quiet"]) == 0
+        res = serialize.load_json(str(out))["result"]
+        assert res["refuted"] and len(res["refutations"]) == 1
+        assert res["classifier_verdict"] == NO and res["consistent"]
 
     def test_float_residual_hits_on_a_psd_matrix_are_not_refutations(self, tmp_path):
-        # the kernel grid meets T_alpha + D with a float residual below its
-        # bound, but no zero-padded kernel vector passes the exact strict
-        # gate: the PSD matrix is column sufficient
+        # a float search meets T_alpha + D here with a small residual, but
+        # no zero-padded kernel vector passes the exact strict gate: the PSD
+        # matrix is column sufficient
         mat = generate(GenSpec("PSD", 5, seed=35))
         spec = make_spec("dense-rule", "matrix-literal", {"matrix": mat.tolist()})
         path, out = tmp_path / "psd5.json", tmp_path / "csuff.json"
