@@ -216,10 +216,8 @@ def wedge_check(s, variant: str = "P", tol: Tolerances = DEFAULT_TOL) -> WedgeRe
 # search grid of the positive-real augmentation
 _AUGMENT_MAGNITUDES = tuple(0.25 * i for i in range(1, 33))
 _LADDER_MAGNITUDES = (0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0)
-_RANDOM_TUPLES = 120
 _MAX_ADDITIONS = 6000
 _DENSE_COUNT_LIMIT = 24
-_BATCH_MAX_COEFFS = 1 << 16  # per dense-phase expansion chunk: 1 MiB in complex128
 
 
 @dataclass(frozen=True)
@@ -235,35 +233,6 @@ def _check_augment_precondition(cand: CandidateSpectrum, tol: Tolerances) -> Non
     for v in cand.values:
         if v.imag == 0.0 and v.real <= tol.conj:
             raise PreconditionViolatedError("real members must be positive")
-
-
-def _first_pset_row(base: tuple[complex, ...], additions: np.ndarray, tol: Tolerances) -> Optional[int]:
-    """Index of the first row r of the (R, m) positive `additions` whose
-    union base + additions[r] passes the P-set test, or None.
-
-    The unions are expanded as one batch, in consecutive row chunks of at
-    most _BATCH_MAX_COEFFS coefficients, and each row is judged against
-    is_P_set's thresholds at its own scale L = max(L(base), max row), the
-    _scale of the union because abs(complex(t)) == t for t > 0.  A union
-    of more than EXPANSION_MAX_VALUES values passes no row.
-    """
-    rows, m = additions.shape
-    n = len(base) + m
-    if n > EXPANSION_MAX_VALUES:
-        return None
-    union = np.empty((rows, n), dtype=np.complex128)
-    union[:, : len(base)] = base
-    union[:, len(base) :] = additions
-    scales = np.maximum(_scale(base), additions.max(axis=1))
-    chunk = max(1, _BATCH_MAX_COEFFS // (n + 1))
-    for start in range(0, rows, chunk):
-        part = slice(start, start + chunk)
-        scaled = _full_expansion(union[part], scales[part]).real[:, 1:]
-        thr = _pset_thresholds(n, scales[part], tol)
-        passed = (scaled > thr.astype(scaled.dtype)).all(axis=1)
-        if passed.any():
-            return start + int(np.argmax(passed))
-    return None
 
 
 def _kellogg_min_total(values: Sequence[complex]) -> int:
@@ -298,24 +267,21 @@ def _result_sigma(base, additions, tol) -> tuple[tuple[float, ...], float]:
     return tuple(float(x) for x in scaled), float(scale)
 
 
-def augment_to_P_set(c, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Optional[AugmentResult]:
-    """Positive reals whose union with `c` passes the P-set test.
+def augment_to_P_set(c, tol: Tolerances = DEFAULT_TOL) -> Optional[AugmentResult]:
+    """Copies of one positive real whose union with `c` passes the P-set
+    test, the fewest the search finds; None on budget exhaustion (the
+    augmentation theorem guarantees existence, so persistent failure at
+    small sizes signals a bug).
 
-    Smallest addition count first; counts below the Kellogg-infeasible
-    threshold are provably impossible and skipped outright.  Phase one
-    scans small counts densely, one batch per count m tested in one
-    batched expansion (_first_pset_row): m copies of each grid or
-    dip-targeted magnitude in ascending order, then max(120 // m, 4)
-    random m-tuples drawn from `seed`, in draw order; the first passing
-    candidate of that order wins.  Phase two runs equal-value
-    ladders, each one incremental scan over the count that returns the
-    smallest passing count for its magnitude (the thresholded test is not
-    monotone in the count, so a later count may fail again) and stops at
-    the first proven dead end, where the top scaled coefficient has
-    fallen to the smallest threshold and further copies can only shrink
-    it (see _ladder_min_count).  None on
-    budget exhaustion (the augmentation theorem guarantees existence, so
-    persistent failure at small sizes signals a bug).
+    Every candidate goes through one kernel, _ladder_min_count, which
+    returns the smallest passing count and, at that count, the first
+    passing magnitude in the order given.  When the Kellogg bound leaves
+    at most 8 values to add, one call scans the quarter grid and the dip
+    targets, ascending, up to 23 counts past that bound.  Otherwise, or
+    if no row passes, one call per magnitude, dip targets first, each
+    capped one below the best count so far.  Those stay one magnitude per
+    call: a row with t >= L never reaches its dead end, so one batch of
+    every magnitude would run each count up to the cap.
     """
     cand = _coerce(c, tol)
     _check_augment_precondition(cand, tol)
@@ -328,81 +294,73 @@ def augment_to_P_set(c, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Optiona
     m_start = max(1, _kellogg_min_total(base) - len(base))
     if m_start > _MAX_ADDITIONS:
         return None
-    magnitudes = tuple(sorted(set(list(_AUGMENT_MAGNITUDES) + _dip_targets(base))))
-    rng = np.random.default_rng(seed)
 
-    def finish(additions):
-        adds = tuple(sorted(float(t) for t in additions))
-        sig, scale = _result_sigma(base, adds, tol)
-        return AugmentResult(adds, sig, scale)
-
-    # dense small-count phase (mixed tuples only pay off at small counts;
-    # past that the equal-value ladders dominate): one batch per count,
-    # equal-value rows in magnitude order, then the random tuples in draw
-    # order (all drawn up front: the rng serves this phase alone)
-    dense_hi = min(m_start + _DENSE_COUNT_LIMIT - 1, _MAX_ADDITIONS)
+    dips = _dip_targets(base)
+    hit = None
     if m_start <= 8:
-        for m in range(m_start, dense_hi + 1):
-            draws = [np.exp(rng.uniform(np.log(0.05), np.log(30.0), m))
-                     for _ in range(max(_RANDOM_TUPLES // max(m, 1), 4))]
-            additions = np.array([[t] * m for t in magnitudes] + draws)
-            hit = _first_pset_row(base, additions, tol)
-            if hit is not None:
-                return finish(additions[hit])
-
-    # equal-value ladder phase: one incremental pass per magnitude returns
-    # its smallest passing count; dip-targeted magnitudes run first and cap
-    # the rest.
-    ladder_ts = tuple(_dip_targets(base)) + _LADDER_MAGNITUDES
-    best: Optional[tuple[int, float]] = None
-    cap = _MAX_ADDITIONS
-    for t in dict.fromkeys(ladder_ts):
-        m_t = _ladder_min_count(base, float(t), cap, tol)
-        if m_t is not None and (best is None or m_t < best[0]):
-            best = (m_t, float(t))
-            cap = m_t - 1
-    if best is not None:
-        m, t = best
-        return finish([t] * m)
-    return None
+        dense_hi = min(m_start + _DENSE_COUNT_LIMIT - 1, _MAX_ADDITIONS)
+        hit = _ladder_min_count(base, sorted(set(_AUGMENT_MAGNITUDES).union(dips)), dense_hi, tol)
+    if hit is None:
+        cap = _MAX_ADDITIONS
+        for t in dict.fromkeys(dips + list(_LADDER_MAGNITUDES)):
+            found = _ladder_min_count(base, (t,), cap, tol)
+            if found is not None:
+                hit, cap = found, found[0] - 1
+    if hit is None:
+        return None
+    adds = (float(hit[1]),) * hit[0]
+    sig, scale = _result_sigma(base, adds, tol)
+    return AugmentResult(adds, sig, scale)
 
 
 def _ladder_min_count(
-    base: tuple[complex, ...], t: float, m_cap: int, tol: Tolerances
-) -> Optional[int]:
-    """Smallest m <= m_cap with base + m copies of t passing the P-set
-    test: one expansion of base + m_cap copies, tested after each factor,
-    or None.
+    base: tuple[complex, ...], ts: Sequence[float], m_cap: int, tol: Tolerances
+) -> Optional[tuple[int, float]]:
+    """(m, t): the smallest m <= m_cap at which base + m copies of some t
+    in the positive `ts` passes the P-set test, with the first such t in
+    `ts` order; or None.
 
-    Exact positivity is monotone in m, since multiplying a polynomial with
-    positive coefficients by (x + t), t > 0, keeps them positive; the
-    thresholded test is not.  {-1 +- 2i} with m copies of 0.5 passes for
-    m = 5..15 and fails for every m >= 16, where the top scaled
-    coefficient (t/L)^m drops below tol.minor.
+    One _expansion batch, a row of base + m_cap copies of each t at scale
+    L = max(L(base), t) (the row's _scale: abs(complex(t)) == t), judged
+    against is_P_set's thresholds after every copy.  Every count is
+    judged: exact positivity is monotone in m, since multiplying a
+    polynomial with positive coefficients by (x + t), t > 0, keeps them
+    positive, but the thresholded test is not.  {-1 +- 2i} with m copies
+    of 0.5 passes for m = 5..15 and fails for every m >= 16, where the
+    top scaled coefficient (t/L)^m drops below tol.minor.
 
-    The scan returns None at the first proven dead end: once every base
-    value is in and the top scaled coefficient is at or below the smallest
-    threshold, no later count can pass.  L >= t, so each further factor
+    The scan returns None once every row is at a proven dead end: every
+    base value is in and the row's top scaled coefficient is at or below
+    its smallest threshold, the floor.  L >= t, so each further factor
     multiplies the top coefficient by t/L in (0, 1]; rounding is monotone,
-    so a coefficient at or below that floor stays there (a nonpositive one
-    stays nonpositive); and every threshold is at least the floor.  A NaN
-    compares False and keeps scanning, as without the exit.
+    so a coefficient at or below the floor stays there (a nonpositive one
+    stays nonpositive); and every threshold is at least the floor, so a
+    dead row never passes again.  A NaN compares False and keeps
+    scanning, as without the exit.
     """
-    m_cap = min(m_cap, EXPANSION_MAX_VALUES - len(base))
-    if m_cap < 1 or t <= 0.0:
+    nb = len(base)
+    m_cap = min(m_cap, EXPANSION_MAX_VALUES - nb)
+    if m_cap < 1:
         return None
-    values = base + (complex(t),) * m_cap
-    scale = max(_scale(base), t)  # the _scale of values: abs(complex(t)) == t
-    expansion = _expansion(values, scale)
+    values = np.empty((len(ts), nb + m_cap), dtype=np.complex128)
+    values[:, :nb] = base
+    values[:, nb:] = np.asarray(ts, dtype=float)[:, None]
+    scales = np.maximum(_scale(base), ts)
+    expansion = _expansion(values, scales)
     _, coeffs = next(expansion)
+    real = coeffs.real  # a view: _expansion updates coeffs in place
     # cast once, not at every comparison with longdouble coefficients
-    thr = _pset_thresholds(len(values), scale, tol).astype(coeffs.real.dtype)
-    floor = thr.min()
-    for deg, coeffs in expansion:
-        if deg >= len(base) and coeffs.real[deg] <= floor:
-            return None  # dead end: the top coefficient cannot pass again
-        if deg > len(base) and bool((coeffs.real[1 : deg + 1] > thr[:deg]).all()):
-            return deg - len(base)
+    thr = _pset_thresholds(nb + m_cap, scales, tol).astype(real.dtype)
+    floor = thr.min(axis=1)
+    for deg, _ in expansion:
+        if deg < nb:
+            continue
+        if (real[:, deg] <= floor).all():
+            return None  # dead end: no top coefficient can pass again
+        if deg > nb:
+            passed = np.flatnonzero((real[:, 1 : deg + 1] > thr[:, :deg]).all(axis=1))
+            if passed.size:
+                return deg - nb, ts[passed[0]]
     return None
 
 

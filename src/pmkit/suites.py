@@ -209,7 +209,7 @@ def suite_classify(seed: int = 1, tol: Tolerances = DEFAULT_TOL) -> SuiteReport:
             vals += [complex(a, b), complex(a, -b)]
         for _ in range(int(g.integers(0, 3))):
             vals.append(complex(g.uniform(0.1, 3.0), 0.0))
-        res = spectral.augment_to_P_set(vals, seed=int(g.integers(1 << 30)), tol=tol)
+        res = spectral.augment_to_P_set(vals, tol=tol)
         if res is None or spectral.is_P_set(list(vals) + list(res.additions), tol) != YES:
             aug_failures += 1
         else:

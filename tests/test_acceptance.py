@@ -188,7 +188,7 @@ def test_c07_augmentation():
             vals += [complex(a, b), complex(a, -b)]
         for _ in range(int(g.integers(0, 3))):
             vals.append(complex(g.uniform(0.1, 3.0), 0.0))
-        res = spectral.augment_to_P_set(vals, seed=int(g.integers(1 << 30)))
+        res = spectral.augment_to_P_set(vals)
         if res is None or spectral.is_P_set(list(vals) + list(res.additions)) != YES:
             failures += 1
     ok = failures == 0
