@@ -14,11 +14,12 @@ only a failure count and the largest addition count) and on three sets
 that random tuples of distinct values once decided, `sigma_all`,
 `is_P_set` and `wedge_check` on value lists on both sides of 800 values,
 `realize_P_set` and `extremal_spectrum_search`, `diag_interp_check`,
-the sign-reversal and sufficiency searches at their phase-boundary
-budgets for n = 2..13, the LCP layer (`enumerate_for_each`,
-`lemke_solve` and `uniqueness_census` with and without `stop_early`) at
-n = 1..10 and on degenerate q, `lemke_solve` at n = 12..32 on random q,
-and `feasible_point` on the orthant systems of column sufficiency at
+`is_P_submatrix_eigen` on every class tag at n = 1..10, the
+sign-reversal and sufficiency searches at their phase-boundary budgets
+for n = 2..13, the LCP layer (`enumerate_for_each`, `lemke_solve` and
+`uniqueness_census` with and without `stop_early`) at n = 1..10 and on
+degenerate q, `lemke_solve` at n = 12..32 on random q, and
+`feasible_point` on the orthant systems of column sufficiency at
 n = 2, 3.
 Raised errors are digested as type and message.  Two checkouts give the
 same outputs exactly when their lines are equal, so a refactor is checked
@@ -47,7 +48,7 @@ from itertools import count, product  # noqa: E402
 import numpy as np  # noqa: E402
 
 from pmkit import classify, cli, feasibility, lcp, opsim, serialize, spectral  # noqa: E402
-from pmkit.generators import GenSpec, generate  # noqa: E402
+from pmkit.generators import CLASS_TAGS, GenSpec, generate  # noqa: E402
 
 # P, with two eigenvalues in the left half-plane and an indefinite
 # symmetric part: its sufficiency decision runs Fourier-Motzkin
@@ -172,6 +173,13 @@ def _commands(tmp: str) -> list[list[str]]:
     # flags these actions do not read
     cmds.append(["lcp", "solve", "--input", p6, "--trials", "5"])
     cmds.append(["opsim", "sqrt", "--spec", sqrt_spec, "--order", "16", "--x=1"])
+    # a small-scale section pair (|det| = 3e-17, every pivot 5e-4) and a
+    # small x (products 1e-12) on the identity
+    small = _literal(5e-4 * np.eye(5))
+    cmds.append(["opsim", "interp", "--spec", put("interp-small-identity", {"s": small, "t": small}),
+                 "--order", "5", "--trials", "10"])
+    cmds.append(["opsim", "rev", "--spec", put("op-identity2", _literal(np.eye(2))), "--order", "2",
+                 "--x=1e-6,1e-6"])
     return cmds
 
 
@@ -291,6 +299,12 @@ def _interp_outputs() -> list:
     return [_outcome(opsim.diag_interp_check, s, t, n, trials=30, seed=n) for s, t, n in pairs]
 
 
+def _eigen_oracle_outputs() -> list:
+    """is_P_submatrix_eigen on every class tag at n = 1..10, seeds 0-2."""
+    return [_outcome(classify.is_P_submatrix_eigen, generate(GenSpec(tag, n, seed=seed)))
+            for tag in CLASS_TAGS for n in range(1, 11) for seed in range(3)]
+
+
 def _search_outputs() -> list:
     """find_reversal_witness and column / row sufficiency at n = 2..13 on an
     arbitrary and a non-P draw and on I - 3C (C the cyclic shift, slightly
@@ -383,6 +397,7 @@ API_GROUPS = (
     ("sigma_all is_P_set wedge_check", _sigma_outputs),
     ("realize_P_set extremal_spectrum_search", _realize_outputs),
     ("diag_interp_check", _interp_outputs),
+    ("is_P_submatrix_eigen", _eigen_oracle_outputs),
     ("find_reversal_witness is_column_sufficient is_row_sufficient", _search_outputs),
     ("enumerate_for_each uniqueness_census lemke_solve", _lcp_outputs),
     ("lemke_solve n = 12..32 random q", _lemke_outputs),

@@ -5,10 +5,11 @@ Determinants, solves, and inverses go through LU with partial pivoting
 importing this module loads numpy only); pivot magnitudes are checked
 against the scaled singularity threshold so near-singular systems raise
 instead of returning garbage.
-Eigenvalues use the standard Hessenberg + shifted-QR path (LAPACK dgeev),
-except n <= 2 where the closed form is exact; the characteristic
-polynomial is computed independently by the Faddeev-LeVerrier trace
-recursion and serves as the cross-check route everywhere else.
+Eigenvalues come from one kernel over (R, k, k) stacks, `stack_eigvals`
+(exact for k <= 2, LAPACK dgeev beyond); `eigenvalues` runs it on a stack
+of one.  The characteristic polynomial is computed independently by the
+Faddeev-LeVerrier trace recursion and serves as the cross-check route
+everywhere else.
 """
 
 from __future__ import annotations
@@ -98,15 +99,6 @@ def principal_stacks(mat: np.ndarray):
     for k in range(1, n + 1):
         idx = _index_sets(n, k)
         yield idx, mat[idx[:, :, None], idx[:, None, :]]
-
-
-def principal_submatrices(mat: np.ndarray):
-    """Every principal submatrix as (sel, mat[sel, sel]), `sel` a 0-based
-    index list, smallest size first and lexicographic within each size
-    (shortlex)."""
-    for idx, stack in principal_stacks(mat):
-        for sel, sub in zip(idx.tolist(), stack):
-            yield sel, sub
 
 
 @cache
@@ -249,36 +241,40 @@ def pair_conjugates(values: Sequence[complex], tol: Tolerances = DEFAULT_TOL):
     return tuple(out_values), tuple(pairing), closed
 
 
-def _eig_2x2(mat: np.ndarray) -> np.ndarray:
-    t = mat[0, 0] + mat[1, 1]
-    d = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-    disc = t * t - 4.0 * d
-    if disc >= 0.0:
-        s = np.sqrt(disc)
-        return np.array([(t + s) / 2.0, (t - s) / 2.0], dtype=complex)
-    s = np.sqrt(-disc) / 2.0
-    return np.array([complex(t / 2.0, s), complex(t / 2.0, -s)])
+def stack_eigvals(stack: np.ndarray) -> np.ndarray:
+    """Eigenvalues of each matrix of an (R, k, k) stack, as (R, k) complex.
+
+    k <= 2 is exact: the entry, or the closed form (the terminal step of
+    QR deflation), so a defective double eigenvalue of an integer 2x2
+    matrix is not split by ~sqrt(eps).  k >= 3 is LAPACK dgeev per matrix
+    through `np.linalg.eigvals`, the same bits as one call each; a matrix
+    that does not converge raises NoConvergenceError."""
+    k = stack.shape[-1]
+    if k == 1:
+        return stack[:, 0, :].astype(complex)
+    if k == 2:
+        a, b, c, d = stack.reshape(-1, 4).T
+        t = a + d
+        disc = t * t - 4.0 * (a * d - b * c)
+        root = np.sqrt(np.abs(disc))
+        real = disc >= 0.0
+        out = np.empty((len(t), 2), dtype=complex)
+        # (t +- sqrt(disc)) / 2, or t / 2 +- i sqrt(-disc) / 2
+        out.real = np.where(real, [t + root, t - root], t).T / 2.0
+        out.imag = np.where(real, 0.0, [root, -root]).T / 2.0
+        return out
+    try:
+        return np.linalg.eigvals(stack).astype(complex, copy=False)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(str(exc)) from exc
 
 
 def eigenvalues(m, tol: Tolerances = DEFAULT_TOL, check_residual: bool = True) -> Spectrum:
-    """All n eigenvalues with conjugate pairing enforced post hoc.
-
-    n <= 2 uses the exact closed form (this is also the terminal step of QR
-    deflation), so e.g. a defective double eigenvalue of an integer 2x2
-    matrix comes out exact rather than split by ~sqrt(eps).
-    """
+    """All n eigenvalues, from `stack_eigvals` on a stack of one, with
+    conjugate pairing enforced post hoc."""
     mat = as_matrix(m)
     n = mat.shape[0]
-    if n == 1:
-        raw = np.array([complex(mat[0, 0])])
-    elif n == 2:
-        raw = _eig_2x2(mat)
-    else:
-        try:
-            raw = np.linalg.eigvals(mat)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergenceError(str(exc)) from exc
-    values, pairing, closed = pair_conjugates(raw, tol)
+    values, pairing, closed = pair_conjugates(stack_eigvals(mat[None])[0], tol)
     if not closed:
         raise NoConvergenceError("eigenvalues of a real matrix failed conjugate pairing")
     if check_residual and n >= 3:

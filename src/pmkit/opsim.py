@@ -38,7 +38,7 @@ from .errors import (
     RuleUndefinedError,
     SingularMatrixError,
 )
-from .linalg import as_matrix, as_vector, eigenvalues, inf_norm, inverse
+from .linalg import as_matrix, as_vector, eigenvalues, inf_norm, inverse, lu_factor_checked
 from .tolerances import DEFAULT_TOL, Tolerances
 
 SECTION_MAX_ORDER = 64
@@ -349,7 +349,9 @@ def diag_interp_check(
 ) -> InterpReport:
     """Nonsingularity of D T_N + (I-D) S_N (case 1, precondition: S T^{-1}
     is P) and T_N D + S_N (I-D) (case 2, precondition: S^{-1} T is P) for
-    diagonal D with entries in [0, 1], corners included."""
+    diagonal D with entries in [0, 1], corners included.  A combination is
+    singular when an LU pivot is <= tol.sing_for(||combo||_inf), the rule
+    of `solve`; |det|, which scales like c^N, is reported but not judged."""
     s_mat = section(spec_s, n).matrix
     t_mat = section(spec_t, n).matrix
 
@@ -368,28 +370,22 @@ def diag_interp_check(
             "neither S T^{-1} nor S^{-1} T certified as a P-matrix"
         )
 
-    rng = np.random.default_rng(seed)
     eye = np.eye(n)
+    combos = [(case, combine) for case, established, combine in (
+        ("case1", case1, lambda d: d @ t_mat + (eye - d) @ s_mat),
+        ("case2", case2, lambda d: t_mat @ d + s_mat @ (eye - d))) if established]
     violations = []
-    t1 = t2 = 0
+    samples = 0
     min_det = math.inf
-    for dvals in _d_samples(rng, n, trials):
+    for samples, dvals in enumerate(_d_samples(np.random.default_rng(seed), n, trials), 1):
         d = np.diag(dvals)
-        if case1:
-            t1 += 1
-            combo = d @ t_mat + (eye - d) @ s_mat
+        for case, combine in combos:
+            combo = combine(d)
             val = abs(float(np.linalg.det(combo)))
             min_det = min(min_det, val)
-            if val <= tol.sing_for(inf_norm(combo)):
-                violations.append(("case1", tuple(float(x) for x in dvals), val))
-        if case2:
-            t2 += 1
-            combo = t_mat @ d + s_mat @ (eye - d)
-            val = abs(float(np.linalg.det(combo)))
-            min_det = min(min_det, val)
-            if val <= tol.sing_for(inf_norm(combo)):
-                violations.append(("case2", tuple(float(x) for x in dvals), val))
-    return InterpReport(case1, case2, t1, t2, tuple(violations), min_det)
+            if lu_factor_checked(combo, tol.sing_for(inf_norm(combo))) is None:
+                violations.append((case, tuple(float(x) for x in dvals), val))
+    return InterpReport(case1, case2, samples * case1, samples * case2, tuple(violations), min_det)
 
 
 # ---------------------------------------------------------------------------
@@ -469,12 +465,13 @@ class RevQuery:
 
 def rev_membership(spec: OperatorSpec, n: int, x, tol: Tolerances = DEFAULT_TOL) -> RevQuery:
     """Membership of x in the sign-reversal set of the section: all
-    products <x, e_i><T_N x, e_i> below the scaled minor threshold.
+    products <x, e_i><T_N x, e_i> at most tol.minor_for(||T_N||_inf, 1) *
+    ||x||_inf^2, which scales like them: x and 2^k x get the same verdict.
     x = 0 is the degenerate member (all products exactly zero)."""
     sec = section(spec, n)
     v = as_vector(x, n)
     prods = reversal_products(sec.matrix, v)
-    thr = tol.minor_for(inf_norm(sec.matrix), 1) * max(1.0, float(np.abs(v).max()) ** 2)
+    thr = tol.minor_for(inf_norm(sec.matrix), 1) * float(np.abs(v).max()) ** 2
     return RevQuery(tuple(float(p) for p in prods), bool((prods <= thr).all()))
 
 

@@ -1,7 +1,7 @@
 """Class-membership tests: P / P0 / Z / positive stable / sufficiency."""
 
 import math
-from itertools import count, product
+from itertools import combinations, count, product
 
 import numpy as np
 import pytest
@@ -62,20 +62,20 @@ class TestIsPMinors:
         assert classify.is_P_minors(m) == (NO, (1,))
 
 
+def shortlex(n):
+    """Every nonempty 0-based subset of range(n), smallest size first and
+    lexicographic within each size."""
+    return [sel for k in range(1, n + 1) for sel in combinations(range(n), k)]
+
+
 class TestLexIndexSets:
-    def test_shortlex_order_n3(self):
-        got = list(classify.lex_index_sets(3))
-        assert got == [
-            (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3),
-        ]
+    """The shortlex index-set sweep, `principal_stacks`."""
 
     def test_submatrix_sweep_follows_it_0_based(self):
         m = np.arange(16.0).reshape(4, 4)
-        swept = list(linalg.principal_submatrices(m))
-        assert [tuple(i + 1 for i in sel) for sel, _ in swept] == list(classify.lex_index_sets(4))
-        for sel, sub in swept:
-            assert isinstance(sel, list)
-            np.testing.assert_array_equal(sub, linalg.principal_submatrix(m, [i + 1 for i in sel]))
+        for idx, stack in linalg.principal_stacks(m):
+            for sel, sub in zip(idx, stack):
+                np.testing.assert_array_equal(sub, linalg.principal_submatrix(m, [int(i) + 1 for i in sel]))
 
 
 class TestBatchedSweep:
@@ -83,12 +83,11 @@ class TestBatchedSweep:
     def reference_sweep(m, strict):
         """One determinant per index set, in shortlex order."""
         norm = linalg.inf_norm(m)
-        for alpha in classify.lex_index_sets(m.shape[0]):
-            sel = [i - 1 for i in alpha]
+        for sel in shortlex(m.shape[0]):
             minor = float(np.linalg.det(m[np.ix_(sel, sel)]))
             thr = DEFAULT_TOL.minor_for(norm, len(sel))
             if (minor <= thr) if strict else (minor < -thr):
-                return NO, alpha
+                return NO, tuple(i + 1 for i in sel)
         return YES, None
 
     @staticmethod
@@ -128,8 +127,8 @@ class TestBatchedSweep:
             m = np.arange(float(n * n)).reshape(n, n)
             stacks = list(linalg.principal_stacks(m))
             assert [idx.shape[1] for idx, _ in stacks] == list(range(1, n + 1))
-            rows = [tuple(int(i) + 1 for i in row) for idx, _ in stacks for row in idx]
-            assert rows == list(classify.lex_index_sets(n))
+            rows = [tuple(int(i) for i in row) for idx, _ in stacks for row in idx]
+            assert rows == shortlex(n)
             for idx, stack in stacks:
                 k = idx.shape[1]
                 assert idx.dtype == np.intp and idx.shape == (math.comb(n, k), k)
@@ -154,6 +153,30 @@ class TestSubmatrixEigenOracle:
             n = int(rng.integers(1, 7))
             m = rng.uniform(-1, 1, (n, n))
             assert classify.is_P_minors(m)[0] == classify.is_P_submatrix_eigen(m)
+
+    @staticmethod
+    def per_subset_oracle(m):
+        """One `eigenvalues` call per index set, in shortlex order."""
+        for sel in shortlex(m.shape[0]):
+            sub = m[np.ix_(sel, sel)]
+            thr = DEFAULT_TOL.minor_for(linalg.inf_norm(sub), 1)
+            if any(v <= thr for v in linalg.eigenvalues(sub, check_residual=False).real_values()):
+                return NO
+        return YES
+
+    def test_same_verdict_as_per_subset_loop(self):
+        rng = np.random.default_rng(43)
+        full = [generate(GenSpec(tag, n, seed=s)) for tag in ("P-diagdom", "M-matrix", "sym-PD")
+                for n in range(6, 11) for s in range(2)]
+        for m in full:
+            assert classify.is_P_submatrix_eigen(m) == self.per_subset_oracle(m) == YES
+        # a cycle planted on the last k indices: the first failure is at size k
+        for n in (6, 8):
+            for k in range(1, n + 1):
+                cycle = tuple(range(n - k + 1, n + 1))
+                m = TestBatchedSweep.planted(n, [cycle], rng)
+                assert classify.is_P_minors(m) == (NO, cycle)
+                assert classify.is_P_submatrix_eigen(m) == self.per_subset_oracle(m) == NO
 
 
 class TestReversalWitness:

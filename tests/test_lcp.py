@@ -2,6 +2,7 @@
 
 import pickle
 import warnings
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -12,7 +13,7 @@ from pmkit import lcp
 from pmkit.errors import LcpCycleError
 from pmkit.generators import GenSpec, generate
 from pmkit.lcp import LCPInstance
-from pmkit.linalg import as_matrix, as_vector, inf_norm, principal_submatrices
+from pmkit.linalg import as_matrix, as_vector, inf_norm
 from pmkit.tolerances import DEFAULT_TOL
 
 
@@ -256,7 +257,8 @@ def _reference_enumerate_for_each(m, qs, tol=DEFAULT_TOL):
     norm_m = inf_norm(mat)
     bases: list = [((), None)]
     skipped = 0
-    for sel, sub in principal_submatrices(mat):
+    for sel in [list(c) for k in range(1, n + 1) for c in combinations(range(n), k)]:
+        sub = mat[np.ix_(sel, sel)]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
             lu, piv = scipy.linalg.lu_factor(sub, check_finite=False)

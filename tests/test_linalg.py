@@ -199,6 +199,56 @@ class TestEigenvalues:
                     assert a == b.conjugate()
 
 
+def closed_form_2x2(mat):
+    """The scalar 2x2 closed form, one matrix at a time."""
+    t = mat[0, 0] + mat[1, 1]
+    d = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
+    disc = t * t - 4.0 * d
+    if disc >= 0.0:
+        s = np.sqrt(disc)
+        return np.array([(t + s) / 2.0, (t - s) / 2.0], dtype=complex)
+    s = np.sqrt(-disc) / 2.0
+    return np.array([complex(t / 2.0, s), complex(t / 2.0, -s)])
+
+
+class TestStackEigvals:
+    @staticmethod
+    def assert_same_bits(stack, want):
+        _same_bits(linalg.stack_eigvals(np.asarray(stack, dtype=float)), want)
+
+    @pytest.mark.parametrize("mat", [
+        [[1.0, 1.0], [0.0, 1.0]],     # defective: disc = 0, double eigenvalue 1
+        EXAMPLE,                      # defective: disc = 0
+        [[0.0, -1.0], [1.0, 0.0]],    # disc < 0: +-i
+        [[1.0, -3.0], [2.0, 0.5]],    # disc < 0, nonzero real part
+        [[2.0, 0.0], [0.0, 3.0]],     # disc > 0
+        [[0.1, 0.7], [0.3, -0.2]],    # disc > 0, inexact entries
+    ])
+    def test_two_by_two_matches_scalar_formula(self, mat):
+        m = np.array(mat)
+        self.assert_same_bits(m[None], closed_form_2x2(m)[None])
+
+    def test_two_by_two_stack_takes_both_branches(self):
+        rng = np.random.default_rng(3)
+        stack = np.concatenate([rng.uniform(-1.0, 1.0, (200, 2, 2)),
+                                rng.integers(-2, 3, (200, 2, 2)) * 2.0 ** -7])
+        # the small integer rows are exact, so their sign of disc is too
+        t = stack[:, 0, 0] + stack[:, 1, 1]
+        disc = t * t - 4.0 * (stack[:, 0, 0] * stack[:, 1, 1] - stack[:, 0, 1] * stack[:, 1, 0])
+        assert (disc < 0).any() and (disc == 0).any() and (disc > 0).any()
+        self.assert_same_bits(stack, np.array([closed_form_2x2(m) for m in stack]))
+
+    def test_one_by_one_is_the_entry(self):
+        self.assert_same_bits([[[2.5]], [[-0.0]], [[1e-300]]], np.array([[2.5], [-0.0], [1e-300]], dtype=complex))
+
+    def test_lapack_stack_matches_single_calls(self):
+        rng = np.random.default_rng(5)
+        for k in (3, 4, 7):
+            stack = rng.uniform(-1.0, 1.0, (30, k, k))
+            want = np.array([np.linalg.eigvals(m) for m in stack], dtype=complex)
+            self.assert_same_bits(stack, want)
+
+
 class TestCharpoly:
     def test_worked_example_sigma(self):
         # spectrum {1,1}: sigma_1 = 2, sigma_2 = 1

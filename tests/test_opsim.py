@@ -250,6 +250,24 @@ class TestInterp:
             assert rpt.case1_established
             assert not rpt.violations
 
+    @pytest.mark.parametrize("c", [5e-4, 2.0 ** -20, 1.0, 2.0 ** 20])
+    def test_scaled_identity_pair_no_violations(self, c):
+        # every combination is c I: |det| = c^5 is far below the pivot
+        # threshold at small c, yet every pivot is c
+        spec = literal_spec(c * np.eye(5))
+        rpt = opsim.diag_interp_check(spec, spec, 5, trials=10)
+        assert rpt.case1_established and rpt.case2_established
+        assert not rpt.violations
+        assert rpt.min_abs_det == pytest.approx(c ** 5)
+
+    def test_cli_exits_zero_on_a_small_scale_pair(self, tmp_path):
+        spec = opsim.spec_to_obj(literal_spec(5e-4 * np.eye(5)))
+        path, out = tmp_path / "pair.json", tmp_path / "interp.json"
+        serialize.write_json(str(path), {"s": spec, "t": spec})
+        argv = ["opsim", "interp", "--spec", str(path), "--order", "5", "--trials", "10", "--out", str(out), "--quiet"]
+        assert main(argv) == 0
+        assert serialize.load_json(str(out))["result"]["violations"] == []
+
 
 class TestKernelSearch:
     def test_diag_one_minus_one_refuted(self):
@@ -375,6 +393,18 @@ class TestRevMembership:
         q = opsim.rev_membership(TRIDIAG, 3, [0.0, 0.0, 0.0])
         assert q.in_rev
         assert q.products == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("spec, x, in_rev", [
+        (IDENTITY, [1.0, 1.0], False),
+        (IDENTITY, [1.0, -1.0], False),
+        (literal_spec([[-1.0, -1.0], [4.0, 3.0]]), [1.0, -1.0], True),
+        (TRIDIAG, [1.0, -1.0, 1.0], False),
+    ])
+    def test_verdict_is_scale_free(self, spec, x, in_rev):
+        # x -> 2^k x scales every product and the threshold by 4^k exactly
+        n = len(x)
+        for k in (-40, -20, 0, 20):
+            assert opsim.rev_membership(spec, n, np.ldexp(x, k)).in_rev is in_rev
 
 
 class TestEigvecRev:
