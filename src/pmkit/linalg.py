@@ -1,10 +1,11 @@
 """Dense real linear algebra kernel for small matrices (n <= 64).
 
 Determinants, solves, and inverses go through LU with partial pivoting
-(LAPACK `getrf`/`getrs`, bound from scipy.linalg at the first LU, so
-importing this module loads numpy only); pivot magnitudes are checked
-against the scaled singularity threshold so near-singular systems raise
-instead of returning garbage.
+(LAPACK `getrf`/`getrs` from scipy's compiled `_flapack` module, loaded
+from its file at the first LU by `scipy_extension`, so neither importing
+this module nor factoring loads the scipy.linalg package); pivot
+magnitudes are checked against the scaled singularity threshold so
+near-singular systems raise instead of returning garbage.
 Eigenvalues come from one kernel over (R, k, k) stacks, `stack_eigvals`
 (exact for k <= 2, LAPACK dgeev beyond); `eigenvalues` runs it on a stack
 of one.  The characteristic polynomial is computed independently by the
@@ -14,6 +15,9 @@ everywhere else.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import combinations
@@ -102,15 +106,42 @@ def principal_stacks(mat: np.ndarray):
 
 
 @cache
-def _lapack_lu():
-    """The double-precision LAPACK LU pair (getrf, getrs), bound once on
-    first use.  It is called without scipy's lu_factor / lu_solve
-    wrappers: on the small systems here the wrappers cost several times
-    the factorization or solve itself.  The import stays out of the
-    callers, where it would cost more per call than the cached lookup."""
-    import scipy.linalg.lapack
+def scipy_extension(name: str):
+    """The compiled scipy module `scipy.<name>` (e.g. "linalg._flapack"),
+    loaded once straight from its file.
 
-    return scipy.linalg.lapack.get_lapack_funcs(("getrf", "getrs"), (np.empty((1, 1)),))
+    `find_spec("scipy")` locates the package without running its
+    `__init__`, and the subpackage's `__init__` does not run either: for
+    scipy.linalg and scipy.optimize that costs far more than the module
+    itself.  The extensions loaded here have single-phase init, so the
+    module is registered under its full name, and a later `import
+    scipy.linalg` or `import scipy.optimize` reuses it: the functions are
+    the same objects in either load order.  Raises ImportError when the
+    file is not there."""
+    package, _, leaf = name.rpartition(".")
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ImportError("scipy is not installed", name="scipy")
+    directory = os.path.join(spec.submodule_search_locations[0], *package.split("."))
+    path = os.path.join(directory, leaf + importlib.machinery.EXTENSION_SUFFIXES[0])
+    if not os.path.isfile(path):
+        raise ImportError(f"no compiled module scipy.{name} in {directory}", name=f"scipy.{name}", path=path)
+    ext = importlib.util.spec_from_file_location(f"scipy.{name}", path)
+    module = importlib.util.module_from_spec(ext)
+    ext.loader.exec_module(module)
+    return module
+
+
+@cache
+def _lapack_lu():
+    """The double-precision LAPACK LU pair (getrf, getrs) from scipy's
+    `_flapack`, the functions `scipy.linalg.lapack.get_lapack_funcs`
+    returns for float64.  They are called without scipy's lu_factor /
+    lu_solve wrappers: on the small systems here the wrappers cost several
+    times the factorization or solve itself.  The lookup stays out of the
+    callers, where it would cost more per call than this cached one."""
+    flapack = scipy_extension("linalg._flapack")
+    return flapack.dgetrf, flapack.dgetrs
 
 
 def lu_factor_checked(mat: np.ndarray, thr: float):

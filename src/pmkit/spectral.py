@@ -31,7 +31,7 @@ from .errors import (
     ZeroElementInP0CheckError,
 )
 from .generators import _diagdom
-from .linalg import eigenvalues, pair_conjugates
+from .linalg import eigenvalues, pair_conjugates, scipy_extension
 from .tolerances import DEFAULT_TOL, Tolerances
 
 FLOAT64_MAX_VALUES = 800   # beyond this the expansion switches to clongdouble
@@ -372,33 +372,34 @@ def spectra_match(a: Sequence[complex], b: Sequence[complex], tol: float = 1e-6)
     """Multiset eigenvalue comparison via Hungarian assignment.
 
     Returns (ok, max_deviation); ok when every matched pair is within
-    tol * (1 + |value|).  scipy.optimize is imported here, at the first
-    call, so importing pmkit does not load it.
+    tol * (1 + |value|).  The assignment is scipy's compiled
+    `linear_sum_assignment`, loaded from `scipy.optimize._lsap` at the
+    first call without importing the scipy.optimize package.
     """
-    from scipy.optimize import linear_sum_assignment
-
     av = np.array([complex(v) for v in a])
     bv = np.array([complex(v) for v in b])
     if av.shape != bv.shape:
         return False, math.inf
     cost = np.abs(av[:, None] - bv[None, :])
-    rows, cols = linear_sum_assignment(cost)
+    rows, cols = scipy_extension("optimize._lsap").linear_sum_assignment(cost)
     devs = cost[rows, cols] / (1.0 + np.abs(bv[cols]))
     return bool((devs <= tol).all()), float(devs.max(initial=0.0))
 
 
 def _block_form(cand: CandidateSpectrum) -> np.ndarray:
-    from scipy.linalg import block_diag
-
+    """The real block-diagonal form: a 1x1 block per real value and a
+    rotation-scaling block [[a, b], [-b, a]] per pair a +- bi, in the
+    canonical order of `pair_conjugates`."""
     vals, pairing, _ = pair_conjugates(cand.values)
-    mats = []
+    out = np.zeros((len(vals), len(vals)))
     for group in pairing:
+        i = group[0]
         if len(group) == 1:
-            mats.append(np.array([[vals[group[0]].real]]))
+            out[i, i] = vals[i].real
         else:
-            a, b = vals[group[0]].real, abs(vals[group[0]].imag)
-            mats.append(np.array([[a, b], [-b, a]]))
-    return block_diag(*mats)
+            a, b = vals[i].real, abs(vals[i].imag)
+            out[i : i + 2, i : i + 2] = [[a, b], [-b, a]]
+    return out
 
 
 def _random_similarity(block: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -570,6 +571,27 @@ class TestRealize:
     def test_past_the_minor_cap_rejected(self):
         with pytest.raises(DimensionTooLargeError):
             spectral.realize_P_set([1.0] * (classify.MINORS_MAX_DIM + 1))
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [3.0, 0.5, 2.0],  # reals only
+            [complex(1, 2), complex(1, -2), complex(-0.0, 0.5), complex(-0.0, -0.5)],  # pairs only
+            [complex(-1, 2), 2.25, complex(-1, -2), 0.5, complex(1e-3, 7), complex(1e-3, -7)],
+            [4.0],
+        ],
+    )
+    def test_block_form_is_scipy_block_diag(self, values):
+        cand = spectral.make_candidate(values)
+        vals, pairing, _ = linalg.pair_conjugates(cand.values)
+        blocks = []
+        for group in pairing:
+            a, b = vals[group[0]].real, abs(vals[group[0]].imag)
+            blocks.append(np.array([[a]]) if len(group) == 1 else np.array([[a, b], [-b, a]]))
+        want = scipy.linalg.block_diag(*blocks)
+        got = spectral._block_form(cand)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestNonFiniteValues:
