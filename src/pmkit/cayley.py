@@ -269,7 +269,7 @@ def sm1_probe(trials: int = 1000, seed: int = 0, tol: Tolerances = DEFAULT_TOL) 
         tested += 1
         d = np.exp(rng.uniform(np.log(0.1), np.log(10.0), n))
         ad = a @ np.diag(d)
-        spec = eigenvalues(ad, tol, check_residual=False)
+        spec = eigenvalues(ad, check_residual=False)
         min_re = min(v.real for v in spec.values)
         if min_re <= -1e-8 * (1.0 + float(np.abs(ad).max())):
             log.append(

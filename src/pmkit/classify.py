@@ -26,7 +26,7 @@ import numpy as np
 from . import feasibility
 from .errors import DimensionTooLargeError, PreconditionViolatedError
 from .linalg import as_matrix, as_vector, eigenvalues, inf_norm, principal_stacks, stack_eigvals
-from .tolerances import DEFAULT_TOL, Tolerances
+from .tolerances import DEFAULT_TOL, Tolerances, conj_for
 
 YES = "yes"
 NO = "no"
@@ -95,7 +95,7 @@ def is_P_submatrix_eigen(m, tol: Tolerances = DEFAULT_TOL) -> str:
     """Independent oracle: every real eigenvalue of every principal
     submatrix is positive (Fiedler & Ptak, 1962).  One batched
     `stack_eigvals` call per size over `principal_stacks`; v is real when
-    |Im v| <= tol.conj_for(|v|), as in `pair_conjugates`, and positive
+    |Im v| <= conj_for(|v|), as in `pair_conjugates`, and positive
     when Re v > tol.minor_for(||A_aa||_inf, 1)."""
     mat = as_matrix(m)
     n = mat.shape[0]
@@ -105,7 +105,7 @@ def is_P_submatrix_eigen(m, tol: Tolerances = DEFAULT_TOL) -> str:
         vals = stack_eigvals(stack)
         # inf_norm of each A_aa, one reduction per size
         thr = [[tol.minor_for(norm, 1)] for norm in np.abs(stack).sum(axis=2).max(axis=1).tolist()]
-        real = np.abs(vals.imag) <= tol.conj_for(np.hypot(vals.real, vals.imag))
+        real = np.abs(vals.imag) <= conj_for(np.hypot(vals.real, vals.imag))
         if (real & (vals.real <= np.array(thr))).any():
             return NO
     return YES
@@ -298,7 +298,7 @@ def is_positive_stable(m, tol: Tolerances = DEFAULT_TOL) -> str:
     """Every eigenvalue has positive real part."""
     mat = as_matrix(m)
     thr = tol.minor_for(inf_norm(mat), 1)
-    spec = eigenvalues(mat, tol, check_residual=False)
+    spec = eigenvalues(mat, check_residual=False)
     return YES if min(v.real for v in spec.values) > thr else NO
 
 
@@ -431,11 +431,11 @@ def powers_P_check(m, kmax: int, tol: Tolerances = DEFAULT_TOL) -> PowersReport:
     for _ in range(kmax):
         power = power @ mat
         verdicts.append(is_P_minors(power, tol)[0])
-    spec = eigenvalues(mat, tol, check_residual=False)
+    spec = eigenvalues(mat, check_residual=False)
     all_p = all(v == YES for v in verdicts)
     positive_real: Optional[bool] = None
     if all_p:
-        reals = spec.real_values(tol)
+        reals = spec.real_values()
         positive_real = len(reals) == len(spec.values) and all(v > 0 for v in reals)
     return PowersReport(tuple(verdicts), all_p, positive_real, spec.values)
 
@@ -452,10 +452,10 @@ class ClassificationReport:
     tolerances_used: dict = field(default_factory=dict)
     seed: int = 0
 
-    def as_obj(self, matrix=None) -> dict:
-        from .serialize import matrix_to_obj
-
-        obj = {
+    def as_obj(self) -> dict:
+        """Verdicts, witnesses and methods; the CLI report's envelope
+        carries the seed, the tolerances and the input."""
+        return {
             "verdicts": dict(self.verdicts),
             "witnesses": {
                 k: (list(map(float, v)) if isinstance(v, np.ndarray) else list(v))
@@ -463,12 +463,7 @@ class ClassificationReport:
                 if v is not None
             },
             "methods": dict(self.methods),
-            "tolerances": dict(self.tolerances_used),
-            "seed": self.seed,
         }
-        if matrix is not None:
-            obj["input"] = matrix_to_obj(matrix)
-        return obj
 
 
 def classify_matrix(

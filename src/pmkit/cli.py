@@ -37,7 +37,7 @@ def _load_matrix(path: str) -> np.ndarray:
     return serialize.matrix_from_obj(serialize.load_json(path))
 
 
-def _emit(args, tol: Tolerances, result, summary_lines: list[str]) -> None:
+def _emit(args, tol: Tolerances, inputs, result, summary_lines: list[str]) -> None:
     report = result  # gen's artifact is the bare matrix, directly usable as --input elsewhere
     if args.command != "gen":
         report = {
@@ -47,6 +47,8 @@ def _emit(args, tol: Tolerances, result, summary_lines: list[str]) -> None:
             "tolerances": tol.as_dict(),
             "result": result,
         }
+        if inputs is not None:
+            report["input"] = inputs
         if args.out:
             summary_lines = summary_lines + [f"report written to {args.out}"]
     if args.out:
@@ -65,7 +67,11 @@ def _parse_values(text: str) -> list[complex]:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: (args, tol) -> (result, summary lines, contradiction)
+# subcommand handlers: (args, tol) -> (input, result, summary lines, contradiction)
+#
+# `input` is what the report judged: the parsed input file, written back by
+# the serializer that reads it, and the arguments that shape the result; None
+# for the suites, whose inputs are the seed alone.
 
 
 def _cmd_classify(args, tol):
@@ -79,11 +85,12 @@ def _cmd_classify(args, tol):
             vals = [round(float(v), 6) for v in np.atleast_1d(np.asarray(wit, dtype=float))]
             extra = f"  witness={vals}"
         lines.append(f"  {cls}: {rpt.verdicts[cls]}{extra}")
-    return rpt.as_obj(m), lines, False
+    return {"matrix": serialize.matrix_to_obj(m), "budget": args.budget}, rpt.as_obj(), lines, False
 
 
 def _cmd_factor(args, tol):
-    res = cayley.factor_p(_load_matrix(args.input), tol)
+    m = _load_matrix(args.input)
+    res = cayley.factor_p(m, tol)
     result = {
         "u": serialize.matrix_to_obj(res.u),
         "factor_left": serialize.matrix_to_obj(res.factor_left),
@@ -96,7 +103,7 @@ def _cmd_factor(args, tol):
     lines = [
         f"factor: residual={res.residual:.3e} left_is_P={res.left_is_P} right_is_P={res.right_is_P}"
     ]
-    return result, lines, not res.accepted
+    return {"matrix": serialize.matrix_to_obj(m)}, result, lines, not res.accepted
 
 
 def _cmd_pset(args, tol):
@@ -104,8 +111,8 @@ def _cmd_pset(args, tol):
         vals = _parse_values(args.values)
     else:
         vals = list(serialize.values_from_obj(serialize.load_json(args.input)))
-    cand = spectral.make_candidate(vals, tol)
-    sig = spectral.sigma_all(cand, tol)
+    cand = spectral.make_candidate(vals)
+    sig = spectral.sigma_all(cand)
     verdict = spectral.is_P_set(cand, tol)
     wedge = spectral.wedge_check(cand, "P", tol)
     result = {
@@ -118,14 +125,19 @@ def _cmd_pset(args, tol):
         f"pset: is_P_set={verdict} sigma={[round(float(x), 6) for x in sig]}",
         f"  wedge: {wedge.verdict} (max |arg| = {wedge.max_arg:.4f} < {wedge.bound:.4f})",
     ]
-    return result, lines, False
+    return serialize.values_to_obj(vals), result, lines, False
+
+
+def _load_lcp(path: str) -> lcp.LCPInstance:
+    return lcp.LCPInstance(*serialize.lcp_instance_from_obj(serialize.load_json(path)))
 
 
 def _cmd_lcp_solve(args, tol):
-    inst = lcp.LCPInstance(*serialize.lcp_instance_from_obj(serialize.load_json(args.input)))
-    sol = lcp.lemke_solve(inst, tol)
+    inst = _load_lcp(args.input)
+    inputs = serialize.lcp_instance_to_obj(inst.m, inst.q)
+    sol = lcp.lemke_solve(inst)
     if sol is None:
-        return {"status": "ray-termination"}, ["lcp solve: ray termination (no solution found)"], False
+        return inputs, {"status": "ray-termination"}, ["lcp solve: ray termination (no solution found)"], False
     valid = lcp.validate_solution(inst, sol, tol)
     result = {
         "status": "solved",
@@ -134,11 +146,11 @@ def _cmd_lcp_solve(args, tol):
         "basis": list(sol.basis),
         "valid": valid,
     }
-    return result, [f"lcp solve: z={[round(float(x), 6) for x in sol.z]} valid={valid}"], not valid
+    return inputs, result, [f"lcp solve: z={[round(float(x), 6) for x in sol.z]} valid={valid}"], not valid
 
 
 def _cmd_lcp_enumerate(args, tol):
-    inst = lcp.LCPInstance(*serialize.lcp_instance_from_obj(serialize.load_json(args.input)))
+    inst = _load_lcp(args.input)
     res = lcp.enumerate_solutions(inst, tol)
     result = {
         "count": len(res.solutions),
@@ -151,12 +163,13 @@ def _cmd_lcp_enumerate(args, tol):
     lines = [
         f"lcp enumerate: {len(res.solutions)} solution(s), {res.singular_skipped} singular bases skipped"
     ]
-    return result, lines, False
+    return serialize.lcp_instance_to_obj(inst.m, inst.q), result, lines, False
 
 
 def _cmd_lcp_census(args, tol):
-    m, _ = serialize.lcp_instance_from_obj(serialize.load_json(args.input))
-    rpt = lcp.uniqueness_census(m, trials=args.trials, seed=args.seed, tol=tol)
+    inst = _load_lcp(args.input)
+    # the census draws its own q; the instance's q is recorded, not read
+    rpt = lcp.uniqueness_census(inst.m, trials=args.trials, seed=args.seed, tol=tol)
     result = {
         "trials": rpt.trials,
         "counts": {"zero": rpt.count_zero, "one": rpt.count_one, "many": rpt.count_many},
@@ -170,7 +183,8 @@ def _cmd_lcp_census(args, tol):
         f"lcp census: verdict={rpt.verdict} counts(0/1/many)="
         f"{rpt.count_zero}/{rpt.count_one}/{rpt.count_many}"
     ]
-    return result, lines, rpt.lemke_mismatches > 0 or rpt.lemke_rays > 0
+    inputs = {**serialize.lcp_instance_to_obj(inst.m, inst.q), "trials": args.trials}
+    return inputs, result, lines, rpt.lemke_mismatches > 0 or rpt.lemke_rays > 0
 
 
 def _cmd_opsim_interp(args, tol):
@@ -191,13 +205,19 @@ def _cmd_opsim_interp(args, tol):
         f"opsim interp: {rpt.trials_case1 + rpt.trials_case2} trials, "
         f"{len(rpt.violations)} violations, min |det| = {rpt.min_abs_det:.3e}"
     ]
-    return result, lines, bool(rpt.violations)
+    inputs = {
+        "s": opsim.spec_to_obj(spec_s),
+        "t": opsim.spec_to_obj(spec_t),
+        "order": args.order,
+        "trials": args.trials,
+    }
+    return inputs, result, lines, bool(rpt.violations)
 
 
 def _cmd_opsim_sqrt(args, tol):
     spec = opsim.spec_from_obj(serialize.load_json(args.spec))
     # operator_sqrt raises NoConvergenceError past its residual bound
-    root = opsim.operator_sqrt(spec, args.order, tol)
+    root = opsim.operator_sqrt(spec, args.order)
     sec = opsim.section(spec, args.order).matrix
     resid = float(np.abs(root.matrix @ root.matrix - sec).max())
     result = {
@@ -205,12 +225,13 @@ def _cmd_opsim_sqrt(args, tol):
         "root": serialize.matrix_to_obj(root.matrix),
         "square_residual": resid,
     }
-    return result, [f"opsim sqrt: order={args.order} residual={resid:.3e}"], False
+    inputs = {"spec": opsim.spec_to_obj(spec), "order": args.order}
+    return inputs, result, [f"opsim sqrt: order={args.order} residual={resid:.3e}"], False
 
 
 def _cmd_opsim_minmax(args, tol):
     spec = opsim.spec_from_obj(serialize.load_json(args.spec))
-    res = opsim.minmax_rho(spec, args.order, samples=args.trials, seed=args.seed, tol=tol)
+    res = opsim.minmax_rho(spec, args.order, samples=args.trials, seed=args.seed)
     result = {
         "rho": res.rho,
         "inf_sup": res.inf_sup,
@@ -221,7 +242,8 @@ def _cmd_opsim_minmax(args, tol):
     lines = [
         f"opsim minmax: rho={res.rho:.10f} inf_sup={res.inf_sup:.10f} sup_inf={res.sup_inf:.10f}"
     ]
-    return result, lines, not res.bracket_ok
+    inputs = {"spec": opsim.spec_to_obj(spec), "order": args.order, "trials": args.trials}
+    return inputs, result, lines, not res.bracket_ok
 
 
 def _cmd_opsim_csuff(args, tol):
@@ -245,21 +267,22 @@ def _cmd_opsim_csuff(args, tol):
         f"opsim csuff: refuted={rpt.refuted} classifier={rpt.classifier_verdict} "
         f"consistent={rpt.consistent}"
     ]
-    return result, lines, not rpt.consistent
+    return {"spec": opsim.spec_to_obj(spec), "order": args.order}, result, lines, not rpt.consistent
 
 
 def _cmd_opsim_rev(args, tol):
     spec = opsim.spec_from_obj(serialize.load_json(args.spec))
     x = [float(v) for v in args.x.split(",")]
     q = opsim.rev_membership(spec, args.order, x, tol)
+    inputs = {"spec": opsim.spec_to_obj(spec), "order": args.order, "x": x}
     result = {"x": x, "products": list(q.products), "in_rev": q.in_rev}
-    return result, [f"opsim rev: in_rev={q.in_rev} products={[round(p, 6) for p in q.products]}"], False
+    return inputs, result, [f"opsim rev: in_rev={q.in_rev} products={[round(p, 6) for p in q.products]}"], False
 
 
 def _cmd_gen(args, tol):
     m = generate(GenSpec(args.class_tag, args.n, seed=args.seed, scale=args.scale))
     lines = [f"gen: {args.class_tag} n={args.n} seed={args.seed} -> {args.out}"] if args.out else []
-    return serialize.matrix_to_obj(m), lines, False
+    return None, serialize.matrix_to_obj(m), lines, False
 
 
 def _cmd_suite(args, tol):
@@ -275,7 +298,7 @@ def _cmd_suite(args, tol):
         for c in rpt.checks:
             lines.append(f"  [{'PASS' if c.passed else 'FAIL'}] {c.name}")
     result = {"suites": [r.as_obj() for r in reports], "contradictions": contradictions}
-    return result, lines, contradictions > 0
+    return None, result, lines, contradictions > 0
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +397,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         # Tolerances rejects a coefficient that is not positive and finite
         tol = replace(DEFAULT_TOL, minor=args.tol_minor, sing=args.tol_sing)
-        result, lines, contradiction = args.fn(args, tol)
-        _emit(args, tol, result, lines)
+        inputs, result, lines, contradiction = args.fn(args, tol)
+        _emit(args, tol, inputs, result, lines)
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

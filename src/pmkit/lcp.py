@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionTooLargeError, LcpCycleError
 from .linalg import as_matrix, as_vector, inf_norm, lu_factor_checked, lu_solve, principal_stacks
-from .tolerances import DEFAULT_TOL, Tolerances
+from .tolerances import COMP, DEFAULT_TOL, RES, Tolerances
 
 LEMKE_MAX_DIM = 32
 ENUM_MAX_DIM = 12
@@ -52,14 +52,14 @@ def validate_solution(inst: LCPInstance, sol: LCPSolution, tol: Tolerances = DEF
     norm_m, norm_q = inf_norm(m), inf_norm(q)
     norm_z, norm_w = inf_norm(sol.z), inf_norm(sol.w)
     res = inf_norm(sol.w - (m @ sol.z + q))
-    thr_res = tol.res * (norm_m * norm_z + norm_q + 1.0)
+    thr_res = RES * (norm_m * norm_z + norm_q + 1.0)
     thr_sign = tol.minor_for(norm_m, 1) * (1.0 + norm_z + norm_w)
     comp = abs(float(sol.z @ sol.w))
     return bool(
         res <= thr_res
         and sol.z.min(initial=0.0) >= -thr_sign
         and sol.w.min(initial=0.0) >= -thr_sign
-        and comp <= tol.comp_for(norm_q) * (1.0 + norm_z)
+        and comp <= COMP * (1.0 + norm_q) * (1.0 + norm_z)
     )
 
 
@@ -69,7 +69,7 @@ def _solution_from_z(inst: LCPInstance, z: np.ndarray) -> LCPSolution:
     return LCPSolution(z, w, basis)
 
 
-def lemke_solve(inst: LCPInstance, tol: Tolerances = DEFAULT_TOL) -> Optional[LCPSolution]:
+def lemke_solve(inst: LCPInstance) -> Optional[LCPSolution]:
     """Lemke complementary pivoting with the all-ones covering vector.
 
     The tableau is laid out as [rhs | w_0..w_{n-1} | z_0..z_{n-1} | z0], so
@@ -273,7 +273,7 @@ def uniqueness_census(
             zero += 1
         elif count == 1:
             one += 1
-            sol = lemke_solve(LCPInstance(mat, q), tol)
+            sol = lemke_solve(LCPInstance(mat, q))
             if sol is None:
                 rays += 1
             elif not lemke_agrees(sol.z, res.solutions[0].z):

@@ -31,7 +31,7 @@ from .errors import (
     NoConvergenceError,
     SingularMatrixError,
 )
-from .tolerances import DEFAULT_TOL, Tolerances
+from .tolerances import DEFAULT_TOL, Tolerances, conj_for
 
 MAX_DIM = 64
 
@@ -209,14 +209,14 @@ class Spectrum:
     def __len__(self) -> int:
         return len(self.values)
 
-    def real_values(self, tol: Tolerances = DEFAULT_TOL) -> tuple[float, ...]:
-        return tuple(v.real for v in self.values if abs(v.imag) <= tol.conj_for(abs(v)))
+    def real_values(self) -> tuple[float, ...]:
+        return tuple(v.real for v in self.values if abs(v.imag) <= conj_for(abs(v)))
 
     def as_array(self) -> np.ndarray:
         return np.array(self.values, dtype=complex)
 
 
-def pair_conjugates(values: Sequence[complex], tol: Tolerances = DEFAULT_TOL):
+def pair_conjugates(values: Sequence[complex]):
     """Canonicalize a value multiset into (values, pairing, is_closed).
 
     Values with |Im| below the conjugation threshold are flattened to real.
@@ -229,7 +229,7 @@ def pair_conjugates(values: Sequence[complex], tol: Tolerances = DEFAULT_TOL):
     minus: list[complex] = []
     for v in values:
         v = complex(v)
-        if abs(v.imag) <= tol.conj_for(abs(v)):
+        if abs(v.imag) <= conj_for(abs(v)):
             reals.append(v.real)
         elif v.imag > 0:
             plus.append(v)
@@ -246,7 +246,7 @@ def pair_conjugates(values: Sequence[complex], tol: Tolerances = DEFAULT_TOL):
             d = abs(p - q.conjugate())
             if d < best_d:
                 best_j, best_d = j, d
-        if best_j >= 0 and best_d <= 2.0 * tol.conj_for(abs(p)):
+        if best_j >= 0 and best_d <= 2.0 * conj_for(abs(p)):
             q = minus_pool.pop(best_j)
             a = 0.5 * (p.real + q.real)
             b = 0.5 * (p.imag - q.imag)
@@ -300,12 +300,12 @@ def stack_eigvals(stack: np.ndarray) -> np.ndarray:
         raise NoConvergenceError(str(exc)) from exc
 
 
-def eigenvalues(m, tol: Tolerances = DEFAULT_TOL, check_residual: bool = True) -> Spectrum:
+def eigenvalues(m, check_residual: bool = True) -> Spectrum:
     """All n eigenvalues, from `stack_eigvals` on a stack of one, with
     conjugate pairing enforced post hoc."""
     mat = as_matrix(m)
     n = mat.shape[0]
-    values, pairing, closed = pair_conjugates(stack_eigvals(mat[None])[0], tol)
+    values, pairing, closed = pair_conjugates(stack_eigvals(mat[None])[0])
     if not closed:
         raise NoConvergenceError("eigenvalues of a real matrix failed conjugate pairing")
     if check_residual and n >= 3:

@@ -39,7 +39,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .linalg import as_matrix, as_vector, eigenvalues, inf_norm, inverse, lu_factor_checked
-from .tolerances import DEFAULT_TOL, Tolerances
+from .tolerances import DEFAULT_TOL, Tolerances, conj_for
 
 SECTION_MAX_ORDER = 64
 KINDS = ("diagonal", "banded", "dense-rule")
@@ -184,8 +184,8 @@ def eigen_positivity_check(
     violations = 0
     for n in orders:
         sec = section(spec, int(n))
-        spect = eigenvalues(sec.matrix, tol, check_residual=False)
-        reals = spect.real_values(tol)
+        spect = eigenvalues(sec.matrix, check_residual=False)
+        reals = spect.real_values()
         thr = tol.minor_for(inf_norm(sec.matrix), 1)
         ok = all(v > thr for v in reals)
         p_verdict = is_P_operator_section(spec, sec.order, tol) if sec.order <= MINORS_MAX_DIM else None
@@ -200,7 +200,7 @@ def eigen_positivity_check(
 # diagonal square root
 
 
-def operator_sqrt(spec: OperatorSpec, n: int, tol: Tolerances = DEFAULT_TOL) -> FiniteSection:
+def operator_sqrt(spec: OperatorSpec, n: int) -> FiniteSection:
     """Section of R = diag(sqrt(lambda_i)) for a positive diagonal compact
     spec; raises NoConvergenceError when ||R_N^2 - T_N||_inf exceeds
     1e-12 (1 + ||T_N||_inf)."""
@@ -262,7 +262,6 @@ def minmax_rho(
     n: int,
     samples: int = 64,
     seed: int = 0,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> MinMaxResult:
     """Perron root of an entrywise positive section via power iteration,
     bracketed by Collatz-Wielandt ratios over sampled positive vectors.
@@ -508,7 +507,7 @@ def eigvec_rev_check(
     violations = 0
     for idx in range(len(vals)):
         lam = vals[idx]
-        if abs(lam.imag) > tol.conj_for(abs(lam)) or abs(lam.real) <= thr_lam:
+        if abs(lam.imag) > conj_for(abs(lam)) or abs(lam.real) <= thr_lam:
             continue
         v = np.real(vecs[:, idx])
         norm = np.abs(v).max()

@@ -84,8 +84,9 @@ def _default(o):
 
 
 def dumps_canonical(obj) -> str:
-    """Deterministic JSON encoding: sorted keys, stable float repr."""
-    return json.dumps(obj, sort_keys=True, indent=2, default=_default) + "\n"
+    """Deterministic JSON encoding: sorted keys, stable float repr.  A nan
+    or infinite float anywhere raises ValueError: JSON has no such value."""
+    return json.dumps(obj, sort_keys=True, indent=2, default=_default, allow_nan=False) + "\n"
 
 
 def load_json(path: str):
@@ -94,5 +95,7 @@ def load_json(path: str):
 
 
 def write_json(path: str, obj) -> None:
+    """Write the canonical encoding; nothing is written when it raises."""
+    text = dumps_canonical(obj)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(obj))
+        fh.write(text)

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .generators import _diagdom
 from .linalg import eigenvalues, pair_conjugates, scipy_extension
-from .tolerances import DEFAULT_TOL, Tolerances
+from .tolerances import DEFAULT_TOL, Tolerances, conj_for
 
 FLOAT64_MAX_VALUES = 800   # beyond this the expansion switches to clongdouble
 EXPANSION_MAX_VALUES = 12000
@@ -44,21 +44,21 @@ class CandidateSpectrum:
     closed_under_conjugation: bool
 
 
-def make_candidate(values: Sequence[complex], tol: Tolerances = DEFAULT_TOL) -> CandidateSpectrum:
+def make_candidate(values: Sequence[complex]) -> CandidateSpectrum:
     """Canonicalize a raw value list (conjugate pairing computed, not
     assumed).  A non-finite value (nan or inf in either part) raises
     ValueError."""
     raw = [complex(v) for v in values]
     if not all(cmath.isfinite(v) for v in raw):
         raise ValueError("spectral values must all be finite")
-    vals, _, closed = pair_conjugates(raw, tol)
+    vals, _, closed = pair_conjugates(raw)
     return CandidateSpectrum(vals, closed)
 
 
-def _coerce(s, tol: Tolerances) -> CandidateSpectrum:
+def _coerce(s) -> CandidateSpectrum:
     if isinstance(s, CandidateSpectrum):
         return s
-    return make_candidate(s, tol)
+    return make_candidate(s)
 
 
 def _scale(values: Sequence[complex]) -> float:
@@ -125,23 +125,23 @@ def _expand_scaled(cand: CandidateSpectrum) -> tuple[np.ndarray, float, float]:
     return coeffs.real[1:], scale, residue
 
 
-def _unscaled_sigma(scaled: np.ndarray, scale: float, residue: float, tol: Tolerances):
+def _unscaled_sigma(scaled: np.ndarray, scale: float, residue: float):
     """sigma_k = scaled_k * L^k in float64 (inf on overflow), after checking
     the imaginary residue against the conjugation tolerance."""
-    if residue > tol.conj * (1.0 + float(np.abs(scaled).max(initial=1.0))):
+    if residue > conj_for(float(np.abs(scaled).max(initial=1.0))):
         raise NotConjugationClosedError(f"imaginary residue {residue:.3e} above tolerance")
     k = np.arange(1, len(scaled) + 1, dtype=float)
     with np.errstate(over="ignore"):
         return scaled.astype(float) * np.power(scale, k)
 
 
-def sigma_all(s, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def sigma_all(s) -> np.ndarray:
     """Elementary symmetric functions sigma_1..sigma_n of the candidate.
 
     Requires conjugation closure; the imaginary residue of the complex
     expansion is checked against the conjugation tolerance and discarded.
     """
-    return _unscaled_sigma(*_expand_scaled(_coerce(s, tol)), tol)
+    return _unscaled_sigma(*_expand_scaled(_coerce(s)))
 
 
 def _pset_thresholds(n: int, scale, tol: Tolerances) -> np.ndarray:
@@ -160,7 +160,7 @@ def is_P_set(s, tol: Tolerances = DEFAULT_TOL, variant: str = "P") -> str:
     """
     if variant not in ("P", "P0"):
         raise ValueError("variant must be 'P' or 'P0'")
-    scaled, scale, _ = _expand_scaled(_coerce(s, tol))
+    scaled, scale, _ = _expand_scaled(_coerce(s))
     thr = _pset_thresholds(len(scaled), scale, tol).astype(scaled.dtype)
     if variant == "P":
         return YES if bool((scaled > thr).all()) else NO
@@ -179,7 +179,8 @@ class WedgeResult:
 def wedge_check(s, variant: str = "P", tol: Tolerances = DEFAULT_TOL) -> WedgeResult:
     """Kellogg wedge bound: |arg lambda_i| < (n-1)pi/n for P-sets
     (<= for P0-sets with nonzero values, equality iff sigma_1..sigma_{n-1}
-    vanish and sigma_n > 0).
+    vanish and sigma_n > 0).  The P0 check raises on a value that is
+    exactly zero, at any scale of the others.
 
     Degenerate note: for n = 1 the bound is 0, so even the singleton
     P-set {t}, t > 0, sits exactly on it; callers interested in the
@@ -187,14 +188,14 @@ def wedge_check(s, variant: str = "P", tol: Tolerances = DEFAULT_TOL) -> WedgeRe
     """
     if variant not in ("P", "P0"):
         raise ValueError("variant must be 'P' or 'P0'")
-    cand = _coerce(s, tol)
+    cand = _coerce(s)
     n = len(cand.values)
     if n == 0:
         raise ValueError("empty candidate spectrum")
     bound = (n - 1) * math.pi / n
     if variant == "P0":
         for v in cand.values:
-            if abs(v) <= tol.conj:
+            if v == 0:
                 raise ZeroElementInP0CheckError("P0 wedge bound requires nonzero values")
     max_arg = max(abs(math.atan2(v.imag, v.real)) for v in cand.values)
     if variant == "P":
@@ -203,7 +204,7 @@ def wedge_check(s, variant: str = "P", tol: Tolerances = DEFAULT_TOL) -> WedgeRe
     equality = abs(max_arg - bound) <= 1e-9
     sigma_ok = None
     if equality and cand.closed_under_conjugation:
-        sig = sigma_all(cand, tol)
+        sig = sigma_all(cand)
         thr = tol.minor * (1.0 + np.power(_scale(cand.values), np.arange(1, n + 1, dtype=float)))
         sigma_ok = bool((np.abs(sig[:-1]) <= thr[:-1]).all() and sig[-1] > thr[-1])
     return WedgeResult(verdict, max_arg, bound, equality, sigma_ok)
@@ -227,11 +228,11 @@ class AugmentResult:
     sigma_scale: float  # 1.0 when sigma is unscaled; else sigma_k(true) = sigma[k-1] * scale^k
 
 
-def _check_augment_precondition(cand: CandidateSpectrum, tol: Tolerances) -> None:
+def _check_augment_precondition(cand: CandidateSpectrum) -> None:
     if not cand.closed_under_conjugation:
         raise PreconditionViolatedError("non-real values must come in conjugate pairs")
     for v in cand.values:
-        if v.imag == 0.0 and v.real <= tol.conj:
+        if v.imag == 0.0 and v.real <= 0.0:
             raise PreconditionViolatedError("real members must be positive")
 
 
@@ -258,10 +259,10 @@ def _dip_targets(values: Sequence[complex]) -> list[float]:
     return sorted(set(round(t, 6) for t in out if t > 0))
 
 
-def _result_sigma(base, additions, tol) -> tuple[tuple[float, ...], float]:
+def _result_sigma(base, additions) -> tuple[tuple[float, ...], float]:
     vals = base + tuple(complex(t) for t in additions)
     scaled, scale, residue = _expand_scaled(CandidateSpectrum(vals, True))
-    sig = _unscaled_sigma(scaled, scale, residue, tol)
+    sig = _unscaled_sigma(scaled, scale, residue)
     if np.isfinite(sig).all():
         return tuple(float(x) for x in sig), 1.0
     return tuple(float(x) for x in scaled), float(scale)
@@ -283,12 +284,12 @@ def augment_to_P_set(c, tol: Tolerances = DEFAULT_TOL) -> Optional[AugmentResult
     call: a row with t >= L never reaches its dead end, so one batch of
     every magnitude would run each count up to the cap.
     """
-    cand = _coerce(c, tol)
-    _check_augment_precondition(cand, tol)
+    cand = _coerce(c)
+    _check_augment_precondition(cand)
     base = cand.values
 
     if len(base) <= EXPANSION_MAX_VALUES and is_P_set(cand, tol) == YES:
-        sig, scale = _result_sigma(base, (), tol)
+        sig, scale = _result_sigma(base, ())
         return AugmentResult((), sig, scale)
 
     m_start = max(1, _kellogg_min_total(base) - len(base))
@@ -309,7 +310,7 @@ def augment_to_P_set(c, tol: Tolerances = DEFAULT_TOL) -> Optional[AugmentResult
     if hit is None:
         return None
     adds = (float(hit[1]),) * hit[0]
-    sig, scale = _result_sigma(base, adds, tol)
+    sig, scale = _result_sigma(base, adds)
     return AugmentResult(adds, sig, scale)
 
 
@@ -419,7 +420,7 @@ def realize_P_set(
     orthogonal similarities; None on budget exhaustion (failure is not a
     refutation of the existential theorem).
     """
-    cand = _coerce(s, tol)
+    cand = _coerce(s)
     if is_P_set(cand, tol) != YES:
         raise NotAPSetError("realization requires a P-set")
     n = len(cand.values)
@@ -431,7 +432,7 @@ def realize_P_set(
     def accept(mat):
         if is_P_minors(mat, tol)[0] != YES:
             return False
-        ok, _ = spectra_match(eigenvalues(mat, tol).values, target, 1e-6)
+        ok, _ = spectra_match(eigenvalues(mat).values, target, 1e-6)
         return ok
 
     if accept(block):
@@ -482,7 +483,7 @@ def extremal_spectrum_search(
         if is_P_minors(mat, tol)[0] != YES:
             return
         found += 1
-        spec = eigenvalues(mat, tol, check_residual=False)
+        spec = eigenvalues(mat, check_residual=False)
         lhp = sum(1 for v in spec.values if v.real < 0)
         arg = max(abs(math.atan2(v.imag, v.real)) for v in spec.values)
         if best_count is None or lhp > best_count:

@@ -84,7 +84,7 @@ def _kellogg_violations(matrices, tol: Tolerances) -> int:
         1
         for m in matrices
         if m.shape[0] >= 2
-        and spectral.wedge_check(eigenvalues(m, tol, check_residual=False).values, tol=tol).verdict == NO
+        and spectral.wedge_check(eigenvalues(m, check_residual=False).values, tol=tol).verdict == NO
     )
 
 
@@ -97,15 +97,15 @@ def suite_classify(seed: int = 1, tol: Tolerances = DEFAULT_TOL) -> SuiteReport:
 
     # the worked anchor: sigma-positive spectrum whose realizing matrix is not P
     example = np.array([[-1.0, -1.0], [4.0, 3.0]])
-    spec = eigenvalues(example, tol)
+    spec = eigenvalues(example)
     eig_ok = all(abs(v - 1.0) <= 1e-8 for v in spec.values)
-    sigma = spectral.sigma_all([1.0, 1.0], tol)
+    sigma = spectral.sigma_all([1.0, 1.0])
     verdict, witness = classify.is_P_minors(example, tol)
     realized = spectral.realize_P_set([1.0, 1.0], tol=tol)
     realize_ok = (
         realized is not None
         and classify.is_P_minors(realized, tol)[0] == YES
-        and spectral.spectra_match(eigenvalues(realized, tol).values, [1.0, 1.0], 1e-8)[0]
+        and spectral.spectra_match(eigenvalues(realized).values, [1.0, 1.0], 1e-8)[0]
     )
     rpt.add(
         "worked-example",
@@ -175,7 +175,7 @@ def suite_classify(seed: int = 1, tol: Tolerances = DEFAULT_TOL) -> SuiteReport:
     bridge_bad = 0
     for k, n in enumerate(_sizes(rng, BRIDGE_TRIALS)):
         m = generate(GenSpec("arbitrary", n, seed=seed * 4_000_037 + k))
-        sig = spectral.sigma_all(eigenvalues(m, tol).values, tol)
+        sig = spectral.sigma_all(eigenvalues(m).values)
         p = charpoly(m)
         for j in range(1, n + 1):
             ref = p.elementary(j)
@@ -300,7 +300,7 @@ def suite_lcp(seed: int = 1, tol: Tolerances = DEFAULT_TOL) -> SuiteReport:
                 continue
             if not lcp.validate_solution(inst, res.solutions[0], tol):
                 invalid += 1
-            sol = lcp.lemke_solve(inst, tol)
+            sol = lcp.lemke_solve(inst)
             if sol is None:
                 rays += 1
             elif not lcp.lemke_agrees(sol.z, res.solutions[0].z):
@@ -349,7 +349,7 @@ def suite_operator(seed: int = 1, tol: Tolerances = DEFAULT_TOL) -> SuiteReport:
     worst = 0.0
     for spec in (inv_sq, inv_sq4):
         for n in SQRT_ORDERS:
-            root = opsim.operator_sqrt(spec, n, tol)
+            root = opsim.operator_sqrt(spec, n)
             sec = opsim.section(spec, n).matrix
             worst = max(worst, float(np.abs(root.matrix @ root.matrix - sec).max()))
     rpt.add("square-root-residual", worst <= 1e-12, orders=list(SQRT_ORDERS), worst=worst)
@@ -361,7 +361,7 @@ def suite_operator(seed: int = 1, tol: Tolerances = DEFAULT_TOL) -> SuiteReport:
         n = 2 + k % 7
         m = np.random.default_rng(seed * 12_000_017 + k).uniform(0.1, 3.0, (n, n))
         spec = opsim.make_spec("dense-rule", "matrix-literal", {"matrix": m.tolist()})
-        res = opsim.minmax_rho(spec, n, samples=48, seed=seed + k, tol=tol)
+        res = opsim.minmax_rho(spec, n, samples=48, seed=seed + k)
         worst_gap = max(worst_gap, abs(res.inf_sup - res.rho), abs(res.sup_inf - res.rho))
         if not res.bracket_ok:
             mm_bad += 1

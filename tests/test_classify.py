@@ -679,9 +679,11 @@ class TestClassifyReport:
         assert tuple(rpt.witnesses["P"]) == (1,)
         assert rpt.verdicts["positive-stable"] == YES
         assert rpt.verdicts["Z"] == NO
-        obj = rpt.as_obj(EXAMPLE)
-        assert obj["input"]["n"] == 2
-        assert obj["seed"] == 9
+        assert rpt.seed == 9
+        obj = rpt.as_obj()
+        # the CLI envelope carries the input, the seed and the tolerances
+        assert set(obj) == {"verdicts", "witnesses", "methods"}
+        assert obj["witnesses"]["P"] == [1]
 
     def test_p0_verdict_matches_minor_sweep(self):
         rng = np.random.default_rng(11)

@@ -141,6 +141,15 @@ class TestPset:
         assert "must all be finite" in capsys.readouterr().err
 
 
+    def test_non_finite_sigma_exit_2_without_report(self, tmp_path, capsys):
+        # sigma of {1 +- 2i, 1e200} overflows to inf and nan; JSON has no such
+        # value, so the report is refused instead of written as invalid JSON
+        out = tmp_path / "p.json"
+        assert main(["pset", "--values", "1+2i,1-2i,1e200", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "error:" in capsys.readouterr().err
+
+
 class TestLcp:
     @pytest.fixture()
     def instance(self, tmp_path):
@@ -348,3 +357,101 @@ class TestUsage:
         out = tmp_path / "r.json"
         assert main(["classify", "--input", identity_matrix, "--out", str(out), "--quiet"]) == 0
         assert read_report(out)["seed"] == 0
+
+
+LITERAL_EYE = {"kind": "dense-rule", "rule": {"name": "matrix-literal", "params": {"matrix": []}}, "decay": False}
+INV_SQ = {"kind": "diagonal", "rule": {"name": "inverse-square-diagonal", "params": {"c": 1.0}}, "decay": True}
+POSITIVE = {"kind": "dense-rule", "rule": {"name": "matrix-literal", "params": {"matrix": [[1.0, 2.0], [3.0, 1.0]]}},
+            "decay": False}
+
+
+def _literal(mat):
+    return {"kind": "dense-rule", "rule": {"name": "matrix-literal", "params": {"matrix": np.asarray(mat).tolist()}},
+            "decay": False}
+
+
+class TestReportInput:
+    """Every report envelope names what it judged: the parsed input and the
+    arguments that shape the result."""
+
+    @staticmethod
+    def run(tmp_path, args, files):
+        paths = {}
+        for name, obj in files.items():
+            paths[name] = str(tmp_path / f"{name}.json")
+            serialize.write_json(paths[name], obj)
+        out = tmp_path / "r.json"
+        assert main([a.format(**paths) for a in args] + ["--out", str(out), "--quiet"]) in (0, 1)
+        return read_report(out)
+
+    @pytest.mark.parametrize(
+        "args, files, want",
+        [
+            (["classify", "--input", "{m}", "--budget", "50"], {"m": serialize.matrix_to_obj(np.eye(2))},
+             {"matrix": serialize.matrix_to_obj(np.eye(2)), "budget": 50}),
+            (["factor", "--input", "{m}"], {"m": serialize.matrix_to_obj(np.eye(2))},
+             {"matrix": serialize.matrix_to_obj(np.eye(2))}),
+            (["pset", "--values", "1+2i,1-2i,0.5"], {},
+             serialize.values_to_obj([complex(1, 2), complex(1, -2), 0.5])),
+            (["pset", "--input", "{v}"], {"v": serialize.values_to_obj([2.0, 0.5])},
+             serialize.values_to_obj([2.0, 0.5])),
+            (["lcp", "solve", "--input", "{i}"], {"i": serialize.lcp_instance_to_obj(np.eye(2), [-1.0, 2.0])},
+             serialize.lcp_instance_to_obj(np.eye(2), [-1.0, 2.0])),
+            (["lcp", "enumerate", "--input", "{i}"], {"i": serialize.lcp_instance_to_obj(np.eye(2), [-1.0, 2.0])},
+             serialize.lcp_instance_to_obj(np.eye(2), [-1.0, 2.0])),
+            (["lcp", "census", "--input", "{i}", "--trials", "7"],
+             {"i": serialize.lcp_instance_to_obj(np.eye(2), [-1.0, 2.0])},
+             {**serialize.lcp_instance_to_obj(np.eye(2), [-1.0, 2.0]), "trials": 7}),
+            (["opsim", "sqrt", "--spec", "{s}", "--order", "3"], {"s": INV_SQ}, {"spec": INV_SQ, "order": 3}),
+            (["opsim", "minmax", "--spec", "{s}", "--order", "2", "--trials", "5"], {"s": POSITIVE},
+             {"spec": POSITIVE, "order": 2, "trials": 5}),
+            (["opsim", "interp", "--spec", "{p}", "--order", "3", "--trials", "4"],
+             {"p": {"s": LITERAL_EYE, "t": INV_SQ}}, {"s": LITERAL_EYE, "t": INV_SQ, "order": 3, "trials": 4}),
+            (["opsim", "csuff", "--spec", "{s}", "--order", "2"], {"s": LITERAL_EYE},
+             {"spec": LITERAL_EYE, "order": 2}),
+            (["opsim", "rev", "--spec", "{s}", "--order", "2", "--x=-1,0.5"], {"s": INV_SQ},
+             {"spec": INV_SQ, "order": 2, "x": [-1.0, 0.5]}),
+        ],
+    )
+    def test_envelope_names_the_input(self, tmp_path, args, files, want):
+        rpt = self.run(tmp_path, args, files)
+        assert rpt["input"] == want
+        assert set(rpt) == {"command", "timestamp", "seed", "tolerances", "input", "result"}
+        assert rpt["tolerances"] == {"minor": 1e-10, "sing": 1e-12}
+
+    def test_classify_result_does_not_repeat_the_envelope(self, tmp_path):
+        rpt = self.run(tmp_path, ["classify", "--input", "{m}", "--seed", "4"],
+                       {"m": serialize.matrix_to_obj(np.eye(2))})
+        assert set(rpt["result"]) == {"verdicts", "witnesses", "methods"}
+        assert rpt["seed"] == 4
+
+    def test_suite_report_has_no_input(self, tmp_path):
+        rpt = self.run(tmp_path, ["suite", "operator"], {})
+        assert "input" not in rpt
+
+    @pytest.mark.parametrize(
+        "args, a, b",
+        [
+            # each pair gave byte-equal reports while the envelope named no input
+            (["opsim", "csuff", "--spec", "{x}", "--order", "4"], _literal(np.eye(4) + 0.1), _literal(np.eye(4))),
+            (["lcp", "census", "--input", "{x}", "--trials", "20", "--seed", "4"],
+             serialize.lcp_instance_to_obj(np.eye(2), [-1.0, 1.0]),
+             serialize.lcp_instance_to_obj(2.0 * np.eye(2), [-1.0, 1.0])),
+            (["lcp", "census", "--input", "{x}", "--trials", "20"],
+             serialize.lcp_instance_to_obj([[0.0, 0.0], [1.0, 0.0]], [-1.0, 1.0]),
+             serialize.lcp_instance_to_obj(np.zeros((2, 2)), [-1.0, 1.0])),
+            (["lcp", "solve", "--input", "{x}"],
+             serialize.lcp_instance_to_obj([[0.0, 0.0], [1.0, 0.0]], [-1.0, 1.0]),
+             serialize.lcp_instance_to_obj(np.zeros((2, 2)), [-1.0, 1.0])),
+            (["lcp", "enumerate", "--input", "{x}"],
+             serialize.lcp_instance_to_obj([[0.0, 0.0], [1.0, 0.0]], [-1.0, 1.0]),
+             serialize.lcp_instance_to_obj(np.zeros((2, 2)), [-1.0, 1.0])),
+        ],
+    )
+    def test_distinct_inputs_give_distinct_reports(self, tmp_path, args, a, b):
+        ra = self.run(tmp_path, args, {"x": a})
+        rb = self.run(tmp_path, args, {"x": b})
+        for rpt in (ra, rb):
+            rpt.pop("timestamp")
+        assert ra["result"] == rb["result"]
+        assert ra != rb

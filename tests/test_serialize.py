@@ -90,3 +90,15 @@ class TestCanonicalDumps:
     def test_complex_encoding(self):
         out = json.loads(serialize.dumps_canonical({"v": complex(1, -2)}))
         assert out["v"] == {"re": 1.0, "im": -2.0}
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float64("nan"),
+                                     complex(1.0, float("nan"))])
+    def test_non_finite_raises(self, bad):
+        with pytest.raises(ValueError):
+            serialize.dumps_canonical({"result": {"sigma": [1.0, bad]}})
+
+    def test_write_json_leaves_no_file_on_error(self, tmp_path):
+        path = tmp_path / "r.json"
+        with pytest.raises(ValueError):
+            serialize.write_json(str(path), {"v": float("nan")})
+        assert not path.exists()

@@ -123,8 +123,16 @@ class TestWedge:
         assert res.equality_sigma_consistent is True
 
     def test_p0_zero_rejected(self):
-        with pytest.raises(ZeroElementInP0CheckError):
-            spectral.wedge_check([0.0, 1.0], variant="P0")
+        for vals in ([0.0, 1.0], [0.0], [0.0, 2.0**-60], [complex(0.0, 0.0), 1.0]):
+            with pytest.raises(ZeroElementInP0CheckError):
+                spectral.wedge_check(vals, variant="P0")
+
+    @pytest.mark.parametrize("k", [-60, -30, 0, 30])
+    def test_p0_verdict_is_scale_free(self, k):
+        # the zero test is exact: 2^-30 is a nonzero value, not a zero
+        for vals in ([1.0, 1.0], [1.0, -3.0], [0.5, 2.0, 7.0]):
+            scaled = [2.0**k * v for v in vals]
+            assert spectral.wedge_check(scaled, "P0").verdict == spectral.wedge_check(vals, "P0").verdict
 
     def test_negative_real_fails(self):
         assert spectral.wedge_check([-1.0, 1.0]).verdict == NO
@@ -201,6 +209,21 @@ class TestAugment:
     def test_precondition_negative_real(self):
         with pytest.raises(PreconditionViolatedError):
             spectral.augment_to_P_set([-1.0])
+
+    @pytest.mark.parametrize("k", [-60, -30, 0, 30])
+    def test_precondition_is_scale_free(self, k):
+        # positive reals pass and nonpositive ones fail at every scale
+        for vals in ([1.0], [1.0, 3.0]):
+            spectral._check_augment_precondition(spectral.make_candidate([2.0**k * v for v in vals]))
+        for vals in ([-1.0], [1.0, -3.0]):
+            with pytest.raises(PreconditionViolatedError):
+                spectral.augment_to_P_set([2.0**k * v for v in vals])
+        spectral.augment_to_P_set([2.0**k])  # passes the precondition
+
+    @pytest.mark.parametrize("vals", [[0.0], [0.0, 1.0], [2.0**-60, -0.0]])
+    def test_precondition_exact_zero(self, vals):
+        with pytest.raises(PreconditionViolatedError):
+            spectral.augment_to_P_set(vals)
 
     def test_precondition_unpaired(self):
         with pytest.raises(PreconditionViolatedError):
@@ -459,12 +482,12 @@ def _reference_augment_to_P_set(c, tol=DEFAULT_TOL):
     """augment_to_P_set with a dense phase of one is_P_set call per
     candidate: counts from the Kellogg bound up, magnitudes ascending
     within a count."""
-    cand = spectral._coerce(c, tol)
-    spectral._check_augment_precondition(cand, tol)
+    cand = spectral._coerce(c)
+    spectral._check_augment_precondition(cand)
     base = cand.values
 
     if _reference_union_is_pset(base, (), tol):
-        sig, scale = spectral._result_sigma(base, (), tol)
+        sig, scale = spectral._result_sigma(base, ())
         return spectral.AugmentResult((), sig, scale)
 
     m_start = max(1, spectral._kellogg_min_total(base) - len(base))
@@ -474,7 +497,7 @@ def _reference_augment_to_P_set(c, tol=DEFAULT_TOL):
 
     def finish(additions):
         adds = tuple(sorted(float(t) for t in additions))
-        sig, scale = spectral._result_sigma(base, adds, tol)
+        sig, scale = spectral._result_sigma(base, adds)
         return spectral.AugmentResult(adds, sig, scale)
 
     dense_hi = min(m_start + spectral._DENSE_COUNT_LIMIT - 1, spectral._MAX_ADDITIONS)
