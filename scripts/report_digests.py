@@ -18,7 +18,8 @@ that random tuples of distinct values once decided, `sigma_all`,
 sign-reversal and sufficiency searches at their phase-boundary budgets
 for n = 2..13, the LCP layer (`enumerate_for_each`, `lemke_solve` and
 `uniqueness_census` with and without `stop_early`) at n = 1..10 and on
-degenerate q, `lemke_solve` at n = 12..32 on random q, and
+degenerate q, `enumerate_for_each` at n = 11, 12 (up to the enumeration
+cap), `lemke_solve` at n = 12..32 on random q, and
 `feasible_point` on the orthant systems of column sufficiency at
 n = 2, 3.
 Raised errors are digested as type and message.  Two checkouts give the
@@ -350,6 +351,21 @@ def _lcp_outputs() -> list:
     return out
 
 
+def _lcp_wide_outputs() -> list:
+    """enumerate_for_each at n = 11, 12, up to ENUM_MAX_DIM, for the five
+    classes of the LCP group, on random and degenerate q."""
+    rng = np.random.default_rng(13)
+    out = []
+    for tag in ("P-diagdom", "non-P", "M-matrix", "sym-PD", "arbitrary"):
+        for n in (11, 12):
+            m = generate(GenSpec(tag, n, seed=n))
+            q = rng.uniform(-5.0, 5.0, n)
+            qs = [rng.uniform(-5.0, 5.0, n) for _ in range(4)]
+            qs += [np.zeros(n), np.where(np.arange(n) % 2 == 0, 0.0, q), np.full(n, -1.0), np.abs(q)]
+            out.append(_outcome(lambda: list(lcp.enumerate_for_each(m, qs))))
+    return out
+
+
 def _lemke_outputs() -> list:
     """lemke_solve on random q (no ties) for three classes at n = 12..32."""
     rng = np.random.default_rng(12)
@@ -402,6 +418,7 @@ API_GROUPS = (
     ("enumerate_for_each uniqueness_census lemke_solve", _lcp_outputs),
     ("lemke_solve n = 12..32 random q", _lemke_outputs),
     ("feasible_point orthant systems", _feasibility_outputs),
+    ("enumerate_for_each n = 11, 12", _lcp_wide_outputs),
 )
 
 

@@ -69,6 +69,11 @@ class LcpCycleError(PmkitError):
     """Lemke pivoting exceeded its iteration cap (anomaly)."""
 
 
+class FloatRangeError(PmkitError):
+    """An LCP solve left the float64 range: a z or w entry came out inf or
+    NaN, so no solution can be reported from it."""
+
+
 class ValidationFailedError(PmkitError):
     """A generated matrix failed its own class oracle (generator bug)."""
 

@@ -181,6 +181,15 @@ class TestLcp:
         assert rpt["result"]["verdict"] == "consistent-with-P"
         assert rpt["result"]["counts"]["one"] == 40
 
+    def test_enumerate_out_of_float_range_exit_2(self, tmp_path, capsys):
+        # M = diag(1e-3, 1) is P, but z_1 = 1e306 / 1e-3 overflows
+        path = tmp_path / "inst.json"
+        serialize.write_json(str(path), serialize.lcp_instance_to_obj(np.diag([1e-3, 1.0]), [-1e306, -1.0]))
+        out = tmp_path / "e.json"
+        assert main(["lcp", "enumerate", "--input", str(path), "--out", str(out)]) == 2
+        assert "error: FloatRangeError:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_census_no_trials_exit_2(self, instance, tmp_path):
         out = tmp_path / "c.json"
         assert main(["lcp", "census", "--input", instance, "--trials", "0", "--out", str(out)]) == 2

@@ -2,6 +2,7 @@
 
 import pickle
 import warnings
+from collections import Counter
 from itertools import combinations
 from typing import Optional
 
@@ -10,10 +11,10 @@ import pytest
 import scipy.linalg
 
 from pmkit import lcp
-from pmkit.errors import LcpCycleError
+from pmkit.errors import FloatRangeError, LcpCycleError
 from pmkit.generators import GenSpec, generate
 from pmkit.lcp import LCPInstance
-from pmkit.linalg import as_matrix, as_vector, inf_norm
+from pmkit.linalg import as_matrix, as_vector, inf_norm, scipy_extension
 from pmkit.tolerances import DEFAULT_TOL
 
 
@@ -137,6 +138,25 @@ class TestCensus:
         assert rpt.example_bad_q is not None
         assert rpt.trials <= 500
 
+    def test_stop_early_draws_only_the_examined_q(self, monkeypatch):
+        draws = []
+        default_rng = np.random.default_rng
+
+        class CountingRng:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def uniform(self, *args):
+                draws.append(self.rng.uniform(*args))
+                return draws[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", CountingRng)
+        rpt = lcp.uniqueness_census(np.diag([-1.0, 1.0]), trials=500, seed=3, stop_early=True)
+        assert 1 <= rpt.trials < 500
+        assert len(draws) == rpt.trials
+        # the same sequence as drawing all 500 first
+        assert rpt.example_bad_q == tuple(default_rng(3).uniform(-5.0, 5.0, (500, 2))[rpt.trials - 1])
+
     @pytest.mark.parametrize("trials", [0, -3])
     def test_no_trials_rejected(self, monkeypatch, trials):
         # zero samples would read consistent-with-P even for non-P diag(-1, 1);
@@ -201,6 +221,88 @@ class TestEnumerateForEach:
 
 
 GEN_CLASSES = ("P-diagdom", "M-matrix", "sym-PD", "Z", "PSD", "non-P", "arbitrary")
+
+
+class TestFloatRange:
+    """M = diag(1e-3, 1) is P, but z_1 = 1e306 / 1e-3 overflows."""
+
+    M = np.diag([1e-3, 1.0])
+    Q = [-1e306, -1.0]
+
+    def test_enumeration_raises(self):
+        with pytest.raises(FloatRangeError):
+            lcp.enumerate_solutions(inst(self.M, self.Q))
+        # the overflow is in one basis, but the exact-zero coupling entries
+        # carry it into the next block as NaN: no q of that table goes on
+        with pytest.raises(FloatRangeError):
+            list(lcp.enumerate_for_each(self.M, [[-1.0, -1.0], self.Q, [-1.0, -1.0]]))
+
+    def test_overflow_in_a_rejected_basis_raises(self):
+        # z_1 of bases {1} and {1, 2} overflows to -inf, which the z test
+        # would reject, but the coupling entries turn the block of basis {2}
+        # NaN: the solve raises rather than drop that basis
+        with pytest.raises(FloatRangeError):
+            lcp.enumerate_solutions(inst(self.M, [1e306, -1.0]))
+
+    def test_lemke_raises(self):
+        # z_1 overflows in the tableau: the error, not a warning, is the outcome
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatRangeError):
+            lcp.lemke_solve(inst(self.M, self.Q))
+
+    def test_finite_at_the_edge_of_range(self):
+        sol = lcp.enumerate_solutions(inst(self.M, [-1e300, -1.0])).solutions
+        assert len(sol) == 1 and np.isfinite(sol[0].z).all() and np.isfinite(sol[0].w).all()
+
+
+class TestBandedSolve:
+    def test_each_basis_equals_its_getrs(self):
+        """The band solve of each basis that passes the pivot test equals
+        getrs(getrf(M_aa), -q_alpha) under ==, on random q, q with zero
+        entries and q >= 0."""
+        rng = np.random.default_rng(21)
+        solved = 0
+        for n in range(1, 13):
+            for k, tag in enumerate(GEN_CLASSES):
+                m = generate(GenSpec(tag, n, seed=1000 * n + k))
+                table = lcp._basis_table(m, DEFAULT_TOL)
+                bases = (list(c) for size in range(1, n + 1) for c in combinations(range(n), size))
+                factors = [(alpha, *scipy.linalg.lapack.dgetrf(m[alpha][:, alpha])[:2])
+                           for alpha, ok in zip(bases, table.ok[1:]) if ok]
+                rows = np.repeat(table.ok[1:], table.layout.sizes)
+                draw = rng.uniform(-5.0, 5.0, n)
+                for q in (draw, np.where(np.arange(n) % 2 == 0, 0.0, draw), np.abs(draw)):
+                    want = [scipy.linalg.lapack.dgetrs(lu, piv, -q[alpha])[0] for alpha, lu, piv in factors]
+                    if want:
+                        assert (lcp._band_solve(table, q)[rows] == np.concatenate(want)).all()
+                    solved += len(want)
+        assert solved > 100_000
+
+    def test_maximum_clears_the_sign_of_zero(self):
+        # the enumeration reports np.maximum(z, 0.0): a -0.0 that the band
+        # solve leaves where getrs gives +0.0 must come out +0.0
+        assert not np.signbit(np.maximum(np.array([-0.0]), 0.0)).any()
+
+    def test_lapack_calls(self, monkeypatch):
+        flapack = scipy_extension("linalg._flapack")
+        calls = Counter()
+
+        def counted(name):
+            fn = getattr(flapack, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        for name in ("dgetrf", "dgetrs", "dtbtrs"):
+            monkeypatch.setattr(flapack, name, counted(name))
+        rng = np.random.default_rng(22)
+        for n in (1, 4, 8):
+            m = generate(GenSpec("M-matrix", n, seed=n))
+            qs = [rng.uniform(-5.0, 5.0, n) for _ in range(7)]
+            calls.clear()
+            assert len(list(lcp.enumerate_for_each(m, qs))) == 7
+            assert calls == {"dgetrf": 2 ** n - 1, "dtbtrs": 2 * 7}
 
 
 def _tied_cases():
