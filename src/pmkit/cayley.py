@@ -146,7 +146,7 @@ def hurwitz_positive_stable(m) -> bool:
     """
     mat = as_matrix(m)
     n = mat.shape[0]
-    a = charpoly(mat).coeffs  # a_0 = 1, a_k = c_k
+    a = charpoly(mat)  # a_0 = 1, a_k = c_k
     if any(coef <= 0 for coef in a[1:]):
         return False  # positive coefficients are necessary
     h = np.zeros((n, n))

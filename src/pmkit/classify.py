@@ -4,9 +4,11 @@ P and P0 via exhaustive principal minors, the submatrix-eigenvalue
 characterization as an independent oracle, Z / M-type via spectra,
 positive stability, and column/row sufficiency.  Verdicts are
 three-valued ("yes" / "no" / "unknown"): budgeted searches must not
-masquerade as decisions, so sufficiency is decided exactly only for
-n <= 3 (orthant-wise polyhedral emptiness over exact rationals) and
-degrades to no-with-witness or unknown beyond that.
+masquerade as decisions.  Sufficiency is "yes" at every n when the
+symmetric part is positive semidefinite within tolerance (the PSD
+shortcut); otherwise it is decided exactly for n <= 3 (orthant-wise
+polyhedral emptiness over exact rationals), and beyond that a search
+gives "no" with a witness or "unknown".
 
 Every returned witness is re-validated in exact rational arithmetic
 before release: a sign-reversal witness x satisfies x_i (Ax)_i <= 0 for
@@ -495,15 +497,11 @@ def classify_matrix(
     z = is_Z(mat)
     rpt.verdicts["Z"] = z
     rpt.methods["Z"] = "off-diagonal-signs"
-    if z == YES:
-        m_verdict = is_P_via_Z_spectrum(mat, tol)
-        rpt.methods["M"] = "Z-plus-eigenvalue-real-parts"
-    else:
-        m_verdict = NO
-        rpt.methods["M"] = "off-diagonal-signs"
-    rpt.verdicts["M"] = m_verdict
-
-    rpt.verdicts["positive-stable"] = is_positive_stable(mat, tol)
+    stable = is_positive_stable(mat, tol)
+    # a Z-matrix is M exactly when it is positive stable (is_P_via_Z_spectrum)
+    rpt.verdicts["M"] = stable if z == YES else NO
+    rpt.methods["M"] = "Z-plus-eigenvalue-real-parts" if z == YES else "off-diagonal-signs"
+    rpt.verdicts["positive-stable"] = stable
     rpt.methods["positive-stable"] = "eigenvalue-real-parts"
 
     col, col_w = is_column_sufficient(mat, budget=budget, seed=seed, tol=tol)

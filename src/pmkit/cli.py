@@ -218,11 +218,11 @@ def _cmd_opsim_sqrt(args, tol):
     spec = opsim.spec_from_obj(serialize.load_json(args.spec))
     # operator_sqrt raises NoConvergenceError past its residual bound
     root = opsim.operator_sqrt(spec, args.order)
-    sec = opsim.section(spec, args.order).matrix
-    resid = float(np.abs(root.matrix @ root.matrix - sec).max())
+    sec = opsim.section(spec, args.order)
+    resid = float(np.abs(root @ root - sec).max())
     result = {
         "order": args.order,
-        "root": serialize.matrix_to_obj(root.matrix),
+        "root": serialize.matrix_to_obj(root),
         "square_residual": resid,
     }
     inputs = {"spec": opsim.spec_to_obj(spec), "order": args.order}

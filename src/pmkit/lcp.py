@@ -82,6 +82,7 @@ def _solution_from_z(inst: LCPInstance, z: np.ndarray) -> LCPSolution:
     return LCPSolution(z, w, basis)
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def lemke_solve(inst: LCPInstance) -> Optional[LCPSolution]:
     """Lemke complementary pivoting with the all-ones covering vector.
 
@@ -102,7 +103,8 @@ def lemke_solve(inst: LCPInstance) -> Optional[LCPSolution]:
     the invariant that the anti-cycling argument needs.  The iteration cap
     2^(n+2) backstops the rule, and exceeding the cap raises LcpCycleError
     as an anomaly.  Returns None on ray termination.  A z or w that leaves
-    the float64 range raises FloatRangeError.
+    the float64 range raises FloatRangeError; the overflow in the tableau
+    that leads there raises no numpy warning on the way.
     """
     n = inst.n
     if n > LEMKE_MAX_DIM:

@@ -1,11 +1,12 @@
 """Dense real linear algebra kernel for small matrices (n <= 64).
 
-Determinants, solves, and inverses go through LU with partial pivoting
-(LAPACK `getrf`/`getrs` from scipy's compiled `_flapack` module, loaded
-from its file at the first LU by `scipy_extension`, so neither importing
-this module nor factoring loads the scipy.linalg package); pivot
-magnitudes are checked against the scaled singularity threshold so
-near-singular systems raise instead of returning garbage.
+Solves and inverses go through LU with partial pivoting (`lu_factor_checked`
+and `lu_solve` call LAPACK `dgetrf`/`dgetrs` of scipy's compiled `_flapack`
+module, loaded from its file at the first LU by `scipy_extension`, so
+neither importing this module nor factoring loads the scipy.linalg
+package); pivot magnitudes are checked against the scaled singularity
+threshold so near-singular systems raise instead of returning garbage.
+`det` is numpy's.
 Eigenvalues come from one kernel over (R, k, k) stacks, `stack_eigvals`
 (exact for k <= 2, LAPACK dgeev beyond); `eigenvalues` runs it on a stack
 of one.  The characteristic polynomial is computed independently by the
@@ -132,47 +133,38 @@ def scipy_extension(name: str):
     return module
 
 
-@cache
-def _lapack_lu():
-    """The double-precision LAPACK LU pair (getrf, getrs) from scipy's
-    `_flapack`, the functions `scipy.linalg.lapack.get_lapack_funcs`
-    returns for float64.  They are called without scipy's lu_factor /
-    lu_solve wrappers: on the small systems here the wrappers cost several
-    times the factorization or solve itself.  The lookup stays out of the
-    callers, where it would cost more per call than this cached one."""
-    flapack = scipy_extension("linalg._flapack")
-    return flapack.dgetrf, flapack.dgetrs
-
-
 def lu_factor_checked(mat: np.ndarray, thr: float):
-    """LU factors `(lu, piv)` of `mat` with partial pivoting, or None when
-    LAPACK rejects the matrix or some pivot magnitude is <= `thr`.
+    """LU factors of `mat` with partial pivoting and their pivot verdict, as
+    `(lu, piv, ok)`: `ok` is False when LAPACK rejects the matrix or some
+    pivot magnitude is <= `thr`.
 
-    Calls LAPACK `getrf` directly.  An exact zero pivot (`info > 0`) fails
-    the pivot test at any `thr` >= 0, so it needs no branch of its own."""
-    lu, piv, info = _lapack_lu()[0](mat)
-    if info < 0 or np.abs(lu.diagonal()).min() <= thr:
-        return None
-    return lu, piv
+    Calls `dgetrf` of the cached `scipy_extension("linalg._flapack")`
+    without scipy's lu_factor wrapper, which on the small systems here
+    costs several times the factorization itself.  An exact zero pivot
+    (`info > 0`) fails the pivot test at any `thr` >= 0, so it needs no
+    branch of its own."""
+    lu, piv, info = scipy_extension("linalg._flapack").dgetrf(mat)
+    return lu, piv, not (info < 0 or np.abs(lu.diagonal()).min() <= thr)
 
 
 def lu_solve(fac, b: np.ndarray) -> np.ndarray:
-    """Solve with LU factors from `lu_factor_checked` through LAPACK `getrs`;
-    `b` is one right-hand side or a column block, and is not overwritten.
-    Bit for bit `scipy.linalg.lu_solve(fac, b, check_finite=False)`."""
-    x, info = _lapack_lu()[1](fac[0], fac[1], b)
+    """Solve with the factors `(lu, piv)` of `lu_factor_checked` through
+    LAPACK `dgetrs`; `b` is one right-hand side or a column block, and is
+    not overwritten.  Bit for bit
+    `scipy.linalg.lu_solve(fac, b, check_finite=False)`."""
+    x, info = scipy_extension("linalg._flapack").dgetrs(fac[0], fac[1], b)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of getrs")
     return x
 
 
 def _lu_with_pivot_check(mat: np.ndarray, tol: Tolerances):
-    """LU factorization; raises SingularMatrixError on a tiny pivot."""
+    """LU factors `(lu, piv)`; raises SingularMatrixError on a tiny pivot."""
     thr = tol.sing_for(inf_norm(mat))
-    fac = lu_factor_checked(mat, thr)
-    if fac is None:
+    lu, piv, ok = lu_factor_checked(mat, thr)
+    if not ok:
         raise SingularMatrixError(f"pivot magnitude <= threshold {thr:.3e}")
-    return fac
+    return lu, piv
 
 
 def det(m) -> float:
@@ -319,33 +311,12 @@ def eigenvalues(m, check_residual: bool = True) -> Spectrum:
     return Spectrum(values, pairing)
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    """Monic characteristic polynomial, stored through its symmetric functions.
-
-    coeffs = (c_0, ..., c_n) with c_0 = 1 and
-    charpoly(x) = x^n - c_1 x^(n-1) + c_2 x^(n-2) - ... + (-1)^n c_n,
-    so c_k equals the k-th elementary symmetric function of the roots and
-    also the sum of all k x k principal minors.
-    """
-
-    coeffs: tuple[float, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def elementary(self, k: int) -> float:
-        return self.coeffs[k]
-
-    def monic_coefficients(self) -> np.ndarray:
-        """Coefficients of x^n - c_1 x^(n-1) + ... in descending powers."""
-        signs = np.array([(-1.0) ** k for k in range(self.degree + 1)])
-        return signs * np.array(self.coeffs)
-
-
-def charpoly(m) -> Polynomial:
-    """Faddeev-LeVerrier trace recursion for the characteristic polynomial."""
+def charpoly(m) -> tuple[float, ...]:
+    """The characteristic polynomial of m by the Faddeev-LeVerrier trace
+    recursion, as its symmetric functions (c_0, ..., c_n): c_0 = 1 and
+    det(xI - m) = x^n - c_1 x^(n-1) + c_2 x^(n-2) - ... + (-1)^n c_n, so
+    c_k is the k-th elementary symmetric function of the eigenvalues and
+    also the sum of all k x k principal minors."""
     mat = as_matrix(m)
     n = mat.shape[0]
     coeffs = [1.0]
@@ -355,4 +326,4 @@ def charpoly(m) -> Polynomial:
         bk = -float(np.trace(an)) / k
         coeffs.append((-1.0) ** k * bk)  # c_k = (-1)^k b_k with b_k from det(xI - A)
         nk = an + bk * np.eye(n)
-    return Polynomial(tuple(coeffs))
+    return tuple(coeffs)

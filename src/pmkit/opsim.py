@@ -118,20 +118,14 @@ def spec_from_obj(obj: dict) -> OperatorSpec:
     return make_spec(obj["kind"], rule["name"], rule.get("params", {}), bool(obj.get("decay", False)))
 
 
-@dataclass(frozen=True)
-class FiniteSection:
-    order: int
-    matrix: np.ndarray
-
-
-def section(spec: OperatorSpec, n: int) -> FiniteSection:
-    """The leading n x n block <T e_j, e_i> (1 <= n <= 64)."""
+def section(spec: OperatorSpec, n: int) -> np.ndarray:
+    """The leading n x n block <T e_j, e_i> (1 <= n <= 64), a float array."""
     if not 1 <= n <= SECTION_MAX_ORDER:
         raise DimensionTooLargeError(f"section order must be in 1..{SECTION_MAX_ORDER}")
     mat = np.array([[spec.entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)])
     if spec.kind == "diagonal" and np.any(mat - np.diag(np.diag(mat))):
         raise NonDiagonalSpecError("diagonal spec produced an off-diagonal entry")
-    return FiniteSection(n, mat)
+    return mat
 
 
 def _equilibrated(mat: np.ndarray) -> np.ndarray:
@@ -153,7 +147,7 @@ def is_P_operator_section(spec: OperatorSpec, n: int, tol: Tolerances = DEFAULT_
 
     The section is row-equilibrated first; see _equilibrated.
     """
-    return is_P_minors(_equilibrated(section(spec, n).matrix), tol)[0]
+    return is_P_minors(_equilibrated(section(spec, n)), tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -182,17 +176,16 @@ def eigen_positivity_check(
     non-positive real eigenvalue on a P section is a contradiction."""
     entries = []
     violations = 0
-    for n in orders:
-        sec = section(spec, int(n))
-        spect = eigenvalues(sec.matrix, check_residual=False)
-        reals = spect.real_values()
-        thr = tol.minor_for(inf_norm(sec.matrix), 1)
+    for n in map(int, orders):
+        sec = section(spec, n)
+        reals = eigenvalues(sec, check_residual=False).real_values()
+        thr = tol.minor_for(inf_norm(sec), 1)
         ok = all(v > thr for v in reals)
-        p_verdict = is_P_operator_section(spec, sec.order, tol) if sec.order <= MINORS_MAX_DIM else None
+        p_verdict = is_P_operator_section(spec, n, tol) if n <= MINORS_MAX_DIM else None
         contradiction = (not ok) and p_verdict == YES
         if contradiction:
             violations += 1
-        entries.append(EigenPositivityEntry(sec.order, reals, ok, p_verdict, contradiction))
+        entries.append(EigenPositivityEntry(n, reals, ok, p_verdict, contradiction))
     return EigenPositivityReport(tuple(entries), violations)
 
 
@@ -200,7 +193,7 @@ def eigen_positivity_check(
 # diagonal square root
 
 
-def operator_sqrt(spec: OperatorSpec, n: int) -> FiniteSection:
+def operator_sqrt(spec: OperatorSpec, n: int) -> np.ndarray:
     """Section of R = diag(sqrt(lambda_i)) for a positive diagonal compact
     spec; raises NoConvergenceError when ||R_N^2 - T_N||_inf exceeds
     1e-12 (1 + ||T_N||_inf)."""
@@ -209,12 +202,12 @@ def operator_sqrt(spec: OperatorSpec, n: int) -> FiniteSection:
     if not spec.decay:
         raise PreconditionViolatedError("square root requires the decay tag (compactness surrogate)")
     sec = section(spec, n)
-    lam = np.diag(sec.matrix)
+    lam = np.diag(sec)
     if not (lam > 0).all():
         raise NonPositiveEigenvalueError("diagonal coefficients must be positive")
-    root = FiniteSection(n, np.diag(np.sqrt(lam)))
-    resid = inf_norm(root.matrix @ root.matrix - sec.matrix)
-    if resid > 1e-12 * (1.0 + inf_norm(sec.matrix)):
+    root = np.diag(np.sqrt(lam))
+    resid = inf_norm(root @ root - sec)
+    if resid > 1e-12 * (1.0 + inf_norm(sec)):
         raise NoConvergenceError(f"square-root residual {resid:.3e} unexpectedly large")
     return root
 
@@ -228,8 +221,8 @@ def sqrt_candidate_deviation(spec: OperatorSpec, n: int, candidate) -> tuple[flo
         raise NonDiagonalSpecError("candidate must be positive diagonal")
     sec = section(spec, n)
     root = operator_sqrt(spec, n)
-    sq_resid = inf_norm(cand @ cand - sec.matrix)
-    dev = float(np.abs(np.diag(cand) - np.diag(root.matrix)).max())
+    sq_resid = inf_norm(cand @ cand - sec)
+    dev = float(np.abs(np.diag(cand) - np.diag(root)).max())
     return sq_resid, dev
 
 
@@ -270,8 +263,7 @@ def minmax_rho(
     with the Perron vector in the sample set both estimates collapse onto
     rho.
     """
-    sec = section(spec, n)
-    mat = sec.matrix
+    mat = section(spec, n)
     if not (mat > 0).all():
         raise NonPositiveSectionError("min-max identity requires an entrywise positive section")
 
@@ -338,6 +330,19 @@ def _d_samples(rng: np.random.Generator, n: int, trials: int):
         produced += 1
 
 
+def _abs_det(lu: np.ndarray) -> float:
+    """|det| from LU factors as numpy's det takes it from its own: exp of
+    the log|u_ii| summed in order, by libm's log and exp, so it is 0 at an
+    exact zero pivot and underflows and overflows where np.linalg.det does."""
+    log_det = 0.0
+    for u in np.abs(lu.diagonal()).tolist():
+        log_det += math.log(u) if u else -math.inf
+    try:
+        return math.exp(log_det)
+    except OverflowError:
+        return math.inf
+
+
 def diag_interp_check(
     spec_s: OperatorSpec,
     spec_t: OperatorSpec,
@@ -348,11 +353,13 @@ def diag_interp_check(
 ) -> InterpReport:
     """Nonsingularity of D T_N + (I-D) S_N (case 1, precondition: S T^{-1}
     is P) and T_N D + S_N (I-D) (case 2, precondition: S^{-1} T is P) for
-    diagonal D with entries in [0, 1], corners included.  A combination is
-    singular when an LU pivot is <= tol.sing_for(||combo||_inf), the rule
-    of `solve`; |det|, which scales like c^N, is reported but not judged."""
-    s_mat = section(spec_s, n).matrix
-    t_mat = section(spec_t, n).matrix
+    diagonal D with entries in [0, 1], corners included.  Each combination
+    is factored once, by `lu_factor_checked`: it is singular when an LU
+    pivot is <= tol.sing_for(||combo||_inf), the rule of `solve`.  |det|,
+    which scales like c^N, is reported but not judged; `_abs_det` takes it
+    from the same LU."""
+    s_mat = section(spec_s, n)
+    t_mat = section(spec_t, n)
 
     def _inv_or_none(mat):
         try:  # both preconditions are minor tests: past their cap neither holds
@@ -380,9 +387,10 @@ def diag_interp_check(
         d = np.diag(dvals)
         for case, combine in combos:
             combo = combine(d)
-            val = abs(float(np.linalg.det(combo)))
+            lu, _, ok = lu_factor_checked(combo, tol.sing_for(inf_norm(combo)))
+            val = _abs_det(lu)
             min_det = min(min_det, val)
-            if lu_factor_checked(combo, tol.sing_for(inf_norm(combo))) is None:
+            if not ok:
                 violations.append((case, tuple(float(x) for x in dvals), val))
     return InterpReport(case1, case2, samples * case1, samples * case2, tuple(violations), min_det)
 
@@ -445,7 +453,7 @@ def csufficient_kernel_search(
     """
     if n > 8:
         raise DimensionTooLargeError("kernel search capped at n=8")
-    mat = section(spec, n).matrix
+    mat = section(spec, n)
     verdict, x = is_column_sufficient(mat, budget=2000, seed=seed, tol=tol)
     refutation = _kernel_refutation(mat, x) if verdict == NO else None
     refuted = refutation is not None
@@ -469,8 +477,8 @@ def rev_membership(spec: OperatorSpec, n: int, x, tol: Tolerances = DEFAULT_TOL)
     x = 0 is the degenerate member (all products exactly zero)."""
     sec = section(spec, n)
     v = as_vector(x, n)
-    prods = reversal_products(sec.matrix, v)
-    thr = tol.minor_for(inf_norm(sec.matrix), 1) * float(np.abs(v).max()) ** 2
+    prods = reversal_products(sec, v)
+    thr = tol.minor_for(inf_norm(sec), 1) * float(np.abs(v).max()) ** 2
     return RevQuery(tuple(float(p) for p in prods), bool((prods <= thr).all()))
 
 
@@ -498,11 +506,11 @@ def eigvec_rev_check(
     classifier verdict (n > 3) is logged and the check still runs.
     """
     sec = section(spec, n)
-    verdict, _ = is_column_sufficient(sec.matrix, budget=2000, seed=seed, tol=tol)
+    verdict, _ = is_column_sufficient(sec, budget=2000, seed=seed, tol=tol)
     if verdict == NO:
         return EigvecRevReport(verdict, True, (), 0)
-    vals, vecs = np.linalg.eig(sec.matrix)
-    thr_lam = tol.minor_for(inf_norm(sec.matrix), 1)
+    vals, vecs = np.linalg.eig(sec)
+    thr_lam = tol.minor_for(inf_norm(sec), 1)
     entries = []
     violations = 0
     for idx in range(len(vals)):
@@ -514,7 +522,7 @@ def eigvec_rev_check(
         if norm == 0.0:
             continue
         v = v / norm
-        resid = inf_norm(sec.matrix @ v - lam.real * v)
+        resid = inf_norm(sec @ v - lam.real * v)
         if resid > 1e-6 * (1.0 + abs(lam.real)):
             continue  # realified vector is not actually an eigenvector
         q = rev_membership(spec, n, v, tol)

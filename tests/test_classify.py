@@ -9,7 +9,7 @@ import pytest
 from pmkit import classify, feasibility, linalg
 from pmkit.classify import NO, UNKNOWN, YES
 from pmkit.errors import DimensionTooLargeError, PreconditionViolatedError
-from pmkit.generators import GenSpec, generate
+from pmkit.generators import CLASS_TAGS, GenSpec, generate
 from pmkit.tolerances import DEFAULT_TOL
 
 EXAMPLE = np.array([[-1.0, -1.0], [4.0, 3.0]])  # not P, spectrum {1,1}
@@ -707,3 +707,35 @@ class TestClassifyReport:
         assert rpt.verdicts["M"] == YES
         assert rpt.verdicts["column-sufficient"] == YES
         assert rpt.verdicts["sufficient"] == YES
+
+    def test_one_spectrum_per_report(self, monkeypatch):
+        # the M verdict of a Z-matrix is its positive-stable verdict, so the
+        # report takes the spectrum once
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return linalg.eigenvalues(*args, **kwargs)
+
+        monkeypatch.setattr(classify, "eigenvalues", counting)
+        m = generate(GenSpec("M-matrix", 8, seed=3))
+        rpt = classify.classify_matrix(m, budget=1)
+        assert rpt.verdicts["M"] == YES
+        assert len(calls) == 1
+
+    def test_m_and_stable_verdicts_equal_their_routes(self):
+        seen = set()
+        for tag in CLASS_TAGS:
+            for n in range(2, 9):
+                m = generate(GenSpec(tag, n, seed=n))
+                # budget 1: the sufficiency search ends after its axis scan
+                rpt = classify.classify_matrix(m, budget=1)
+                stable = classify.is_positive_stable(m)
+                assert rpt.verdicts["positive-stable"] == stable
+                if classify.is_Z(m) == YES:
+                    assert rpt.verdicts["M"] == classify.is_P_via_Z_spectrum(m)
+                else:
+                    assert rpt.verdicts["M"] == NO
+                seen.add((rpt.verdicts["Z"], rpt.verdicts["M"], stable))
+        # Z and M, Z but not M, and stable non-Z matrices all occur
+        assert {(YES, YES, YES), (YES, NO, NO), (NO, NO, YES)} <= seen

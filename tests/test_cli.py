@@ -1,12 +1,18 @@
 """CLI behavior: exit codes, report determinism, file formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pmkit import serialize
 from pmkit.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture()
@@ -189,6 +195,17 @@ class TestLcp:
         assert main(["lcp", "enumerate", "--input", str(path), "--out", str(out)]) == 2
         assert "error: FloatRangeError:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_solve_out_of_float_range_prints_only_the_error(self, tmp_path):
+        # a fresh process, so numpy's RuntimeWarnings would reach stderr
+        path = tmp_path / "inst.json"
+        serialize.write_json(str(path), serialize.lcp_instance_to_obj(np.diag([1e-3, 1.0]), [-1e306, -1.0]))
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-m", "pmkit.cli", "lcp", "solve", "--input", str(path)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "error: FloatRangeError: the LCP solution z or w = Mz + q left the float64 range"]
 
     def test_census_no_trials_exit_2(self, instance, tmp_path):
         out = tmp_path / "c.json"

@@ -45,28 +45,29 @@ steps["reversal"] = loaded()
 print(json.dumps(steps))
 """
 
-# pmkit loads the compiled modules first; scipy's packages, imported
-# afterwards, must hand out the same functions, and the LU kernel must give
-# scipy.linalg.lu_factor / lu_solve's bits in this order too (test_linalg
-# imports scipy.linalg at its top, so its own run covers the other order)
+# In either load order, scipy's packages and `scipy_extension` must hand out
+# the same functions, and the LU kernel must give scipy.linalg.lu_factor /
+# lu_solve's bits.  With pmkit first, its LU and assignment calls load the
+# compiled modules before scipy's packages are imported.
 LOAD_ORDER_PROBE = """
 import json, sys
 import numpy as np
 from pmkit import linalg, spectral
 from pmkit.generators import CLASS_TAGS
 
-linalg.solve(np.eye(2), [1.0, 2.0])
-spectral.spectra_match([1.0, 2.0], [2.0, 1.0])
-assert "scipy.linalg" not in sys.modules and "scipy.optimize" not in sys.modules
+if sys.argv[1] == "pmkit-first":
+    linalg.solve(np.eye(2), [1.0, 2.0])
+    spectral.spectra_match([1.0, 2.0], [2.0, 1.0])
+    assert "scipy.linalg" not in sys.modules and "scipy.optimize" not in sys.modules
 import scipy.linalg.lapack, scipy.optimize
 from test_linalg import TestDirectLapack
 
-getrf, getrs = linalg._lapack_lu()
+flapack = linalg.scipy_extension("linalg._flapack")
 for tag in CLASS_TAGS:
     TestDirectLapack().test_same_bits_as_scipy(tag)
 print(json.dumps({
-    "dgetrf": getrf is scipy.linalg.lapack.dgetrf,
-    "dgetrs": getrs is scipy.linalg.lapack.dgetrs,
+    "dgetrf": flapack.dgetrf is scipy.linalg.lapack.dgetrf,
+    "dgetrs": flapack.dgetrs is scipy.linalg.lapack.dgetrs,
     "lsap": linalg.scipy_extension("optimize._lsap").linear_sum_assignment
     is scipy.optimize.linear_sum_assignment,
     "tags": len(CLASS_TAGS),
@@ -89,9 +90,9 @@ print(json.dumps({m: m in sys.modules for m in ("scipy.linalg", "scipy.optimize"
 NONE_LOADED = {"scipy.linalg": False, "scipy.optimize": False, "scipy.sparse": False}
 
 
-def _fresh_run(code: str, path: str = str(SRC)) -> dict:
+def _fresh_run(code: str, path: str = str(SRC), *args: str) -> dict:
     env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -104,7 +105,12 @@ def test_scipy_loads_only_with_the_calls_that_use_it():
 
 
 def test_scipy_imported_later_hands_out_the_same_functions():
-    got = _fresh_run(LOAD_ORDER_PROBE, os.pathsep.join((str(SRC), str(TESTS))))
+    got = _fresh_run(LOAD_ORDER_PROBE, os.pathsep.join((str(SRC), str(TESTS))), "pmkit-first")
+    assert got == {"dgetrf": True, "dgetrs": True, "lsap": True, "tags": 7}
+
+
+def test_scipy_imported_first_hands_out_the_same_functions():
+    got = _fresh_run(LOAD_ORDER_PROBE, os.pathsep.join((str(SRC), str(TESTS))), "scipy-first")
     assert got == {"dgetrf": True, "dgetrs": True, "lsap": True, "tags": 7}
 
 

@@ -249,6 +249,12 @@ class TestFloatRange:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatRangeError):
             lcp.lemke_solve(inst(self.M, self.Q))
 
+    def test_lemke_raises_without_numpy_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatRangeError):
+                lcp.lemke_solve(inst(self.M, self.Q))
+
     def test_finite_at_the_edge_of_range(self):
         sol = lcp.enumerate_solutions(inst(self.M, [-1e300, -1.0])).solutions
         assert len(sol) == 1 and np.isfinite(sol[0].z).all() and np.isfinite(sol[0].w).all()

@@ -49,14 +49,15 @@ class TestSolve:
         with pytest.raises(SingularMatrixError):
             linalg.inverse(np.zeros((3, 3)))
         for n in (1, 2, 5):
-            assert linalg.lu_factor_checked(np.zeros((n, n)), 0.0) is None
+            assert not linalg.lu_factor_checked(np.zeros((n, n)), 0.0)[2]
 
     def test_checked_lu_threshold(self):
         # the pivots of diag(2, 1e-3) are 2 and 1e-3: the smaller decides
         m = np.diag([2.0, 1e-3])
-        lu, piv = linalg.lu_factor_checked(m, 1e-4)
+        lu, piv, ok = linalg.lu_factor_checked(m, 1e-4)
+        assert ok
         np.testing.assert_allclose(np.abs(np.diag(lu)), [2.0, 1e-3])
-        assert linalg.lu_factor_checked(m, 1e-3) is None
+        assert not linalg.lu_factor_checked(m, 1e-3)[2]
 
     def test_residual_bound(self):
         rng = np.random.default_rng(7)
@@ -119,8 +120,9 @@ class TestDirectLapack:
             fac = linalg.lu_factor_checked(m, 0.0)
             _same_bits(m, generate(GenSpec(tag, n, seed=n)))
             if np.abs(np.diag(lu)).min() == 0.0:
-                assert fac is None
+                assert not fac[2]
                 continue
+            assert fac[2]
             _same_bits(fac[0], lu)
             _same_bits(fac[1], piv)
             for k in (1, 2, n + 3):
@@ -143,7 +145,7 @@ class TestDirectLapack:
         # first matrix is zero, and [[1, 2], [2, 4]] eliminates to u22 = 0
         for m in (np.array([[0.0, 0.0], [0.0, 1.0]]), np.array([[1.0, 2.0], [2.0, 4.0]])):
             assert scipy.linalg.lapack.dgetrf(m)[2] > 0
-            assert linalg.lu_factor_checked(m, 0.0) is None
+            assert not linalg.lu_factor_checked(m, 0.0)[2]
             with pytest.raises(SingularMatrixError):
                 linalg.solve(m, [1.0, 1.0])
 
@@ -152,8 +154,8 @@ class TestDirectLapack:
         # getrf succeeds, and only the threshold decides
         m = np.array([[4.0, 2.0], [2.0, 1.0 + 1e-9]])
         assert scipy.linalg.lapack.dgetrf(m)[2] == 0
-        assert linalg.lu_factor_checked(m, 1e-10) is not None
-        assert linalg.lu_factor_checked(m, 1e-8) is None
+        assert linalg.lu_factor_checked(m, 1e-10)[2]
+        assert not linalg.lu_factor_checked(m, 1e-8)[2]
 
 
 class TestEigenvalues:
@@ -253,18 +255,18 @@ class TestCharpoly:
     def test_worked_example_sigma(self):
         # spectrum {1,1}: sigma_1 = 2, sigma_2 = 1
         p = linalg.charpoly(EXAMPLE)
-        assert p.coeffs[0] == pytest.approx(1.0)
-        assert p.elementary(1) == pytest.approx(2.0)
-        assert p.elementary(2) == pytest.approx(1.0)
+        assert p[0] == pytest.approx(1.0)
+        assert p[1] == pytest.approx(2.0)
+        assert p[2] == pytest.approx(1.0)
 
     def test_identity_binomials(self):
         p = linalg.charpoly(np.eye(3))
-        np.testing.assert_allclose(p.coeffs, [1.0, 3.0, 3.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(p, [1.0, 3.0, 3.0, 1.0], atol=1e-12)
 
     def test_hand_trace_det(self):
         p = linalg.charpoly([[2.0, -1.0], [-1.0, 2.0]])
-        assert p.elementary(1) == pytest.approx(4.0)
-        assert p.elementary(2) == pytest.approx(3.0)
+        assert p[1] == pytest.approx(4.0)
+        assert p[2] == pytest.approx(3.0)
 
     def test_coefficients_are_principal_minor_sums(self):
         # c_k == sum of all k x k principal minors, brute forced via det
@@ -280,13 +282,30 @@ class TestCharpoly:
                     np.linalg.det(m[np.ix_(idx, idx)])
                     for idx in combinations(range(n), k)
                 )
-                assert abs(p.elementary(k) - brute) <= 1e-8 * max(1.0, abs(brute))
+                assert abs(p[k] - brute) <= 1e-8 * max(1.0, abs(brute))
+
+    def test_tuple_is_the_recursion_bit_for_bit(self):
+        # the batch of the sigma/charpoly bridge test, against an in-test
+        # copy of the Faddeev-LeVerrier recursion
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            n = int(rng.integers(1, 7))
+            m = rng.uniform(-1, 1, (n, n))
+            want, nk = [1.0], np.eye(n)
+            for k in range(1, n + 1):
+                an = m @ nk
+                bk = -float(np.trace(an)) / k
+                want.append((-1.0) ** k * bk)
+                nk = an + bk * np.eye(n)
+            got = linalg.charpoly(m)
+            assert type(got) is tuple and all(type(c) is float for c in got)
+            assert [c.hex() for c in got] == [c.hex() for c in want]
 
     def test_monic_coefficients_match_numpy(self):
+        # det(xI - m) = x^n - c_1 x^(n-1) + ... in descending powers
         m = np.array([[2.0, -1.0], [-1.0, 2.0]])
-        np.testing.assert_allclose(
-            linalg.charpoly(m).monic_coefficients(), np.poly(m), atol=1e-10
-        )
+        monic = [(-1.0) ** k * c for k, c in enumerate(linalg.charpoly(m))]
+        np.testing.assert_allclose(monic, np.poly(m), atol=1e-10)
 
 
 class TestPrincipalSubmatrix:

@@ -1,11 +1,12 @@
 """Finite-section operator experiments."""
 
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from pmkit import classify, opsim, serialize
+from pmkit import classify, opsim, serialize, suites
 from pmkit.classify import NO, UNKNOWN, YES
 from pmkit.cli import main
 from pmkit.errors import (
@@ -17,6 +18,7 @@ from pmkit.errors import (
     RuleUndefinedError,
 )
 from pmkit.generators import GenSpec, generate
+from pmkit.linalg import scipy_extension
 from pmkit.opsim import make_spec, section
 
 
@@ -69,27 +71,43 @@ class TestSpec:
 class TestSection:
     def test_inverse_square_readout(self):
         sec = section(INV_SQ, 3)
-        np.testing.assert_allclose(sec.matrix, np.diag([1.0, 0.25, 1.0 / 9.0]))
+        np.testing.assert_allclose(sec, np.diag([1.0, 0.25, 1.0 / 9.0]))
 
     def test_identity_rule(self):
-        np.testing.assert_allclose(section(IDENTITY, 4).matrix, np.eye(4))
+        np.testing.assert_allclose(section(IDENTITY, 4), np.eye(4))
 
     def test_tridiag_readout(self):
         np.testing.assert_allclose(
-            section(TRIDIAG, 2).matrix, [[2.0, -1.0], [-1.0, 2.0]]
+            section(TRIDIAG, 2), [[2.0, -1.0], [-1.0, 2.0]]
         )
 
     def test_nested_consistency(self):
         for spec in (INV_SQ, TRIDIAG, diag_literal(1.0, -1.0, 0.5)):
-            big = section(spec, 12).matrix
+            big = section(spec, 12)
             for m in (1, 3, 7):
-                np.testing.assert_array_equal(section(spec, m).matrix, big[:m, :m])
+                np.testing.assert_array_equal(section(spec, m), big[:m, :m])
 
     def test_order_caps(self):
         with pytest.raises(Exception):
             section(INV_SQ, 0)
         with pytest.raises(Exception):
             section(INV_SQ, 65)
+
+    @pytest.mark.parametrize("spec", [
+        make_spec("diagonal", "inverse-square-diagonal", {"c": 4.0}, decay=True),
+        TRIDIAG,
+        diag_literal(4.0, 1.0, 1.0, kind="diagonal", decay=True),
+    ])
+    def test_section_and_root_are_the_entry_arrays(self, spec):
+        # one spec per rule; the root only for the diagonal ones
+        for n in (1, 3, 6):
+            want = np.array([[spec.entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)])
+            got = section(spec, n)
+            assert got.dtype == want.dtype == np.float64 and np.array_equal(got, want)
+            if spec.kind == "diagonal":
+                root = opsim.operator_sqrt(spec, n)
+                want_root = np.diag(np.sqrt(np.diag(want)))
+                assert root.dtype == np.float64 and np.array_equal(root, want_root)
 
 
 class TestPOperatorSection:
@@ -129,29 +147,29 @@ class TestSqrt:
         # lambda = (1, 1/4, 1/9, 1/16) is the inverse-square rule at n = 4
         root = opsim.operator_sqrt(INV_SQ, 4)
         np.testing.assert_allclose(
-            np.diag(root.matrix), [1.0, 0.5, 1.0 / 3.0, 0.25], atol=1e-15
+            np.diag(root), [1.0, 0.5, 1.0 / 3.0, 0.25], atol=1e-15
         )
 
     def test_identity(self):
         root = opsim.operator_sqrt(IDENTITY, 3)
-        np.testing.assert_allclose(root.matrix, np.eye(3))
+        np.testing.assert_allclose(root, np.eye(3))
 
     def test_scaled_inverse_square(self):
         spec = make_spec("diagonal", "inverse-square-diagonal", {"c": 4.0}, decay=True)
         root = opsim.operator_sqrt(spec, 6)
-        np.testing.assert_allclose(np.diag(root.matrix), [2.0 / i for i in range(1, 7)])
-        sec = section(spec, 6).matrix
-        assert np.abs(root.matrix @ root.matrix - sec).max() <= 1e-15
+        np.testing.assert_allclose(np.diag(root), [2.0 / i for i in range(1, 7)])
+        sec = section(spec, 6)
+        assert np.abs(root @ root - sec).max() <= 1e-15
 
     def test_residual_ladder(self):
         for n in (2, 4, 8, 16, 32, 64):
             root = opsim.operator_sqrt(INV_SQ, n)
-            sec = section(INV_SQ, n).matrix
-            assert np.abs(root.matrix @ root.matrix - sec).max() <= 1e-12
+            sec = section(INV_SQ, n)
+            assert np.abs(root @ root - sec).max() <= 1e-12
 
     def test_uniqueness_injectivity(self):
         root = opsim.operator_sqrt(INV_SQ, 4)
-        good = root.matrix.copy()
+        good = root.copy()
         sq, dev = opsim.sqrt_candidate_deviation(INV_SQ, 4, good)
         assert sq <= 1e-15 and dev == 0.0
         bad = good + np.diag([0.05, 0.0, 0.0, 0.0])
@@ -260,6 +278,62 @@ class TestInterp:
         assert not rpt.violations
         assert rpt.min_abs_det == pytest.approx(c ** 5)
 
+    def test_one_factorization_per_interpolant(self, monkeypatch):
+        flapack = scipy_extension("linalg._flapack")
+        getrf, det = flapack.dgetrf, np.linalg.det
+        factored, det_callers = [], []
+
+        def counting_getrf(a, *args, **kwargs):
+            factored.append(a.shape)
+            return getrf(a, *args, **kwargs)
+
+        def recording_det(a):
+            det_callers.append(sys._getframe(1).f_globals["__name__"])
+            return det(a)
+
+        monkeypatch.setattr(flapack, "dgetrf", counting_getrf)
+        monkeypatch.setattr(np.linalg, "det", recording_det)
+        spec_s = literal_spec(generate(GenSpec("P-diagdom", 5, seed=2)))
+        spec_t = literal_spec(np.diag([0.5, 1.0, 1.5, 2.0, 1.2]))
+        rpt = opsim.diag_interp_check(spec_s, spec_t, 5, trials=30, seed=5)
+        assert rpt.case1_established and rpt.case2_established
+        # one getrf per combination, and two for the sections' inverses
+        assert len(factored) == rpt.trials_case1 + rpt.trials_case2 + 2
+        # numpy's det runs only in the preconditions' minor sweeps
+        assert det_callers and set(det_callers) == {"pmkit.classify"}
+
+    def test_abs_det_agrees_with_numpy(self, monkeypatch):
+        # every combination of the operator suite (seed 1) and of the digest
+        # pairs: |det| from the LU against np.linalg.det, 1e-12 relative
+        factor = opsim.lu_factor_checked
+        dets = []
+
+        def spy(mat, thr):
+            out = factor(mat, thr)
+            dets.append((opsim._abs_det(out[0]), abs(float(np.linalg.det(mat)))))
+            return out
+
+        monkeypatch.setattr(opsim, "lu_factor_checked", spy)
+        suites.suite_operator(1)
+        pdiag = literal_spec(generate(GenSpec("P-diagdom", 5, seed=2)))
+        small = literal_spec(5e-4 * np.eye(5))
+        # the digest's other pairs raise PreconditionNotEstablishedError
+        runs = [
+            (IDENTITY, IDENTITY, 5, 40, 2),
+            (make_spec("banded", "tridiag", {"a": 2.0, "b": -0.5}), diag_literal(3.0, 1.0, 2.0, 0.5, 1.0), 5, 40, 2),
+            (pdiag, diag_literal(0.5, 1.0, 1.5, 2.0, 1.2), 5, 40, 2),
+            (small, small, 5, 10, 0),
+            (IDENTITY, IDENTITY, 3, 30, 3),
+            (diag_literal(2.0), IDENTITY, 1, 30, 1),
+            (pdiag, diag_literal(0.5, 1.0, 1.5, 2.0, 1.2), 5, 30, 5),
+            (TRIDIAG, IDENTITY, 6, 30, 6),
+        ]
+        for s, t, n, trials, seed in runs:
+            opsim.diag_interp_check(s, t, n, trials=trials, seed=seed)
+        assert len(dets) > suites.INTERP_TRIALS
+        for got, want in dets:
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_cli_exits_zero_on_a_small_scale_pair(self, tmp_path):
         spec = opsim.spec_to_obj(literal_spec(5e-4 * np.eye(5)))
         path, out = tmp_path / "pair.json", tmp_path / "interp.json"
@@ -303,7 +377,7 @@ class TestKernelSearch:
                         (diag_literal(1.0, 1.0, 1.0, -1.0), 4), (z3, 3)):
             rpt = opsim.csufficient_kernel_search(spec, n)
             assert rpt.refuted
-            mat = section(spec, n).matrix
+            mat = section(spec, n)
             for r in rpt.refutations:
                 w = np.array(r.full_witness)
                 assert classify.products_nonpositive_exact(mat, w, strict=True)

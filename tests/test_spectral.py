@@ -69,7 +69,7 @@ class TestSigmaAll:
             sig = spectral.sigma_all(spec.values)
             p = linalg.charpoly(m)
             for k in range(1, n + 1):
-                ref = p.elementary(k)
+                ref = p[k]
                 assert abs(sig[k - 1] - ref) <= 1e-6 * max(1.0, abs(ref))
 
 
