@@ -19,9 +19,10 @@ sign-reversal and sufficiency searches at their phase-boundary budgets
 for n = 2..13, the LCP layer (`enumerate_for_each`, `lemke_solve` and
 `uniqueness_census` with and without `stop_early`) at n = 1..10 and on
 degenerate q, `enumerate_for_each` at n = 11, 12 (up to the enumeration
-cap), `lemke_solve` at n = 12..32 on random q, and
+cap), `lemke_solve` at n = 12..32 on random q,
 `feasible_point` on the orthant systems of column sufficiency at
-n = 2, 3.
+n = 2, 3, and the `values` and `real_values()` of `eigenvalues`, with and
+without the residual check, on every class tag at n = 1..10, seeds 0-2.
 Raised errors are digested as type and message.  Two checkouts give the
 same outputs exactly when their lines are equal, so a refactor is checked
 with one diff:
@@ -48,7 +49,7 @@ from itertools import count, product  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from pmkit import classify, cli, feasibility, lcp, opsim, serialize, spectral  # noqa: E402
+from pmkit import classify, cli, feasibility, lcp, linalg, opsim, serialize, spectral  # noqa: E402
 from pmkit.generators import CLASS_TAGS, GenSpec, generate  # noqa: E402
 
 # P, with two eigenvalues in the left half-plane and an indefinite
@@ -306,6 +307,18 @@ def _eigen_oracle_outputs() -> list:
             for tag in CLASS_TAGS for n in range(1, 11) for seed in range(3)]
 
 
+def _eigenvalue_outputs() -> list:
+    """The values and real_values() of eigenvalues on every class tag at
+    n = 1..10, seeds 0-2, with the residual check on and off (the Spectrum
+    itself is not digested: its fields are not part of the oracle)."""
+    def spectrum(m, check_residual):
+        spec = linalg.eigenvalues(m, check_residual=check_residual)
+        return spec.values, spec.real_values()
+
+    return [_outcome(spectrum, generate(GenSpec(tag, n, seed=seed)), check)
+            for tag in CLASS_TAGS for n in range(1, 11) for seed in range(3) for check in (True, False)]
+
+
 def _search_outputs() -> list:
     """find_reversal_witness and column / row sufficiency at n = 2..13 on an
     arbitrary and a non-P draw and on I - 3C (C the cyclic shift, slightly
@@ -419,6 +432,7 @@ API_GROUPS = (
     ("lemke_solve n = 12..32 random q", _lemke_outputs),
     ("feasible_point orthant systems", _feasibility_outputs),
     ("enumerate_for_each n = 11, 12", _lcp_wide_outputs),
+    ("eigenvalues values real_values", _eigenvalue_outputs),
 )
 
 

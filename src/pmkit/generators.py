@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationFailedError
-from .linalg import inf_norm
+from .errors import DimensionTooLargeError, ValidationFailedError
+from .linalg import MAX_DIM, inf_norm
 
 CLASS_TAGS = ("P-diagdom", "M-matrix", "sym-PD", "Z", "PSD", "non-P", "arbitrary")
 
@@ -30,6 +30,8 @@ class GenSpec:
             raise ValueError(f"unknown class tag {self.class_tag!r}; known: {CLASS_TAGS}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if self.n > MAX_DIM:
+            raise DimensionTooLargeError(f"n={self.n} exceeds the cap {MAX_DIM}")
         if not self.scale > 0:
             raise ValueError("scale must be positive")
 

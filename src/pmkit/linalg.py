@@ -9,9 +9,10 @@ threshold so near-singular systems raise instead of returning garbage.
 `det` is numpy's.
 Eigenvalues come from one kernel over (R, k, k) stacks, `stack_eigvals`
 (exact for k <= 2, LAPACK dgeev beyond); `eigenvalues` runs it on a stack
-of one.  The characteristic polynomial is computed independently by the
-Faddeev-LeVerrier trace recursion and serves as the cross-check route
-everywhere else.
+of one and returns a `Spectrum`, the one value-multiset type, which the
+spectral layer takes as it is.  The characteristic polynomial is computed
+independently by the Faddeev-LeVerrier trace recursion and serves as the
+cross-check route everywhere else.
 """
 
 from __future__ import annotations
@@ -188,33 +189,28 @@ def inverse(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalue multiset with conjugate-pair structure.
+    """A value multiset, and whether its non-real values all pair off.
 
-    `values` is canonically ordered (by real part, then |imag|); `pairing`
-    groups indices into singletons for real values and index pairs for
-    conjugate pairs (positive imaginary part first).
+    `pair_conjugates`, and so `eigenvalues`, gives the canonical order:
+    by (real part, |imag|), a real value with imaginary part exactly 0,
+    and a pair a +- bi in two adjacent slots, +b first.  `realize_P_set`
+    needs that order; the sigma expansion takes the values as they come.
     """
 
     values: tuple[complex, ...]
-    pairing: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.values)
+    closed: bool
 
     def real_values(self) -> tuple[float, ...]:
         return tuple(v.real for v in self.values if abs(v.imag) <= conj_for(abs(v)))
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.values, dtype=complex)
 
-
-def pair_conjugates(values: Sequence[complex]):
-    """Canonicalize a value multiset into (values, pairing, is_closed).
+def pair_conjugates(values: Sequence[complex]) -> Spectrum:
+    """Canonicalize a value multiset into a `Spectrum`.
 
     Values with |Im| below the conjugation threshold are flattened to real.
     Remaining non-real values are matched into conjugate pairs and
-    symmetrized exactly; `is_closed` is False when some value is left
-    unmatched.
+    symmetrized exactly; the result is not `closed` when some value is
+    left unmatched.
     """
     reals: list[float] = []
     plus: list[complex] = []
@@ -255,13 +251,7 @@ def pair_conjugates(values: Sequence[complex]):
     entries += [((z.real, abs(z.imag)), (z,)) for z in leftovers]
     entries.sort(key=lambda e: e[0])
 
-    out_values: list[complex] = []
-    pairing: list[tuple[int, ...]] = []
-    for _, group in entries:
-        start = len(out_values)
-        out_values.extend(group)
-        pairing.append(tuple(range(start, start + len(group))))
-    return tuple(out_values), tuple(pairing), closed
+    return Spectrum(tuple(v for _, group in entries for v in group), closed)
 
 
 def stack_eigvals(stack: np.ndarray) -> np.ndarray:
@@ -293,22 +283,23 @@ def stack_eigvals(stack: np.ndarray) -> np.ndarray:
 
 
 def eigenvalues(m, check_residual: bool = True) -> Spectrum:
-    """All n eigenvalues, from `stack_eigvals` on a stack of one, with
-    conjugate pairing enforced post hoc."""
+    """All n eigenvalues, from `stack_eigvals` on a stack of one, as the
+    `Spectrum` of `pair_conjugates`; raises NoConvergenceError when a value
+    is left unpaired or, with `check_residual`, at a large residual."""
     mat = as_matrix(m)
     n = mat.shape[0]
-    values, pairing, closed = pair_conjugates(stack_eigvals(mat[None])[0])
-    if not closed:
+    spec = pair_conjugates(stack_eigvals(mat[None])[0])
+    if not spec.closed:
         raise NoConvergenceError("eigenvalues of a real matrix failed conjugate pairing")
     if check_residual and n >= 3:
-        scale = max(1.0, (2.0 * max(inf_norm(mat), max(abs(v) for v in values))) ** n)
-        for v in values[:3]:
+        scale = max(1.0, (2.0 * max(inf_norm(mat), max(abs(v) for v in spec.values))) ** n)
+        for v in spec.values[:3]:
             resid = abs(np.linalg.det(mat - v * np.eye(n)))
             if resid > 1e-6 * scale:
                 raise NoConvergenceError(
                     f"det(m - lambda I) residual {resid:.3e} too large for lambda={v}"
                 )
-    return Spectrum(values, pairing)
+    return spec
 
 
 def charpoly(m) -> tuple[float, ...]:

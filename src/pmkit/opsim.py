@@ -261,8 +261,11 @@ def minmax_rho(
 
     Every positive x gives min_i (Tx)_i/x_i <= rho <= max_i (Tx)_i/x_i;
     with the Perron vector in the sample set both estimates collapse onto
-    rho.
+    rho.  The Perron vector is the first of `samples` >= 1 vectors, and
+    each ratio is folded into the running bracket as it is drawn.
     """
+    if samples < 1:
+        raise ValueError("samples must be >= 1: the Perron vector is always one")
     mat = section(spec, n)
     if not (mat > 0).all():
         raise NonPositiveSectionError("min-max identity requires an entrywise positive section")
@@ -283,18 +286,16 @@ def minmax_rho(
         raise NoConvergenceError("power iteration did not reach the 1e-10 bracket")
 
     rng = np.random.default_rng(seed)
-    pool = [v]
-    for _ in range(max(samples - 1, 0)):
-        pool.append(np.exp(rng.uniform(np.log(0.1), np.log(10.0), n)))
-    sup_ratios = []
-    inf_ratios = []
-    for x in pool:
+    r = (mat @ v) / v
+    inf_sup, sup_inf = float(r.max()), float(r.min())
+    for _ in range(samples - 1):
+        x = np.exp(rng.uniform(np.log(0.1), np.log(10.0), n))
         r = (mat @ x) / x
-        sup_ratios.append(float(r.max()))
-        inf_ratios.append(float(r.min()))
+        inf_sup = min(inf_sup, float(r.max()))
+        sup_inf = max(sup_inf, float(r.min()))
     return MinMaxResult(
-        inf_sup=min(sup_ratios),
-        sup_inf=max(inf_ratios),
+        inf_sup=inf_sup,
+        sup_inf=sup_inf,
         rho=float(rho),
         iterations=iterations,
         perron=tuple(float(x) for x in v),
@@ -357,7 +358,10 @@ def diag_interp_check(
     is factored once, by `lu_factor_checked`: it is singular when an LU
     pivot is <= tol.sing_for(||combo||_inf), the rule of `solve`.  |det|,
     which scales like c^N, is reported but not judged; `_abs_det` takes it
-    from the same LU."""
+    from the same LU.  The corners D = 0 and D = I are always drawn, so
+    `trials` < 2 raises ValueError."""
+    if trials < 2:
+        raise ValueError("trials must be >= 2: the corners D = 0 and D = I are always drawn")
     s_mat = section(spec_s, n)
     t_mat = section(spec_t, n)
 

@@ -1,6 +1,9 @@
 """Candidate spectra: symmetric functions, P-set tests, wedge bounds,
 augmentation by positive reals, and heuristic realization by a P-matrix.
 
+A candidate is a `linalg.Spectrum`: the one that `eigenvalues` returns is
+taken as it is, and `make_candidate` canonicalizes a raw value list once.
+
 A multiset of reals and conjugate pairs is a P-set exactly when all its
 elementary symmetric functions are positive; such sets are precisely the
 spectra of P-matrices.  All sigma computations here are matrix-free
@@ -31,32 +34,25 @@ from .errors import (
     ZeroElementInP0CheckError,
 )
 from .generators import _diagdom
-from .linalg import eigenvalues, pair_conjugates, scipy_extension
+from .linalg import Spectrum, eigenvalues, pair_conjugates, scipy_extension
 from .tolerances import DEFAULT_TOL, Tolerances, conj_for
 
 FLOAT64_MAX_VALUES = 800   # beyond this the expansion switches to clongdouble
 EXPANSION_MAX_VALUES = 12000
 
 
-@dataclass(frozen=True)
-class CandidateSpectrum:
-    values: tuple[complex, ...]
-    closed_under_conjugation: bool
-
-
-def make_candidate(values: Sequence[complex]) -> CandidateSpectrum:
+def make_candidate(values: Sequence[complex]) -> Spectrum:
     """Canonicalize a raw value list (conjugate pairing computed, not
     assumed).  A non-finite value (nan or inf in either part) raises
     ValueError."""
     raw = [complex(v) for v in values]
     if not all(cmath.isfinite(v) for v in raw):
         raise ValueError("spectral values must all be finite")
-    vals, _, closed = pair_conjugates(raw)
-    return CandidateSpectrum(vals, closed)
+    return pair_conjugates(raw)
 
 
-def _coerce(s) -> CandidateSpectrum:
-    if isinstance(s, CandidateSpectrum):
+def _coerce(s) -> Spectrum:
+    if isinstance(s, Spectrum):
         return s
     return make_candidate(s)
 
@@ -110,12 +106,12 @@ def _full_expansion(values, scales) -> np.ndarray:
     return coeffs
 
 
-def _expand_scaled(cand: CandidateSpectrum) -> tuple[np.ndarray, float, float]:
+def _expand_scaled(cand: Spectrum) -> tuple[np.ndarray, float, float]:
     """Coefficients sigma_k(values / L) for k = 1..n plus (L, imag residue).
 
     Requires conjugation closure and at most EXPANSION_MAX_VALUES values.
     """
-    if not cand.closed_under_conjugation:
+    if not cand.closed:
         raise NotConjugationClosedError("candidate spectrum has an unmatched non-real value")
     if len(cand.values) > EXPANSION_MAX_VALUES:
         raise DimensionTooLargeError(f"expansion capped at {EXPANSION_MAX_VALUES} values")
@@ -203,7 +199,7 @@ def wedge_check(s, variant: str = "P", tol: Tolerances = DEFAULT_TOL) -> WedgeRe
     verdict = YES if max_arg <= bound + 1e-12 else NO
     equality = abs(max_arg - bound) <= 1e-9
     sigma_ok = None
-    if equality and cand.closed_under_conjugation:
+    if equality and cand.closed:
         sig = sigma_all(cand)
         thr = tol.minor * (1.0 + np.power(_scale(cand.values), np.arange(1, n + 1, dtype=float)))
         sigma_ok = bool((np.abs(sig[:-1]) <= thr[:-1]).all() and sig[-1] > thr[-1])
@@ -228,8 +224,8 @@ class AugmentResult:
     sigma_scale: float  # 1.0 when sigma is unscaled; else sigma_k(true) = sigma[k-1] * scale^k
 
 
-def _check_augment_precondition(cand: CandidateSpectrum) -> None:
-    if not cand.closed_under_conjugation:
+def _check_augment_precondition(cand: Spectrum) -> None:
+    if not cand.closed:
         raise PreconditionViolatedError("non-real values must come in conjugate pairs")
     for v in cand.values:
         if v.imag == 0.0 and v.real <= 0.0:
@@ -261,7 +257,7 @@ def _dip_targets(values: Sequence[complex]) -> list[float]:
 
 def _result_sigma(base, additions) -> tuple[tuple[float, ...], float]:
     vals = base + tuple(complex(t) for t in additions)
-    scaled, scale, residue = _expand_scaled(CandidateSpectrum(vals, True))
+    scaled, scale, residue = _expand_scaled(Spectrum(vals, True))
     sig = _unscaled_sigma(scaled, scale, residue)
     if np.isfinite(sig).all():
         return tuple(float(x) for x in sig), 1.0
@@ -387,19 +383,16 @@ def spectra_match(a: Sequence[complex], b: Sequence[complex], tol: float = 1e-6)
     return bool((devs <= tol).all()), float(devs.max(initial=0.0))
 
 
-def _block_form(cand: CandidateSpectrum) -> np.ndarray:
-    """The real block-diagonal form: a 1x1 block per real value and a
-    rotation-scaling block [[a, b], [-b, a]] per pair a +- bi, in the
-    canonical order of `pair_conjugates`."""
-    vals, pairing, _ = pair_conjugates(cand.values)
-    out = np.zeros((len(vals), len(vals)))
-    for group in pairing:
-        i = group[0]
-        if len(group) == 1:
-            out[i, i] = vals[i].real
-        else:
-            a, b = vals[i].real, abs(vals[i].imag)
-            out[i : i + 2, i : i + 2] = [[a, b], [-b, a]]
+def _block_form(spec: Spectrum) -> np.ndarray:
+    """The real block-diagonal form of a closed `Spectrum` in canonical
+    order: a 1x1 block per real value and a rotation-scaling block
+    [[a, b], [-b, a]] per pair a +- bi, read off the order (a pair fills
+    two adjacent slots, +b first)."""
+    vals = np.array(spec.values)
+    out = np.diag(vals.real)
+    i = np.flatnonzero(vals.imag > 0)
+    out[i, i + 1] = vals.imag[i]
+    out[i + 1, i] = -vals.imag[i]
     return out
 
 
@@ -510,10 +503,10 @@ def extremal_spectrum_search(
                 vals += [complex(a, b), complex(a, -b)]
             while len(vals) < n:
                 vals.append(complex(rng.uniform(0.5, 4.0), 0.0))
-            cand = CandidateSpectrum(tuple(vals), True)
-            if is_P_set(cand, tol) != YES:
+            # the sigma bits follow the draw order, so the test keeps it
+            if is_P_set(Spectrum(tuple(vals), True), tol) != YES:
                 continue
-            block = _block_form(cand)
+            block = _block_form(pair_conjugates(vals))
             for _ in range(20):
                 consider(_random_similarity(block, rng))
 

@@ -84,7 +84,7 @@ def _kellogg_violations(matrices, tol: Tolerances) -> int:
         1
         for m in matrices
         if m.shape[0] >= 2
-        and spectral.wedge_check(eigenvalues(m, check_residual=False).values, tol=tol).verdict == NO
+        and spectral.wedge_check(eigenvalues(m, check_residual=False), tol=tol).verdict == NO
     )
 
 
@@ -175,7 +175,7 @@ def suite_classify(seed: int = 1, tol: Tolerances = DEFAULT_TOL) -> SuiteReport:
     bridge_bad = 0
     for k, n in enumerate(_sizes(rng, BRIDGE_TRIALS)):
         m = generate(GenSpec("arbitrary", n, seed=seed * 4_000_037 + k))
-        sig = spectral.sigma_all(eigenvalues(m).values)
+        sig = spectral.sigma_all(eigenvalues(m))
         p = charpoly(m)
         for j in range(1, n + 1):
             ref = p[j]

@@ -213,6 +213,11 @@ class TestLcp:
         assert not out.exists()
 
 
+IDENT = {"kind": "dense-rule", "rule": {"name": "matrix-literal", "params": {"matrix": []}}, "decay": False}
+ALL_ONES = {"kind": "dense-rule", "rule": {"name": "matrix-literal", "params": {"matrix": [[1.0, 1.0], [1.0, 1.0]]}},
+            "decay": False}
+
+
 class TestOpsim:
     @pytest.fixture()
     def inv_sq_spec(self, tmp_path):
@@ -247,6 +252,20 @@ class TestOpsim:
         out = tmp_path / "ip.json"
         assert main(["opsim", "interp", "--spec", str(spec), "--order", "3", "--trials", "10", "--out", str(out)]) == 0
         assert read_report(out)["result"]["violations"] == []
+
+    @pytest.mark.parametrize(
+        "action, spec, trials",
+        [("interp", {"s": IDENT, "t": IDENT}, t) for t in ("0", "-5", "1")]
+        + [("minmax", ALL_ONES, t) for t in ("0", "-3")],
+    )
+    def test_too_few_trials_exit_2(self, tmp_path, capsys, action, spec, trials):
+        path = tmp_path / "spec.json"
+        serialize.write_json(str(path), spec)
+        out = tmp_path / "r.json"
+        args = ["opsim", action, "--spec", str(path), "--order", "2", "--trials", trials, "--out", str(out)]
+        assert main(args) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
 
     def test_csuff(self, tmp_path):
         spec = tmp_path / "diag.json"
@@ -292,6 +311,12 @@ class TestGen:
 
     def test_unknown_class(self):
         assert main(["gen", "--class", "bogus", "--n", "3"]) == 2
+
+    def test_past_the_dimension_cap_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        assert main(["gen", "--class", "arbitrary", "--n", "65", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: DimensionTooLargeError: n=65 exceeds the cap 64"]
+        assert not out.exists()
 
 
 class TestSuite:

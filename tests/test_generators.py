@@ -5,12 +5,21 @@ import pytest
 
 from pmkit import classify
 from pmkit.classify import NO, YES
+from pmkit.errors import DimensionTooLargeError
 from pmkit.generators import GenSpec, generate
+from pmkit.linalg import MAX_DIM
 
 
 def test_unknown_tag_rejected():
     with pytest.raises(ValueError):
         GenSpec("bogus", 3, 0)
+
+
+def test_past_the_dimension_cap_rejected():
+    # refused before anything is drawn, with the message of as_matrix
+    with pytest.raises(DimensionTooLargeError, match=f"^n=65 exceeds the cap {MAX_DIM}$"):
+        GenSpec("arbitrary", MAX_DIM + 1, 0)
+    assert generate(GenSpec("arbitrary", MAX_DIM, 0)).shape == (MAX_DIM, MAX_DIM)
 
 
 def test_determinism():

@@ -174,7 +174,8 @@ class TestEigenvalues:
         vals = sorted(spec.values, key=lambda z: z.imag)
         assert vals[0] == pytest.approx(-1j)
         assert vals[1] == pytest.approx(1j)
-        assert any(len(group) == 2 for group in spec.pairing)
+        assert_canonical(spec.values)
+        assert spec.values[0].imag > 0 and spec.values[1] == spec.values[0].conjugate()
 
     def test_det_trace_consistency(self):
         rng = np.random.default_rng(11)
@@ -182,8 +183,8 @@ class TestEigenvalues:
             n = int(rng.integers(1, 9))
             m = rng.uniform(-1, 1, (n, n))
             spec = linalg.eigenvalues(m)
-            prod = np.prod(spec.as_array())
-            total = np.sum(spec.as_array())
+            prod = np.prod(np.array(spec.values))
+            total = np.sum(np.array(spec.values))
             d, t = linalg.det(m), float(np.trace(m))
             assert abs(prod.real - d) <= 1e-6 * max(1.0, abs(d))
             assert abs(prod.imag) <= 1e-6 * max(1.0, abs(d))
@@ -195,10 +196,48 @@ class TestEigenvalues:
             n = int(rng.integers(2, 9))
             m = rng.uniform(-1, 1, (n, n))
             spec = linalg.eigenvalues(m)
-            for group in spec.pairing:
-                if len(group) == 2:
-                    a, b = spec.values[group[0]], spec.values[group[1]]
-                    assert a == b.conjugate()
+            assert spec.closed
+            assert_canonical(spec.values)
+
+    def test_canonical_order_is_a_fixed_point(self):
+        # a second pair_conjugates gives a Spectrum back bit for bit, so the
+        # spectral layer takes an eigenvalue Spectrum as it is
+        def bits(values):
+            return [(v.real.hex(), v.imag.hex()) for v in values]
+
+        spectra = [linalg.eigenvalues(generate(GenSpec(tag, n, seed=seed)))
+                   for tag in CLASS_TAGS for n in range(1, 11) for seed in range(3)]
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            vals = [complex(x, 1e-12 * rng.uniform(-1, 1)) for x in rng.uniform(-3, 3, int(rng.integers(0, 4)))]
+            for _ in range(int(rng.integers(1, 5))):
+                a, b = rng.uniform(-3, 3), rng.uniform(0.01, 3)
+                # a pair that is conjugate only up to rounding is symmetrized
+                vals += [complex(a, b), complex(a + 1e-10 * rng.uniform(-1, 1), -b)]
+            rng.shuffle(vals)
+            spectra.append(linalg.pair_conjugates(vals))
+        for spec in spectra:
+            assert spec.closed
+            assert_canonical(spec.values)
+            again = linalg.pair_conjugates(spec.values)
+            assert again.closed and bits(again.values) == bits(spec.values)
+
+
+def assert_canonical(values):
+    """The canonical order of `pair_conjugates`: sorted by (real part,
+    |imag|), each real value with imaginary part exactly 0, and each
+    non-real value a + bi with b > 0, followed by its conjugate."""
+    keys = [(v.real, abs(v.imag)) for v in values]
+    assert keys == sorted(keys)
+    i = 0
+    while i < len(values):
+        v = values[i]
+        if v.imag == 0.0:
+            i += 1
+            continue
+        assert v.imag > 0
+        assert i + 1 < len(values) and values[i + 1] == v.conjugate()
+        i += 2
 
 
 def closed_form_2x2(mat):

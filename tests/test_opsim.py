@@ -1,6 +1,7 @@
 """Finite-section operator experiments."""
 
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -219,6 +220,44 @@ class TestMinMax:
         with pytest.raises(NonPositiveSectionError):
             opsim.minmax_rho(IDENTITY, 2)
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_rejects_no_samples(self, samples):
+        spec = make_spec("dense-rule", "matrix-literal", {"matrix": [[1.0, 1.0], [1.0, 1.0]]})
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            opsim.minmax_rho(spec, 2, samples=samples)
+
+    @staticmethod
+    def pooled_bracket(spec, n, samples, seed, perron):
+        """The bracket over a pool of every sample vector, kept in full."""
+        mat = section(spec, n)
+        rng = np.random.default_rng(seed)
+        pool = [np.array(perron)]
+        for _ in range(samples - 1):
+            pool.append(np.exp(rng.uniform(np.log(0.1), np.log(10.0), n)))
+        ratios = [(mat @ x) / x for x in pool]
+        return min(float(r.max()) for r in ratios), max(float(r.min()) for r in ratios)
+
+    def test_streamed_bracket_is_the_pool_bracket(self):
+        rng = np.random.default_rng(23)
+        for samples in (1, 2, 3, 17, 64):
+            for seed in range(5):
+                n = int(rng.integers(2, 7))
+                spec = make_spec("dense-rule", "matrix-literal", {"matrix": rng.uniform(0.1, 3.0, (n, n)).tolist()})
+                res = opsim.minmax_rho(spec, n, samples=samples, seed=seed)
+                want = self.pooled_bracket(spec, n, samples, seed, res.perron)
+                assert (res.inf_sup.hex(), res.sup_inf.hex()) == tuple(x.hex() for x in want)
+
+    def test_samples_are_not_kept(self):
+        # a pool of every sample vector peaks at about 200 bytes per sample
+        spec = make_spec("dense-rule", "matrix-literal", {"matrix": [[1.0, 2.0], [3.0, 1.0]]})
+        tracemalloc.start()
+        try:
+            opsim.minmax_rho(spec, 2, samples=10_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
     def test_bracket_ok_rejects_hand_built_failures(self):
         def result(inf_sup, sup_inf):
             return opsim.MinMaxResult(inf_sup=inf_sup, sup_inf=sup_inf, rho=2.0, iterations=1, perron=(0.5, 0.5))
@@ -241,6 +280,11 @@ class TestInterp:
         # section value t + 2(1-t) = 2 - t >= 1 on [0, 1]
         assert not rpt.violations
         assert rpt.min_abs_det >= 1.0 - 1e-12
+
+    @pytest.mark.parametrize("trials", [1, 0, -5])
+    def test_rejects_fewer_trials_than_corners(self, trials):
+        with pytest.raises(ValueError, match="trials must be >= 2"):
+            opsim.diag_interp_check(IDENTITY, IDENTITY, 3, trials=trials)
 
     def test_rejects_unestablished(self):
         left = diag_literal(1.0, -1.0)

@@ -18,6 +18,7 @@ from pmkit.errors import (
     PreconditionViolatedError,
     ZeroElementInP0CheckError,
 )
+from pmkit.generators import CLASS_TAGS, GenSpec, generate
 from pmkit.tolerances import DEFAULT_TOL
 
 EXAMPLE = np.array([[-1.0, -1.0], [4.0, 3.0]])
@@ -241,7 +242,7 @@ class TestLadder:
         passes is_P_set."""
         for m in range(1, cap + 1):
             for t in ts:
-                union = spectral.CandidateSpectrum(base + (complex(t),) * m, True)
+                union = linalg.Spectrum(base + (complex(t),) * m, True)
                 if spectral.is_P_set(union) == YES:
                     return m, t
         return None
@@ -284,7 +285,7 @@ class TestLadder:
 
     def test_not_monotone_in_the_count(self):
         # {-1 +- 2i} with 0.5 passes from 5 copies on, and fails again at 16
-        union = spectral.CandidateSpectrum(_pair(-1, 2) + (0.5 + 0j,) * 16, True)
+        union = linalg.Spectrum(_pair(-1, 2) + (0.5 + 0j,) * 16, True)
         assert spectral.is_P_set(union) == NO
 
     @staticmethod
@@ -416,7 +417,7 @@ class TestBatchedExpansion:
         for n in self.SIZES[:-1]:
             row = _kernel_rows(n, 1, rng)[0]
             values = tuple(complex(v) for v in row) + tuple(complex(v) for v in np.conj(row[row.imag != 0.0]))
-            scaled, scale, _ = spectral._expand_scaled(spectral.CandidateSpectrum(values, True))
+            scaled, scale, _ = spectral._expand_scaled(linalg.Spectrum(values, True))
             assert scale == _reference_scale(values)
             _assert_same_coeffs(scaled, _reference_expansion(values, scale).real[1:])
 
@@ -475,7 +476,7 @@ def _reference_union_is_pset(base, additions, tol):
     vals = base + tuple(complex(t) for t in additions)
     if len(vals) > spectral.EXPANSION_MAX_VALUES:
         return False
-    return spectral.is_P_set(spectral.CandidateSpectrum(vals, True), tol) == YES
+    return spectral.is_P_set(linalg.Spectrum(vals, True), tol) == YES
 
 
 def _reference_augment_to_P_set(c, tol=DEFAULT_TOL):
@@ -596,25 +597,71 @@ class TestRealize:
             spectral.realize_P_set([1.0] * (classify.MINORS_MAX_DIM + 1))
 
     @pytest.mark.parametrize(
-        "values",
+        "values",  # (raw values, the expected blocks in canonical order)
         [
-            [3.0, 0.5, 2.0],  # reals only
-            [complex(1, 2), complex(1, -2), complex(-0.0, 0.5), complex(-0.0, -0.5)],  # pairs only
-            [complex(-1, 2), 2.25, complex(-1, -2), 0.5, complex(1e-3, 7), complex(1e-3, -7)],
-            [4.0],
+            ([3.0, 0.5, 2.0], [[[0.5]], [[2.0]], [[3.0]]]),  # reals only
+            ([complex(1, 2), complex(1, -2), complex(-0.0, 0.5), complex(-0.0, -0.5)],  # pairs only
+             [[[-0.0, 0.5], [-0.5, -0.0]], [[1.0, 2.0], [-2.0, 1.0]]]),
+            ([complex(-1, 2), 2.25, complex(-1, -2), 0.5, complex(1e-3, 7), complex(1e-3, -7)],
+             [[[-1.0, 2.0], [-2.0, -1.0]], [[1e-3, 7.0], [-7.0, 1e-3]], [[0.5]], [[2.25]]]),
+            ([4.0], [[[4.0]]]),
         ],
     )
     def test_block_form_is_scipy_block_diag(self, values):
-        cand = spectral.make_candidate(values)
-        vals, pairing, _ = linalg.pair_conjugates(cand.values)
-        blocks = []
-        for group in pairing:
-            a, b = vals[group[0]].real, abs(vals[group[0]].imag)
-            blocks.append(np.array([[a]]) if len(group) == 1 else np.array([[a, b], [-b, a]]))
-        want = scipy.linalg.block_diag(*blocks)
-        got = spectral._block_form(cand)
+        values, blocks = values
+        want = scipy.linalg.block_diag(*(np.array(b) for b in blocks))
+        got = spectral._block_form(spectral.make_candidate(values))
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return repr(fn(*args, **kwargs))
+    except Exception as exc:  # the error is part of the output
+        return ("raised", type(exc).__name__, str(exc))
+
+
+class TestEigenvalueSpectrum:
+    """The spectral functions take the Spectrum of `eigenvalues` as it is."""
+
+    @staticmethod
+    def counted(monkeypatch, module):
+        """Record the length of each `pair_conjugates` call made through `module`."""
+        calls = []
+
+        def pair_conjugates(values, pair=linalg.pair_conjugates):
+            calls.append(len(values))
+            return pair(values)
+
+        monkeypatch.setattr(module, "pair_conjugates", pair_conjugates)
+        return calls
+
+    @staticmethod
+    def outputs(s):
+        return [
+            _outcome(lambda: spectral.sigma_all(s).tobytes()),
+            _outcome(spectral.is_P_set, s),
+            _outcome(spectral.is_P_set, s, variant="P0"),
+            _outcome(spectral.wedge_check, s),
+            _outcome(spectral.wedge_check, s, variant="P0"),
+        ]
+
+    def test_same_bits_without_a_second_pairing(self, monkeypatch):
+        spectra = [linalg.eigenvalues(generate(GenSpec(tag, n, seed=seed)))
+                   for tag in CLASS_TAGS for n in range(1, 11) for seed in range(2)]
+        calls = self.counted(monkeypatch, spectral)
+        direct = [self.outputs(spec) for spec in spectra]
+        assert calls == []
+        assert direct == [self.outputs(spec.values) for spec in spectra]
+        assert len(calls) == 5 * len(spectra)
+
+    def test_kellogg_check_pairs_each_spectrum_once(self, monkeypatch):
+        mats = [generate(GenSpec("arbitrary", n, seed=n)) for n in range(2, 7)]
+        spectral_calls = self.counted(monkeypatch, spectral)
+        eigen_calls = self.counted(monkeypatch, linalg)
+        suites._kellogg_violations(mats, DEFAULT_TOL)
+        assert spectral_calls == [] and eigen_calls == [m.shape[0] for m in mats]
 
 
 class TestNonFiniteValues:
