@@ -6,13 +6,14 @@ Runs each command in-process through `pmkit.cli.main`, drops the report's
 `timestamp` line and prints one line per command: the sha256 of the rest
 of the report (or "-" when the command wrote none), the exit code and the
 command.  The commands cover every subcommand, valid and invalid
-threshold overrides, budget 0, the seed defaults and two flags that an
-action does not read.  It then prints one sha256 line per API
-group: `augment_to_P_set` on the 100 seed sets of the augmentation check
-of the suite run with seed 1, 2 and 3 (one line each; the report keeps
-only a failure count and the largest addition count) and on three sets
-that random tuples of distinct values once decided, `sigma_all`,
-`is_P_set` and `wedge_check` on value lists on both sides of 800 values,
+threshold overrides, budget 0, the seed defaults, flags that an action
+does not read and `classify` past the minor-sweep cap (n = 13, 14).  It
+then prints one sha256 line per API group: `augment_to_P_set` on the 100
+seed sets of the augmentation check of the suite run with seed 1, 2 and 3
+(one line each; the report keeps only a failure count and the largest
+addition count) and on three sets that random tuples of distinct values
+once decided, `sigma_all`, `is_P_set` and `wedge_check` on value lists
+on both sides of 800 values,
 `realize_P_set` and `extremal_spectrum_search`, `diag_interp_check`,
 `is_P_submatrix_eigen` on every class tag at n = 1..10, the
 sign-reversal and sufficiency searches at their phase-boundary budgets
@@ -21,8 +22,11 @@ for n = 2..13, the LCP layer (`enumerate_for_each`, `lemke_solve` and
 degenerate q, `enumerate_for_each` at n = 11, 12 (up to the enumeration
 cap), `lemke_solve` at n = 12..32 on random q,
 `feasible_point` on the orthant systems of column sufficiency at
-n = 2, 3, and the `values` and `real_values()` of `eigenvalues`, with and
-without the residual check, on every class tag at n = 1..10, seeds 0-2.
+n = 2, 3, the `values` and `real_values()` of `eigenvalues`, with and
+without the residual check, on every class tag at n = 1..10, seeds 0-2,
+the orthant-LP phase of `is_column_sufficient` at n = 4, and the edge
+branches of `wedge_check` (the P0 equality case) and of
+`augment_to_P_set` (the scaled sigma and the early None).
 Raised errors are digested as type and message.  Two checkouts give the
 same outputs exactly when their lines are equal, so a refactor is checked
 with one diff:
@@ -182,6 +186,9 @@ def _commands(tmp: str) -> list[list[str]]:
                  "--order", "5", "--trials", "10"])
     cmds.append(["opsim", "rev", "--spec", put("op-identity2", _literal(np.eye(2))), "--order", "2",
                  "--x=1e-6,1e-6"])
+    # past the minor-sweep cap: P and P0 by the sign-reversal search alone
+    for name, spec in (("pdiag13", GenSpec("P-diagdom", 13, seed=1)), ("nonp14", GenSpec("non-P", 14, seed=1))):
+        cmds.append(["classify", "--input", put("m-" + name, serialize.matrix_to_obj(generate(spec)))])
     return cmds
 
 
@@ -417,6 +424,34 @@ def _feasibility_outputs() -> list:
     return out
 
 
+def _lp_phase_outputs() -> list:
+    """is_column_sufficient at n = 4 on a permuted upper-triangular
+    P-matrix (off-diagonal magnitudes 3.5-6 against diagonals 0.5-1.5),
+    with a budget that leaves the axis and random phases without a
+    witness, so the orthant LPs run."""
+    rng = np.random.default_rng(4)
+    n = 4
+    mat = np.diag(rng.uniform(0.5, 1.5, n))
+    iu = np.triu_indices(n, 1)
+    mat[iu] = rng.uniform(3.5, 6.0, len(iu[0])) * rng.choice([-1.0, 1.0], len(iu[0]))
+    perm = rng.permutation(n)
+    return [_outcome(classify.is_column_sufficient, mat[np.ix_(perm, perm)], budget=2 * n * n + 40)]
+
+
+def _spectral_edge_outputs() -> list:
+    """wedge_check's P0 equality case ({+-i} and the cube roots of unity),
+    and augment_to_P_set on a pair whose sigma overflows unscaled and on a
+    pair so near the negative axis that the Kellogg bound asks for more
+    additions than the search allows."""
+    w = complex(-0.5, np.sqrt(3.0) / 2.0)
+    return [
+        _outcome(spectral.wedge_check, [1j, -1j], "P0"),
+        _outcome(spectral.wedge_check, [w, w.conjugate(), 1.0], "P0"),
+        _outcome(spectral.augment_to_P_set, [complex(1e200, 1e200), complex(1e200, -1e200)]),
+        _outcome(spectral.augment_to_P_set, [complex(-1.0, 1e-4), complex(-1.0, -1e-4)]),
+    ]
+
+
 API_GROUPS = (
     ("augment_to_P_set seed-1 suite sets", lambda: _augment_outputs(1)),
     ("augment_to_P_set seed-2 suite sets", lambda: _augment_outputs(2)),
@@ -433,6 +468,8 @@ API_GROUPS = (
     ("feasible_point orthant systems", _feasibility_outputs),
     ("enumerate_for_each n = 11, 12", _lcp_wide_outputs),
     ("eigenvalues values real_values", _eigenvalue_outputs),
+    ("is_column_sufficient orthant-LP phase n = 4", _lp_phase_outputs),
+    ("wedge_check P0 equality augment_to_P_set overflow and none", _spectral_edge_outputs),
 )
 
 

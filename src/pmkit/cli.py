@@ -311,23 +311,22 @@ def build_parser() -> argparse.ArgumentParser:
         "LCP cross-validation, and finite-section operator experiments",
     )
 
-    def command(sub, name, fn, help, seed=0):
+    def command(sub, name, fn, help, seed=None, tolerances=True):
+        # --seed where the handler draws at random, --tol-* where it judges against a Tolerances
         p = sub.add_parser(name, help=help)
-        p.add_argument(
-            "--tol-minor", type=float, default=DEFAULT_TOL.minor, help="minor positivity coefficient"
-        )
-        p.add_argument(
-            "--tol-sing", type=float, default=DEFAULT_TOL.sing, help="singularity pivot coefficient"
-        )
-        p.add_argument("--seed", type=int, default=seed, help="RNG seed (default %(default)s)")
+        p.set_defaults(fn=fn, seed=0, tol_minor=DEFAULT_TOL.minor, tol_sing=DEFAULT_TOL.sing)
+        if tolerances:
+            p.add_argument("--tol-minor", type=float, help="minor positivity coefficient")
+            p.add_argument("--tol-sing", type=float, help="singularity pivot coefficient")
+        if seed is not None:
+            p.add_argument("--seed", type=int, default=seed, help="RNG seed (default %(default)s)")
         p.add_argument("--out", help="write the JSON report here")
         p.add_argument("--quiet", action="store_true", help="suppress the human-readable summary")
-        p.set_defaults(fn=fn)
         return p
 
     commands = parser.add_subparsers(dest="command", required=True)
 
-    p = command(commands, "classify", _cmd_classify, "class membership report for a matrix")
+    p = command(commands, "classify", _cmd_classify, "class membership report for a matrix", seed=0)
     p.add_argument("--input", required=True, help="matrix JSON or CSV file")
     p.add_argument("--budget", type=int, default=2000)
 
@@ -343,36 +342,37 @@ def build_parser() -> argparse.ArgumentParser:
         dest="action", required=True
     )
 
-    def lcp_action(name, fn, help):
-        p = command(actions, name, fn, help)
+    def lcp_action(name, fn, help, **common):
+        p = command(actions, name, fn, help, **common)
         p.add_argument("--input", required=True, help='instance JSON {"m": ..., "q": [...]}')
         return p
 
     lcp_action("solve", _cmd_lcp_solve, "Lemke's method")
     lcp_action("enumerate", _cmd_lcp_enumerate, "every solution, over all complementary bases")
-    p = lcp_action("census", _cmd_lcp_census, "solution counts for random q")
+    p = lcp_action("census", _cmd_lcp_census, "solution counts for random q", seed=0)
     p.add_argument("--trials", type=int, default=100)
 
     actions = commands.add_parser("opsim", help="operator finite-section experiments").add_subparsers(
         dest="action", required=True
     )
 
-    def opsim_action(name, fn, help, spec_help="operator spec JSON"):
-        p = command(actions, name, fn, help)
+    def opsim_action(name, fn, help, spec_help="operator spec JSON", **common):
+        p = command(actions, name, fn, help, **common)
         p.add_argument("--spec", required=True, help=spec_help)
         p.add_argument("--order", type=int, required=True)
         return p
 
-    opsim_action("sqrt", _cmd_opsim_sqrt, "square root of a diagonal section")
-    p = opsim_action("minmax", _cmd_opsim_minmax, "Perron root with its Collatz-Wielandt bracket")
+    opsim_action("sqrt", _cmd_opsim_sqrt, "square root of a diagonal section", tolerances=False)
+    p = opsim_action("minmax", _cmd_opsim_minmax, "Perron root with its Collatz-Wielandt bracket",
+                     seed=0, tolerances=False)
     p.add_argument("--trials", type=int, default=100)
-    p = opsim_action("interp", _cmd_opsim_interp, "interpolant nonsingularity", '{"s": spec, "t": spec} JSON')
+    p = opsim_action("interp", _cmd_opsim_interp, "interpolant nonsingularity", '{"s": spec, "t": spec} JSON', seed=0)
     p.add_argument("--trials", type=int, default=100)
-    opsim_action("csuff", _cmd_opsim_csuff, "column-sufficiency kernel search")
+    opsim_action("csuff", _cmd_opsim_csuff, "column-sufficiency kernel search", seed=0)
     p = opsim_action("rev", _cmd_opsim_rev, "sign-reversal membership")
     p.add_argument("--x", required=True, help="vector, comma-separated")
 
-    p = command(commands, "gen", _cmd_gen, "draw a matrix from a class generator")
+    p = command(commands, "gen", _cmd_gen, "draw a matrix from a class generator", seed=0, tolerances=False)
     p.add_argument("--class", dest="class_tag", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--scale", type=float, default=1.0)

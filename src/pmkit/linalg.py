@@ -254,27 +254,45 @@ def pair_conjugates(values: Sequence[complex]) -> Spectrum:
     return Spectrum(tuple(v for _, group in entries for v in group), closed)
 
 
+def _eigvals_2x2(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The closed-form eigenvalues of each row (a, b, c, d) of an (R, 4)
+    array, as (R, 2) complex, and whether each row's discriminant is
+    finite."""
+    a, b, c, d = flat.T
+    t = a + d
+    disc = t * t - 4.0 * (a * d - b * c)
+    root = np.sqrt(np.abs(disc))
+    real = disc >= 0.0
+    out = np.empty((len(t), 2), dtype=complex)
+    # (t +- sqrt(disc)) / 2, or t / 2 +- i sqrt(-disc) / 2
+    out.real = np.where(real, [t + root, t - root], t).T / 2.0
+    out.imag = np.where(real, 0.0, [root, -root]).T / 2.0
+    return out, np.isfinite(disc)
+
+
 def stack_eigvals(stack: np.ndarray) -> np.ndarray:
     """Eigenvalues of each matrix of an (R, k, k) stack, as (R, k) complex.
 
     k <= 2 is exact: the entry, or the closed form (the terminal step of
     QR deflation), so a defective double eigenvalue of an integer 2x2
-    matrix is not split by ~sqrt(eps).  k >= 3 is LAPACK dgeev per matrix
-    through `np.linalg.eigvals`, the same bits as one call each; a matrix
-    that does not converge raises NoConvergenceError."""
+    matrix is not split by ~sqrt(eps).  Past about 1e154 the closed form's
+    t*t and a*d overflow; such a row is redone on its entries times 2^-e,
+    e the exponent of its largest |entry|, and its values scaled back by
+    2^e (both exact).  k >= 3 is LAPACK dgeev per matrix through
+    `np.linalg.eigvals`, the same bits as one call each; a matrix that does
+    not converge raises NoConvergenceError."""
     k = stack.shape[-1]
     if k == 1:
         return stack[:, 0, :].astype(complex)
     if k == 2:
-        a, b, c, d = stack.reshape(-1, 4).T
-        t = a + d
-        disc = t * t - 4.0 * (a * d - b * c)
-        root = np.sqrt(np.abs(disc))
-        real = disc >= 0.0
-        out = np.empty((len(t), 2), dtype=complex)
-        # (t +- sqrt(disc)) / 2, or t / 2 +- i sqrt(-disc) / 2
-        out.real = np.where(real, [t + root, t - root], t).T / 2.0
-        out.imag = np.where(real, 0.0, [root, -root]).T / 2.0
+        flat = stack.reshape(-1, 4)
+        out, finite = _eigvals_2x2(flat)
+        if not finite.all():
+            rows = ~finite
+            e = np.frexp(np.abs(flat[rows]).max(axis=1))[1][:, None]
+            redo = _eigvals_2x2(np.ldexp(flat[rows], -e))[0]
+            out.real[rows] = np.ldexp(redo.real, e)
+            out.imag[rows] = np.ldexp(redo.imag, e)
         return out
     try:
         return np.linalg.eigvals(stack).astype(complex, copy=False)

@@ -1,6 +1,7 @@
 """Class-membership tests: P / P0 / Z / positive stable / sufficiency."""
 
 import math
+import warnings
 from itertools import combinations, count, product
 
 import numpy as np
@@ -146,6 +147,16 @@ class TestSubmatrixEigenOracle:
 
     def test_rotation_zero_eigenvalue_submatrix(self):
         assert classify.is_P_submatrix_eigen([[0.0, -1.0], [1.0, 0.0]]) == NO
+
+    @pytest.mark.parametrize("scale", [1e155, 1e200])
+    def test_negative_eigenvalue_past_the_overflow_scale(self, scale):
+        # eigenvalues 3 * scale and -scale; the 2x2 closed form gave NaN
+        # there, which the realness test skipped, and the oracle said "yes"
+        m = scale * np.array([[1.0, 2.0], [2.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert classify.is_P_submatrix_eigen(m) == NO
+            assert classify.is_P_minors(m) == (NO, (1, 2))
 
     def test_agrees_with_minors_on_random(self):
         rng = np.random.default_rng(23)

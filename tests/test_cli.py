@@ -1,16 +1,21 @@
 """CLI behavior: exit codes, report determinism, file formats."""
 
+import argparse
+import ast
+import inspect
 import json
 import os
 import subprocess
 import sys
+import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pmkit import serialize
-from pmkit.cli import main
+from pmkit.cli import build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -29,6 +34,20 @@ def identity_matrix(tmp_path):
     path = tmp_path / "id.json"
     serialize.write_json(str(path), serialize.matrix_to_obj(np.eye(2)))
     return str(path)
+
+
+def _leaf_commands(parser, words=""):
+    """{command words: subparser} over the leaf subcommands of `parser`."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {words: parser}
+    leaves = {}
+    for name, sub in subs[0].choices.items():
+        leaves.update(_leaf_commands(sub, f"{words} {name}".strip()))
+    return leaves
+
+
+LEAF_COMMANDS = _leaf_commands(build_parser())
 
 
 def read_report(path):
@@ -56,6 +75,15 @@ class TestClassify:
         out = tmp_path / "r.json"
         assert main(["classify", "--input", str(path), "--out", str(out)]) == 0
         assert read_report(out)["result"]["verdicts"]["P"] == "yes"
+
+    def test_two_by_two_past_the_overflow_scale(self, tmp_path):
+        # exit 2 with "failed conjugate pairing" while the 2x2 closed form overflowed
+        path, out = tmp_path / "m.json", tmp_path / "r.json"
+        serialize.write_json(str(path), serialize.matrix_to_obj(np.diag([1e200, 1e200])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["classify", "--input", str(path), "--out", str(out), "--quiet"]) == 0
+        assert read_report(out)["result"]["verdicts"]["positive-stable"] == "yes"
 
     def test_missing_file_usage_error(self, tmp_path):
         assert main(["classify", "--input", str(tmp_path / "nope.json")]) == 2
@@ -90,20 +118,20 @@ class TestTolerances:
         assert not out.exists()
         assert "positive and finite" in capsys.readouterr().err
 
+    # gen judges nothing against a Tolerances: argparse refuses its --tol-*
+    # whatever the value, and nothing is drawn or written
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
     @pytest.mark.parametrize("flag", ["--tol-minor", "--tol-sing"])
     def test_gen_invalid_coefficient_exit_2(self, tmp_path, capsys, value, flag):
         out = tmp_path / "g.json"
         assert main(["gen", "--class", "P-diagdom", "--n", "2", f"{flag}={value}", "--out", str(out)]) == 2
         assert not out.exists()
-        assert "positive and finite" in capsys.readouterr().err
+        assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_gen_valid_override_same_matrix(self, tmp_path):
-        plain, override = tmp_path / "plain.json", tmp_path / "override.json"
-        args = ["gen", "--class", "P-diagdom", "--n", "3", "--quiet", "--out"]
-        assert main(args + [str(plain)]) == 0
-        assert main(args + [str(override), "--tol-minor=1e-8"]) == 0
-        assert plain.read_bytes() == override.read_bytes()
+    def test_gen_valid_coefficient_exit_2(self, tmp_path):
+        out = tmp_path / "g.json"
+        assert main(["gen", "--class", "P-diagdom", "--n", "3", "--tol-minor=1e-8", "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_budget_zero_exit_2(self, example_matrix, tmp_path):
         out = tmp_path / "r.json"
@@ -374,6 +402,20 @@ class TestUsage:
             (["opsim", "interp", "--spec", "{pair}", "--order", "2"], ["--x=1,1"]),
             (["opsim", "csuff", "--spec", "{literal}", "--order", "2"], ["--x=1,1"]),
             (["pset", "--values", "1,1"], ["--input", "{values}"]),
+            # no draw at random: --seed
+            (["factor", "--input", "{matrix}"], ["--seed", "7"]),
+            (["pset", "--values", "1,1"], ["--seed", "7"]),
+            (["lcp", "solve", "--input", "{inst}"], ["--seed", "7"]),
+            (["lcp", "enumerate", "--input", "{inst}"], ["--seed", "7"]),
+            (["opsim", "sqrt", "--spec", "{diagonal}", "--order", "2"], ["--seed", "7"]),
+            (["opsim", "rev", "--spec", "{diagonal}", "--order", "2", "--x=1,1"], ["--seed", "7"]),
+            # nothing judged against a Tolerances: --tol-minor and --tol-sing
+            (["gen", "--class", "P-diagdom", "--n", "2"], ["--tol-minor=1e-8"]),
+            (["gen", "--class", "P-diagdom", "--n", "2"], ["--tol-sing=1e-9"]),
+            (["opsim", "sqrt", "--spec", "{diagonal}", "--order", "2"], ["--tol-minor=1e-8"]),
+            (["opsim", "sqrt", "--spec", "{diagonal}", "--order", "2"], ["--tol-sing=1e-9"]),
+            (["opsim", "minmax", "--spec", "{literal}", "--order", "2"], ["--tol-minor=1e-8"]),
+            (["opsim", "minmax", "--spec", "{literal}", "--order", "2"], ["--tol-sing=1e-9"]),
         ],
     )
     def test_flag_the_action_does_not_read_exit_2(self, tmp_path, args, ignored):
@@ -387,6 +429,7 @@ class TestUsage:
             "literal": literal,
             "pair": {"s": identity, "t": identity},
             "values": {"values": [{"re": 1.0, "im": 0.0}]},
+            "matrix": serialize.matrix_to_obj(np.eye(2)),
         }
         paths = {}
         for name, obj in files.items():
@@ -402,6 +445,21 @@ class TestUsage:
         spec = tmp_path / "spec.json"
         serialize.write_json(str(spec), {"kind": "banded", "rule": {"name": "tridiag", "params": {"a": 2.0, "b": -1.0}}, "decay": False})
         assert main(["opsim", "rev", "--spec", str(spec), "--order", "2"]) == 2
+
+    @pytest.mark.parametrize("command", LEAF_COMMANDS)
+    def test_every_option_is_read_by_its_handler(self, command):
+        # each option but --out and --quiet is an `args.<dest>` in the
+        # handler, and the --tol-* pair is there exactly when the handler
+        # uses the `tol` that main builds from it
+        sub = LEAF_COMMANDS[command]
+        tree = ast.parse(textwrap.dedent(inspect.getsource(sub.get_default("fn"))))
+        nodes = list(ast.walk(tree))
+        read = {n.attr for n in nodes if isinstance(n, ast.Attribute) and getattr(n.value, "id", None) == "args"}
+        uses_tol = any(isinstance(n, ast.Name) and n.id == "tol" and isinstance(n.ctx, ast.Load) for n in nodes)
+        tols = {"tol_minor", "tol_sing"}
+        dests = {a.dest for a in sub._actions} - {"help", "out", "quiet"}
+        assert dests - tols <= read
+        assert dests & tols == (tols if uses_tol else set())
 
     def test_environment_does_not_set_the_seed(self, identity_matrix, tmp_path, monkeypatch):
         monkeypatch.setenv("PMKIT_SEED", "5")

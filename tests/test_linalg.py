@@ -168,6 +168,14 @@ class TestEigenvalues:
         spec = linalg.eigenvalues(np.diag([2.0, 3.0]))
         assert sorted(v.real for v in spec.values) == [2.0, 3.0]
 
+    def test_two_by_two_past_the_overflow_scale(self):
+        # the closed form's discriminant was inf - inf here, and the NaN
+        # values failed conjugate pairing
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            spec = linalg.eigenvalues(np.diag([1e155, 2e155]))
+        np.testing.assert_allclose(spec.real_values(), [1e155, 2e155], rtol=1e-15)
+
     def test_rotation_pure_imaginary(self):
         # characteristic polynomial x^2 + 1
         spec = linalg.eigenvalues([[0.0, -1.0], [1.0, 0.0]])
@@ -278,6 +286,40 @@ class TestStackEigvals:
         disc = t * t - 4.0 * (stack[:, 0, 0] * stack[:, 1, 1] - stack[:, 0, 1] * stack[:, 1, 0])
         assert (disc < 0).any() and (disc == 0).any() and (disc > 0).any()
         self.assert_same_bits(stack, np.array([closed_form_2x2(m) for m in stack]))
+
+    @pytest.mark.parametrize("mat, want", [
+        (1e155 * np.array([[1.0, 2.0], [2.0, 1.0]]), (3e155, -1e155)),
+        (1e200 * np.array([[1.0, 2.0], [2.0, 1.0]]), (3e200, -1e200)),
+        (np.diag([1e155, 2e155]), (2e155, 1e155)),
+        (np.diag([1e200, 1e200]), (1e200, 1e200)),
+        (np.array([[1e200, 0.0], [0.0, -1e200]]), (1e200, -1e200)),   # t*t = 0 but a*d = -inf: disc = inf
+        (np.array([[1e300, -1e300], [1e300, 1e300]]), (1e300 + 1e300j, 1e300 - 1e300j)),
+    ])
+    def test_two_by_two_past_the_overflow_scale(self, mat, want):
+        # t*t and a*d overflow here, and the plain closed form gives NaN or inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = linalg.stack_eigvals(mat[None])[0]
+            assert not np.isfinite(closed_form_2x2(mat)).all()
+        np.testing.assert_allclose(got, want, rtol=1e-15)
+        # the closed form on the entries times 2^-e, scaled back by 2^e
+        e = np.frexp(np.abs(mat).max())[1]
+        small, want = closed_form_2x2(np.ldexp(mat, -e)), np.empty(2, dtype=complex)
+        want.real, want.imag = np.ldexp(small.real, e), np.ldexp(small.imag, e)
+        _same_bits(got, want)
+
+    def test_finite_rows_keep_their_bits_next_to_a_rescaled_row(self):
+        rng = np.random.default_rng(11)
+        finite = np.concatenate([[EXAMPLE, [[1.0, 1.0], [0.0, 1.0]], [[1e150, 1.0], [0.0, 1e150]]],
+                                 rng.uniform(-1.0, 1.0, (20, 2, 2))])
+        stack = np.concatenate([finite[:2], [1e200 * np.eye(2)], finite[2:]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = linalg.stack_eigvals(stack)
+        self.assert_same_bits(finite, np.delete(got, 2, axis=0))
+        self.assert_same_bits(finite, np.array([closed_form_2x2(m) for m in finite]))
+        # the worked example's exact double eigenvalue 1
+        _same_bits(got[0], np.array([1.0, 1.0], dtype=complex))
 
     def test_one_by_one_is_the_entry(self):
         self.assert_same_bits([[[2.5]], [[-0.0]], [[1e-300]]], np.array([[2.5], [-0.0], [1e-300]], dtype=complex))
