@@ -24,9 +24,12 @@ cap), `lemke_solve` at n = 12..32 on random q,
 `feasible_point` on the orthant systems of column sufficiency at
 n = 2, 3, the `values` and `real_values()` of `eigenvalues`, with and
 without the residual check, on every class tag at n = 1..10, seeds 0-2,
-the orthant-LP phase of `is_column_sufficient` at n = 4, and the edge
+the orthant-LP phase of `is_column_sufficient` at n = 4, the edge
 branches of `wedge_check` (the P0 equality case) and of
-`augment_to_P_set` (the scaled sigma and the early None).
+`augment_to_P_set` (the scaled sigma and the early None), and
+`find_reversal_witness`, `is_column_sufficient` and
+`csufficient_kernel_search` on draws scaled from the subnormal range to
+2^900, where the exact products of the witness gate pass 2,000 bits.
 Raised errors are digested as type and message.  Two checkouts give the
 same outputs exactly when their lines are equal, so a refactor is checked
 with one diff:
@@ -452,6 +455,28 @@ def _spectral_edge_outputs() -> list:
     ]
 
 
+def _wide_scale_outputs() -> list:
+    """find_reversal_witness and is_column_sufficient on non-P, arbitrary
+    and Z draws at n = 2, 3, 5, 8, scaled by 2^k for k = -1000, -500, 500,
+    900 and as D A D with D = diag(2^-500, 2^450, ...) (entries from
+    2^-1000 to 2^900, so exact products pass 2,000 bits), and
+    csufficient_kernel_search on two sections scaled into the subnormal
+    range and by 2^900."""
+    out = []
+    for tag, n in product(("non-P", "arbitrary", "Z"), (2, 3, 5, 8)):
+        d = np.diag(2.0 ** np.resize([-500, 450], n))
+        mats = [generate(GenSpec(tag, n, seed=n, scale=2.0 ** k)) for k in (-1000, -500, 500, 900)]
+        for m in mats + [d @ generate(GenSpec(tag, n, seed=n)) @ d]:
+            out.append(_outcome(classify.find_reversal_witness, m, budget=200, seed=n))
+            out.append(_outcome(classify.is_column_sufficient, m, budget=200, seed=n))
+    for tag, seed in (("arbitrary", 14), ("Z", 0)):
+        for k in (-1060, 900):
+            spec = opsim.make_spec("dense-rule", "matrix-literal",
+                                   {"matrix": (generate(GenSpec(tag, 4, seed=seed)) * 2.0 ** k).tolist()})
+            out.append(_outcome(opsim.csufficient_kernel_search, spec, 4, seed=1))
+    return out
+
+
 API_GROUPS = (
     ("augment_to_P_set seed-1 suite sets", lambda: _augment_outputs(1)),
     ("augment_to_P_set seed-2 suite sets", lambda: _augment_outputs(2)),
@@ -470,6 +495,8 @@ API_GROUPS = (
     ("eigenvalues values real_values", _eigenvalue_outputs),
     ("is_column_sufficient orthant-LP phase n = 4", _lp_phase_outputs),
     ("wedge_check P0 equality augment_to_P_set overflow and none", _spectral_edge_outputs),
+    ("find_reversal_witness is_column_sufficient csufficient_kernel_search at 2^-1000..2^900",
+     _wide_scale_outputs),
 )
 
 

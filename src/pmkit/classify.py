@@ -10,16 +10,15 @@ shortcut); otherwise it is decided exactly for n <= 3 (orthant-wise
 polyhedral emptiness over exact rationals), and beyond that a search
 gives "no" with a witness or "unknown".
 
-Every returned witness is re-validated in exact rational arithmetic
-before release: a sign-reversal witness x satisfies x_i (Ax)_i <= 0 for
-all i, a sufficiency witness additionally has a strictly negative
-product.
+Every returned witness is re-validated exactly, in integers over a
+power-of-two denominator, before release: a sign-reversal witness x
+satisfies x_i (Ax)_i <= 0 for all i, a sufficiency witness additionally
+has a strictly negative product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import chain, islice, product
 from typing import Optional
 
@@ -124,29 +123,27 @@ def reversal_products(m, x) -> np.ndarray:
     return v * (mat @ v)
 
 
-def products_nonpositive_exact(
-    m, x, strict: bool = False, tol: Tolerances = DEFAULT_TOL
-) -> bool:
-    """Exact-rational check that all x_i (m x)_i <= 0.
+def products_nonpositive_exact(m, x, strict: bool = False, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """Exact check that all x_i (m x)_i <= 0, on the integer numerators of
+    `feasibility.exact_products`.
 
     With `strict`, at least one product must clear the scaled minor
-    threshold (< -tol.minor_for(norm, 1) * ||x||_inf^2); violations below
-    that are indistinguishable from rounding and do not refute
-    sufficiency.  The check is scale-invariant in x.
+    threshold (< -tol.minor_for(norm, 1) * ||x||_inf^2, taken exactly);
+    violations below that are indistinguishable from rounding and do not
+    refute sufficiency.  The check is scale-invariant in x.
     """
     mat = as_matrix(m)
     v = as_vector(x, mat.shape[0])
     if not np.any(v):
         return not strict
-    prods = feasibility.exact_products(mat, v)
-    if any(p > 0 for p in prods):
+    prods, den = feasibility.exact_products(mat, v)
+    if max(prods) > 0:
         return False
     if not strict:
         return True
-    margin = Fraction(float(tol.minor_for(inf_norm(mat), 1))) * Fraction(
-        float(np.abs(v).max())
-    ) ** 2
-    return any(p < -margin for p in prods)
+    # the margin t s^2 over t = T / c and s = S / c: min p / den < -T S^2 / c^3
+    (t, s), c = feasibility._dyadic([tol.minor_for(inf_norm(mat), 1), np.abs(v).max()])
+    return min(prods) * c**3 < -t * s * s * den
 
 
 def _snap_tiny(x: np.ndarray) -> np.ndarray:

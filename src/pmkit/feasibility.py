@@ -1,10 +1,15 @@
-"""Exact rational feasibility for tiny linear inequality systems.
+"""Exact arithmetic on floats: the one dyadic conversion, the exact
+reversal products, and feasibility of tiny linear inequality systems.
 
-Fourier-Motzkin elimination over primitive integer rows.  Each float is a
-dyadic rational, so a constraint converts exactly to integers by scaling
-it by its largest power-of-two denominator; it is then divided by the gcd
-of its entries.  Two constraints are positive multiples of each other
-exactly when their primitive rows are equal, which is the dedupe key, and
+Each float is a dyadic rational, so floats convert exactly to integers
+over one denominator, their largest, a power of two (`_dyadic`).
+`exact_products` gives x_i (M x)_i as integers over one such denominator,
+so callers decide signs and margins in ints, with no rounding.
+
+Fourier-Motzkin elimination runs over primitive integer rows: a
+constraint is converted by `_dyadic`, then divided by the gcd of its
+entries.  Two constraints are positive multiples of each other exactly
+when their primitive rows are equal, which is the dedupe key, and
 eliminating x_j combines a lower row L (a_l > 0) with an upper row U
 (a_u < 0) as (-a_u) L + a_l U, again made primitive.  Back-substitution
 runs in `fractions.Fraction`, so feasibility decisions and the returned
@@ -20,17 +25,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
+
+import numpy as np
 
 Row = tuple[int, ...]
 
 
-def _integer_row(values: Sequence[float]) -> Row:
-    """The floats as integers, scaled by their largest denominator (a power
-    of two, so every other denominator divides it)."""
+def _dyadic(values: Sequence[float]) -> tuple[Row, int]:
+    """(ints, den) with values[i] == ints[i] / den exactly: den is the
+    largest denominator of the floats, a power of two, so every other
+    denominator divides it (1 for no values)."""
     ratios = [float(v).as_integer_ratio() for v in values]
-    den = max(d for _, d in ratios)
-    return tuple(p * (den // d) for p, d in ratios)
+    den = max((d for _, d in ratios), default=1)
+    return tuple(p * (den // d) for p, d in ratios), den
 
 
 def _dedup(rows: list[Row]) -> Optional[list[Row]]:
@@ -59,7 +68,7 @@ def feasible_point(rows: Sequence[Sequence[float]], consts: Sequence[float]) -> 
     nvars = len(rows[0]) if len(rows) else 0
     if any(len(row) != nvars for row in rows) or len(consts) != len(rows):
         raise ValueError("feasible_point needs one constant per row and rows of equal length")
-    constraints = _dedup([_integer_row(list(row) + [c]) for row, c in zip(rows, consts)])
+    constraints = _dedup([_dyadic(list(row) + [c])[0] for row, c in zip(rows, consts)])
     if constraints is None:
         return None
     return _solve(constraints, nvars)
@@ -109,13 +118,11 @@ def _solve(constraints: list[Row], nvars: int) -> Optional[tuple[Fraction, ...]]
     return inner + (x,)
 
 
-def exact_products(m, x) -> list[Fraction]:
-    """Componentwise x_i (M x)_i evaluated exactly over rationals."""
-    n = len(x)
-    xs = [Fraction(float(v)) for v in x]
-    rows = [[Fraction(float(v)) for v in row] for row in m]
-    out = []
-    for i in range(n):
-        mx = sum((rows[i][j] * xs[j] for j in range(n)), Fraction(0))
-        out.append(xs[i] * mx)
-    return out
+def exact_products(m, x) -> tuple[list[int], int]:
+    """(p, d) with x_i (M x)_i == p[i] / d exactly for every i, d a positive
+    power of two.  With M = A / a and x = X / b (`_dyadic`, one
+    denominator each), p_i = X_i sum_j A_ij X_j and d = a b^2."""
+    xs, b = _dyadic(np.asarray(x, dtype=float).ravel().tolist())
+    a_ints, a = _dyadic(np.asarray(m, dtype=float).ravel().tolist())
+    n = len(xs)
+    return [xi * sum(map(mul, a_ints[i * n:(i + 1) * n], xs)) for i, xi in enumerate(xs)], a * b * b

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
@@ -38,7 +37,7 @@ from .errors import (
     RuleUndefinedError,
     SingularMatrixError,
 )
-from .linalg import as_matrix, as_vector, eigenvalues, inf_norm, inverse, lu_factor_checked
+from .linalg import as_vector, eigenvalues, inf_norm, inverse, lu_factor_checked
 from .tolerances import DEFAULT_TOL, Tolerances, conj_for
 
 SECTION_MAX_ORDER = 64
@@ -210,20 +209,6 @@ def operator_sqrt(spec: OperatorSpec, n: int) -> np.ndarray:
     if resid > 1e-12 * (1.0 + inf_norm(sec)):
         raise NoConvergenceError(f"square-root residual {resid:.3e} unexpectedly large")
     return root
-
-
-def sqrt_candidate_deviation(spec: OperatorSpec, n: int, candidate) -> tuple[float, float]:
-    """(square residual, entrywise deviation from the canonical root) for a
-    diagonal positive candidate; the square root is injective on positives,
-    so a small first component forces a small second."""
-    cand = as_matrix(candidate)
-    if np.any(cand - np.diag(np.diag(cand))) or not (np.diag(cand) > 0).all():
-        raise NonDiagonalSpecError("candidate must be positive diagonal")
-    sec = section(spec, n)
-    root = operator_sqrt(spec, n)
-    sq_resid = inf_norm(cand @ cand - sec)
-    dev = float(np.abs(np.diag(cand) - np.diag(root)).max())
-    return sq_resid, dev
 
 
 # ---------------------------------------------------------------------------
@@ -424,16 +409,17 @@ def _kernel_refutation(mat: np.ndarray, x: np.ndarray) -> Optional[KernelRefutat
 
     With alpha = supp(x) and d_i = -x_i (Tx)_i / x_i^2 on alpha,
     (T_alpha,alpha + D) x_alpha = 0 exactly.  None unless D >= 0 and
-    D != 0 hold over the rationals.
+    D != 0 hold exactly, on the p_i of x_i (Tx)_i = p_i / den; with x = X / b,
+    each d_values entry is the correctly rounded quotient of ints -p_i b^2 / (den X_i^2).
     """
-    prods = feasibility.exact_products(mat, x)
-    alpha = [i for i, v in enumerate(x) if v != 0.0]
-    d = [-prods[i] / Fraction(float(x[i])) ** 2 for i in alpha]
-    if any(v < 0 for v in d) or not any(d):
+    prods, den = feasibility.exact_products(mat, x)
+    xs, b = feasibility._dyadic(x)
+    alpha = [i for i, v in enumerate(xs) if v]
+    if max(prods) > 0 or not any(prods):  # p_i = 0 off alpha
         return None
     return KernelRefutation(
         alpha=tuple(i + 1 for i in alpha),
-        d_values=tuple(float(v) for v in d),
+        d_values=tuple(-prods[i] * b * b / (den * xs[i] * xs[i]) for i in alpha),
         kernel_vector=tuple(float(x[i]) for i in alpha),
         full_witness=tuple(float(v) for v in x),
     )

@@ -1,9 +1,9 @@
 """JSON and CSV wire formats.
 
 Matrix JSON: {"n": int, "rows": [[...], ...]} with rows of exact length n.
-CSV alternative: n lines of n comma-separated decimals.  Decimals are
-written with shortest-round-trip repr, so values survive a decimal round
-trip to 17 significant digits.
+CSV is read only, as a matrix input: n lines of n comma-separated
+decimals; a decimal with 17 significant digits (or a float's repr) reads
+back that float exactly.
 """
 
 from __future__ import annotations
@@ -29,11 +29,6 @@ def matrix_from_obj(obj: dict) -> np.ndarray:
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError(f"rows must form an exact {n}x{n} grid")
     return as_matrix(rows)
-
-
-def matrix_to_csv(m) -> str:
-    mat = as_matrix(m)
-    return "\n".join(",".join(repr(float(x)) for x in row) for row in mat) + "\n"
 
 
 def matrix_from_csv(text: str) -> np.ndarray:

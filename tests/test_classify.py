@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 from itertools import combinations, count, product
 
 import numpy as np
@@ -11,7 +12,7 @@ from pmkit import classify, feasibility, linalg
 from pmkit.classify import NO, UNKNOWN, YES
 from pmkit.errors import DimensionTooLargeError, PreconditionViolatedError
 from pmkit.generators import CLASS_TAGS, GenSpec, generate
-from pmkit.tolerances import DEFAULT_TOL
+from pmkit.tolerances import DEFAULT_TOL, Tolerances
 
 EXAMPLE = np.array([[-1.0, -1.0], [4.0, 3.0]])  # not P, spectrum {1,1}
 
@@ -421,6 +422,71 @@ class TestWitnessGate:
         assert classify.find_reversal_witness(m, budget=100) is None
         assert calls["gate"] == 97  # 72 axis candidates + 25 Gaussian draws
         assert calls["exact"] == calls["gate"]
+
+
+def _reference_products_nonpositive_exact(m, x, strict=False, tol=DEFAULT_TOL):
+    """The exact gate as it stood over Fractions: the products x_i (M x)_i
+    and the margin tol.minor_for(||M||_inf, 1) * ||x||_inf^2."""
+    v = [Fraction(float(t)) for t in x]
+    if not any(v):
+        return not strict
+    prods = [v[i] * sum((Fraction(float(a)) * b for a, b in zip(row, v)), Fraction(0)) for i, row in enumerate(m)]
+    if any(p > 0 for p in prods):
+        return False
+    if not strict:
+        return True
+    margin = Fraction(float(tol.minor_for(linalg.inf_norm(m), 1))) * Fraction(float(np.abs(x).max())) ** 2
+    return any(p < -margin for p in prods)
+
+
+def _across_margin(tol, steps=12):
+    """The floats a within `steps` ulps of a = tol.minor (1 + a), where the
+    product -a of diag(-a) and x = 1 meets the strict margin."""
+    a0 = tol.minor / (1.0 - tol.minor)
+    below, above = [a0], [a0]
+    for _ in range(steps):
+        below.append(np.nextafter(below[-1], 0.0))
+        above.append(np.nextafter(above[-1], 1.0))
+    return below[:0:-1] + above
+
+
+class TestExactGate:
+    TOLS = (DEFAULT_TOL, Tolerances(minor=1e-3), Tolerances(minor=0.3))
+
+    def _gate_cases(self):
+        """diag(-a) with a stepping across the strict margin, x of norm 2^k
+        and 3 * 2^k for k in -1000..1000 (with a zero and a subnormal
+        coordinate); then seeded wide-exponent matrices whose every product
+        is <= 0 (nonpositive entries, x >= 0), and arbitrary draws."""
+        for tol in self.TOLS:
+            for k in (-1000, -1, 0, 500, 1000):
+                for s in (2.0 ** k, 3.0 * 2.0 ** k):
+                    for a in _across_margin(tol):
+                        yield np.diag([-a, 1.0, -a]), np.array([s, 0.0, 5e-324]), tol
+        rng = np.random.default_rng(26)
+        for n in range(1, 13):
+            for _ in range(6):
+                m = -np.abs(rng.standard_normal((n, n))) * np.exp2(rng.integers(-500, 501, (n, n)))
+                x = np.abs(rng.standard_normal(n)) * np.exp2(rng.integers(-500, 501, n))
+                x[rng.random(n) < 0.2] = 0.0
+                yield m, x, self.TOLS[n % 3]
+                yield generate(GenSpec("arbitrary", n, seed=n)), rng.standard_normal(n), DEFAULT_TOL
+
+    def test_same_verdicts_as_the_fraction_gate(self):
+        seen = set()
+        for m, x, tol in self._gate_cases():
+            for strict in (False, True):
+                want = _reference_products_nonpositive_exact(m, x, strict, tol)
+                assert classify.products_nonpositive_exact(m, x, strict, tol) == want
+                seen.add((strict, want))
+        assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_margin_decided_at_one_ulp(self):
+        # the strict verdict flips between two adjacent a
+        for tol in self.TOLS:
+            verdicts = [classify.products_nonpositive_exact(np.diag([-a]), [1.0], True, tol)
+                        for a in _across_margin(tol)]
+            assert verdicts == sorted(verdicts) and verdicts[0] is False and verdicts[-1] is True
 
 
 def _reference_find_reversal_witness(m, budget, seed, tol=DEFAULT_TOL):

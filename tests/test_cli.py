@@ -71,7 +71,7 @@ class TestClassify:
 
     def test_csv_input(self, tmp_path):
         path = tmp_path / "m.csv"
-        path.write_text(serialize.matrix_to_csv(np.eye(2)))
+        path.write_text("1.0,0.0\n0.0,1.0\n")
         out = tmp_path / "r.json"
         assert main(["classify", "--input", str(path), "--out", str(out)]) == 0
         assert read_report(out)["result"]["verdicts"]["P"] == "yes"
@@ -344,6 +344,26 @@ class TestGen:
         out = tmp_path / "m.json"
         assert main(["gen", "--class", "arbitrary", "--n", "65", "--out", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == ["error: DimensionTooLargeError: n=65 exceeds the cap 64"]
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("tag, scale", [("sym-PD", "1e200"), ("PSD", "1e200"), ("Z", "1.7e308")])
+    def test_scale_past_the_float_range_exit_2(self, tmp_path, capsys, tag, scale):
+        # sym-PD at 1e200 once exited 1 with an OverflowError traceback
+        out = tmp_path / "m.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["gen", "--class", tag, "--n", "3", "--scale", scale, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: ValidationFailedError: the draw is not finite: the scale is too large for this class"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])
+    def test_scale_not_positive_and_finite_exit_2(self, tmp_path, capsys, scale):
+        out = tmp_path / "m.json"
+        assert main(["gen", "--class", "arbitrary", "--n", "3", "--scale", scale, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: scale must be positive and finite")
         assert not out.exists()
 
 

@@ -1,5 +1,7 @@
-"""Fourier-Motzkin over integer rows against the Fraction elimination it
-replaced: the same point, or None, on every system."""
+"""The exact kernel against the Fraction arithmetic it replaced: the dyadic
+conversion and the exact products x_i (M x)_i give the same rationals, and
+Fourier-Motzkin over integer rows gives the same point, or None, on every
+system."""
 
 from fractions import Fraction
 from itertools import product
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 from pmkit import classify
-from pmkit.feasibility import feasible_point
+from pmkit.feasibility import _dyadic, exact_products, feasible_point
 from pmkit.generators import GenSpec, generate
 
 
@@ -166,3 +168,63 @@ class TestAgainstReferenceElimination:
     def test_ragged_input_rejected(self, rows, consts):
         with pytest.raises(ValueError):
             feasible_point(rows, consts)
+
+
+TINY = 5e-324  # the smallest subnormal
+
+
+def _fraction_products(m, x):
+    """x_i (M x)_i over Fractions, as `exact_products` stood before."""
+    xs = [Fraction(float(v)) for v in x]
+    rows = [[Fraction(float(v)) for v in row] for row in m]
+    return [xs[i] * sum((rows[i][j] * xs[j] for j in range(len(xs))), Fraction(0)) for i in range(len(xs))]
+
+
+def _wide(rng, shape):
+    """Normal entries, each scaled by 2^k for k in -1000..1000, with zero
+    and subnormal entries."""
+    out = rng.standard_normal(shape) * np.exp2(rng.integers(-1000, 1001, shape))
+    out[rng.random(shape) < 0.15] = 0.0
+    sub = rng.random(shape) < 0.1
+    out[sub] = rng.integers(-2**40, 2**40, shape)[sub] * TINY
+    return out
+
+
+def _product_inputs():
+    """Seeded (m, x) at n = 1..40: entrywise wide exponents, one whole-array
+    scale of 2^1000 or 2^-1000 each, and all-subnormal x."""
+    for n in range(1, 41):
+        rng = np.random.default_rng(n)
+        yield _wide(rng, (n, n)), _wide(rng, n)
+        yield rng.standard_normal((n, n)) * 2.0 ** 1000, rng.standard_normal(n) * 2.0 ** -1000
+        yield rng.standard_normal((n, n)) * 2.0 ** -1000, rng.integers(-3, 4, n) * TINY
+
+
+def _is_power_of_two(d: int) -> bool:
+    return d > 0 and d & (d - 1) == 0
+
+
+class TestDyadic:
+    @pytest.mark.parametrize("values", [
+        [], [0.0], [-0.0, 1.0], [0.75, -3.0, 2.0 ** -1000], [TINY, 1e308, -2.5], [2.0 ** 1000, 2.0 ** -1074],
+    ])
+    def test_exact_over_the_largest_denominator(self, values):
+        ints, den = _dyadic(values)
+        assert all(type(v) is int for v in ints)
+        assert [Fraction(v, den) for v in ints] == [Fraction(v) for v in values]
+        assert den == max((Fraction(v).denominator for v in values), default=1)
+        assert _is_power_of_two(den)
+
+
+class TestExactProducts:
+    def test_equal_to_the_fraction_products(self):
+        for m, x in _product_inputs():
+            prods, den = exact_products(m, x)
+            assert _is_power_of_two(den)
+            assert all(type(p) is int for p in prods)
+            assert [Fraction(p, den) for p in prods] == _fraction_products(m, x)
+
+    def test_inputs_reach_past_2000_bits(self):
+        # the wide inputs make integers no float could hold
+        bits = max(max(abs(p).bit_length() for p in exact_products(m, x)[0]) for m, x in _product_inputs())
+        assert bits > 2000

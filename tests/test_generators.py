@@ -1,12 +1,15 @@
 """Generator oracle coverage and determinism."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from pmkit import classify
 from pmkit.classify import NO, YES
-from pmkit.errors import DimensionTooLargeError
-from pmkit.generators import GenSpec, generate
+from pmkit.errors import DimensionTooLargeError, ValidationFailedError
+from pmkit.generators import CLASS_TAGS, GenSpec, generate
 from pmkit.linalg import MAX_DIM
 
 
@@ -87,3 +90,32 @@ def test_z_tag(seed):
 def test_arbitrary_entries_bounded():
     m = generate(GenSpec("arbitrary", 6, seed=3, scale=2.0))
     assert np.abs(m).max() <= 2.0
+
+
+@pytest.mark.parametrize("scale", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+def test_scale_not_positive_and_finite_rejected(scale):
+    with pytest.raises(ValueError, match="^scale must be positive and finite"):
+        GenSpec("arbitrary", 3, 0, scale=scale)
+
+
+@pytest.mark.parametrize("tag, scale", [
+    ("sym-PD", 1e200), ("PSD", 1e200), ("sym-PD", 1.7e308), ("P-diagdom", 1.7e308), ("M-matrix", 1.7e308),
+    ("Z", 1.7e308), ("non-P", 1.7e308),
+])
+def test_draw_past_the_float_range_rejected(tag, scale):
+    # no numpy warning, overflow or LinAlgError first: the draw is refused
+    # before any class oracle runs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationFailedError, match="not finite"):
+            generate(GenSpec(tag, 3, seed=1, scale=scale))
+
+
+@pytest.mark.parametrize("tag", CLASS_TAGS)
+@pytest.mark.parametrize("k", [-300, 100, 300])
+def test_power_of_two_scale_scales_the_draw_exactly(tag, k):
+    # a finite draw is the unit-scale draw times the scale (squared for the
+    # Gram classes), bit for bit
+    base = generate(GenSpec(tag, 5, seed=4))
+    factor = 2.0 ** (2 * k) if tag in ("sym-PD", "PSD") else 2.0 ** k
+    np.testing.assert_array_equal(generate(GenSpec(tag, 5, seed=4, scale=2.0 ** k)), base * factor)

@@ -169,13 +169,13 @@ class TestSqrt:
             assert np.abs(root @ root - sec).max() <= 1e-12
 
     def test_uniqueness_injectivity(self):
-        root = opsim.operator_sqrt(INV_SQ, 4)
-        good = root.copy()
-        sq, dev = opsim.sqrt_candidate_deviation(INV_SQ, 4, good)
-        assert sq <= 1e-15 and dev == 0.0
-        bad = good + np.diag([0.05, 0.0, 0.0, 0.0])
-        sq, dev = opsim.sqrt_candidate_deviation(INV_SQ, 4, bad)
-        assert sq > 1e-3 * dev  # deviation forces a square residual
+        # the square root is injective on positive diagonals: a candidate
+        # off the canonical root has a square residual
+        root, sec = opsim.operator_sqrt(INV_SQ, 4), section(INV_SQ, 4)
+        assert np.abs(root @ root - sec).max() <= 1e-15
+        bad = root + np.diag([0.05, 0.0, 0.0, 0.0])
+        dev = np.abs(np.diag(bad) - np.diag(root)).max()
+        assert np.abs(bad @ bad - sec).max() > 1e-3 * dev
 
     def test_preconditions(self):
         with pytest.raises(NonDiagonalSpecError):
@@ -437,6 +437,45 @@ class TestKernelSearch:
                     assert sum(t[i][j] * x[j] for j in alpha) + d[k] * x[i] == 0
                 assert r.d_values == tuple(float(v) for v in d)
                 assert all(v >= 0 for v in d) and any(v > 0 for v in d)
+
+    def test_kernel_refutation_d_values_bits(self):
+        # d_i = -x_i (Tx)_i / x_i^2 rounded once, as float(Fraction) rounds
+        # it; OverflowError where the quotient is past the float range
+        def reference(mat, x):
+            t = [[Fraction(float(v)) for v in row] for row in mat]
+            xs = [Fraction(float(v)) for v in x]
+            prods = [xs[i] * sum((t[i][j] * xs[j] for j in range(len(xs))), Fraction(0)) for i in range(len(xs))]
+            d = [-prods[i] / Fraction(float(x[i])) ** 2 for i in range(len(xs)) if x[i] != 0.0]
+            if any(v < 0 for v in d) or not any(d):
+                return None
+            return tuple(float(v) for v in d)
+
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except OverflowError:
+                return OverflowError
+
+        def d_values(mat, x):
+            r = opsim._kernel_refutation(mat, x)
+            return None if r is None else r.d_values
+
+        rng = np.random.default_rng(26)
+        seen = set()
+        for n in range(1, 9):
+            for _ in range(40):
+                # nonpositive entries and x >= 0: every product is <= 0
+                mat = -np.abs(rng.standard_normal((n, n))) * np.exp2(rng.integers(-600, 601, (n, n)))
+                mat[rng.random((n, n)) < 0.2] = 0.0
+                x = np.abs(rng.standard_normal(n)) * np.exp2(rng.integers(-600, 601, n))
+                x[rng.random(n) < 0.2] = 0.0
+                x[rng.random(n) < 0.1] = 5e-324
+                if rng.random() < 0.2:
+                    x = x * rng.choice([-1.0, 1.0], n)
+                want = outcome(reference, mat, x)
+                assert outcome(d_values, mat, x) == want
+                seen.add(want if want in (None, OverflowError) else tuple)
+        assert seen == {None, OverflowError, tuple}
 
     def test_kernel_refutation_needs_a_nonzero_nonnegative_d(self):
         nilpotent = np.array([[0.0, 0.0], [1.0, 0.0]])
