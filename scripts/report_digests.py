@@ -29,7 +29,11 @@ branches of `wedge_check` (the P0 equality case) and of
 `augment_to_P_set` (the scaled sigma and the early None), and
 `find_reversal_witness`, `is_column_sufficient` and
 `csufficient_kernel_search` on draws scaled from the subnormal range to
-2^900, where the exact products of the witness gate pass 2,000 bits.
+2^900, where the exact products of the witness gate pass 2,000 bits,
+and `is_column_sufficient` and `is_row_sufficient` on a 2x2 that only
+the violation-maximizing LP refutes and on a 2x2 whose "yes" a
+gate-passing point contradicts, with `csufficient_kernel_search` on a
+section whose refutation has a d_i past the float range.
 Raised errors are digested as type and message.  Two checkouts give the
 same outputs exactly when their lines are equal, so a refactor is checked
 with one diff:
@@ -65,6 +69,19 @@ P_NOT_STABLE = [[0.13, 0.08, -2.24], [-2.24, 0.03, -0.12], [0.02, 2.24, 0.09]]
 # upper-triangular P-matrix under the cyclic permutation (a P-matrix that
 # reaches Fourier-Motzkin too)
 P_TRIANGULAR = [[1.0, 0.0, 0.0], [-3.0, 1.0, 4.0], [5.0, 0.0, 1.0]]
+
+# not column sufficient, but its Fourier-Motzkin points miss the strict
+# margin: only the violation-maximizing LP point refutes it
+BACKSTOP_NO = [[230078478002.34384, 586235463.6407787], [14415847.250537457, 1.2532405601848157e-06]]
+# column sufficiency reads "yes" though (8.809803927180838e-06,
+# -0.9692296307052872) passes the strict gate
+CONTRADICTED_YES = [[14.278032135783922, 0.0001297800434461658], [56755.009105894955, 5.180488520048094e-07]]
+# a section whose kernel refutation has a d_i past the float range
+D_PAST_FLOAT_RANGE = [
+    [4.948525685970709e+301, -2.246878945848521e+296, -6.035876691077345e+303],
+    [-5.525065173437961e+292, -6.1396931713842785e+290, -1.5843144173871313e+289],
+    [-6.612659898616735e+290, 2.857841715166194e+301, 5.170113022846902e+302],
+]
 
 
 def _matrices() -> dict:
@@ -477,6 +494,17 @@ def _wide_scale_outputs() -> list:
     return out
 
 
+def _backstop_outputs() -> list:
+    b, a = np.array(BACKSTOP_NO), np.array(CONTRADICTED_YES)
+    spec = opsim.make_spec("dense-rule", "matrix-literal", {"matrix": D_PAST_FLOAT_RANGE})
+    return [
+        _outcome(classify.is_column_sufficient, b),
+        _outcome(classify.is_column_sufficient, a),
+        _outcome(classify.is_row_sufficient, b),
+        _outcome(opsim.csufficient_kernel_search, spec, 3),
+    ]
+
+
 API_GROUPS = (
     ("augment_to_P_set seed-1 suite sets", lambda: _augment_outputs(1)),
     ("augment_to_P_set seed-2 suite sets", lambda: _augment_outputs(2)),
@@ -497,6 +525,8 @@ API_GROUPS = (
     ("wedge_check P0 equality augment_to_P_set overflow and none", _spectral_edge_outputs),
     ("find_reversal_witness is_column_sufficient csufficient_kernel_search at 2^-1000..2^900",
      _wide_scale_outputs),
+    ("is_column_sufficient is_row_sufficient LP backstop csufficient_kernel_search d past float range",
+     _backstop_outputs),
 )
 
 

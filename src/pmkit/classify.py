@@ -6,9 +6,14 @@ positive stability, and column/row sufficiency.  Verdicts are
 three-valued ("yes" / "no" / "unknown"): budgeted searches must not
 masquerade as decisions.  Sufficiency is "yes" at every n when the
 symmetric part is positive semidefinite within tolerance (the PSD
-shortcut); otherwise it is decided exactly for n <= 3 (orthant-wise
-polyhedral emptiness over exact rationals), and beyond that a search
-gives "no" with a witness or "unknown".
+shortcut).  Otherwise, for n <= 3, every orthant/violation-position
+system is tested for emptiness over exact rationals and two points of
+each non-empty one go to the strict witness gate; "yes" means that none
+passed.  That "yes" is not an exact decision (the method label
+"exact-orthant-decomposition" names the procedure): a non-empty system
+holds an exact strict violation, and another of its points may clear the
+gate's margin.  Beyond n = 3 a search gives "no" with a witness or
+"unknown".
 
 Every returned witness is re-validated exactly, in integers over a
 power-of-two denominator, before release: a sign-reversal witness x
@@ -146,42 +151,22 @@ def products_nonpositive_exact(m, x, strict: bool = False, tol: Tolerances = DEF
     return min(prods) * c**3 < -t * s * s * den
 
 
-def _snap_tiny(x: np.ndarray) -> np.ndarray:
-    scale = np.abs(x).max()
-    if scale == 0.0:
-        return x
-    out = x.copy()
-    out[np.abs(out) <= 1e-11 * scale] = 0.0
-    return out
-
-
-def _normalize_witness(
-    mat: np.ndarray, x: np.ndarray, strict: bool, tol: Tolerances
-) -> Optional[np.ndarray]:
-    """Scale to ||x||_inf = 1 when that survives the exact gate; otherwise
-    fall back to an exact power-of-two scaling (sign-preserving)."""
-    scale = np.abs(x).max()
-    if scale == 0.0:
-        return None
-    plain = x / scale
-    if products_nonpositive_exact(mat, plain, strict, tol):
-        return plain
-    pow2 = x * 2.0 ** (-np.floor(np.log2(scale)) - 1)
-    if products_nonpositive_exact(mat, pow2, strict, tol):
-        return pow2
-    return None
-
-
 def _gate_witness(
     mat: np.ndarray, x: np.ndarray, strict: bool, tol: Tolerances = DEFAULT_TOL
 ) -> Optional[np.ndarray]:
-    snapped = _snap_tiny(x)
+    """x, then x with its entries <= 1e-11 ||x||_inf snapped to 0: the
+    first that passes the exact gate, scaled to ||x||_inf = 1 when that
+    passes it too, else by a power of two (sign-preserving); or None."""
+    scale = np.abs(x).max()
+    snapped = x.copy()
+    # the snap keeps the largest entry, so both candidates have x's scale
+    snapped[np.abs(x) <= 1e-11 * scale] = 0.0
     # an equal-valued snap has the same exact verdict (+-0 are the same rational)
     for cand in (x,) if np.array_equal(snapped, x) else (x, snapped):
         if np.any(cand) and products_nonpositive_exact(mat, cand, strict, tol):
-            out = _normalize_witness(mat, cand, strict, tol)
-            if out is not None:
-                return out
+            for out in (cand / scale, cand * 2.0 ** (-np.floor(np.log2(scale)) - 1)):
+                if products_nonpositive_exact(mat, out, strict, tol):
+                    return out
     return None
 
 
@@ -358,10 +343,14 @@ def is_column_sufficient(
     "no" carries an exact-validated witness.  Matrices whose symmetric
     part is positive semidefinite (within tolerance) are certified "yes"
     immediately at any n.  Otherwise the 2n^2 axis candidates always run
-    in full.  For n <= 3 the verdict is then an exact decision (every
-    orthant/violation-position system checked for emptiness over the
-    rationals) and the budget is not used.  For larger n a search returns
-    "no" or "unknown"; what is left of the budget after the axis scan
+    in full.  For n <= 3 every orthant/violation-position system is then
+    checked for emptiness over the rationals, its Fourier-Motzkin point
+    and violation-maximizing LP point go to the strict gate, and the
+    budget is not used.  "yes" there means that no such point passed,
+    not that none exists: every point of a non-empty system is an exact
+    strict violation, and for some matrices another of them clears the
+    margin that these two miss.  For larger n a search returns "no" or
+    "unknown"; what is left of the budget after the axis scan
     counts every further candidate, infeasible LPs included, so at
     n >= 32 the default 2000 stops the search after the axis scan.  A
     budget below 1 raises ValueError at every n.
@@ -384,8 +373,8 @@ def is_column_sufficient(
     out = _first_witness(mat, chain(_axis_candidates(n), rest), True, tol)
     if out is not None:
         return NO, out
-    # n <= 3: every orthant system is empty or carries only sub-threshold
-    # violations, a "yes" under the declared tolerances
+    # n <= 3: no point tried from a non-empty orthant system cleared the
+    # strict margin (untried points of it may)
     return (YES if exact else UNKNOWN), None
 
 
@@ -451,6 +440,14 @@ class ClassificationReport:
     tolerances_used: dict = field(default_factory=dict)
     seed: int = 0
 
+    def record(self, cls: str, verdict: str, method: str, witness=None) -> None:
+        """Enter the verdict on `cls`, the method it rests on and its
+        witness, when it has one."""
+        self.verdicts[cls] = verdict
+        self.methods[cls] = method
+        if witness is not None:
+            self.witnesses[cls] = witness
+
     def as_obj(self) -> dict:
         """Verdicts, witnesses and methods; the CLI report's envelope
         carries the seed, the tolerances and the input."""
@@ -475,43 +472,28 @@ def classify_matrix(
 
     if n <= MINORS_MAX_DIM:
         p_verdict, p_witness = is_P_minors(mat, tol)
-        rpt.verdicts["P"] = p_verdict
-        rpt.methods["P"] = "principal-minors"
-        if p_witness is not None:
-            rpt.witnesses["P"] = p_witness
+        rpt.record("P", p_verdict, "principal-minors", p_witness)
         # every P minor clears +threshold, so P settles P0 without a sweep
-        rpt.verdicts["P0"] = YES if p_verdict == YES else is_P0_minors(mat, tol)[0]
-        rpt.methods["P0"] = "principal-minors"
+        rpt.record("P0", YES if p_verdict == YES else is_P0_minors(mat, tol)[0], "principal-minors")
     else:
         witness = find_reversal_witness(mat, budget=budget, seed=seed, tol=tol)
-        rpt.verdicts["P"] = NO if witness is not None else UNKNOWN
-        rpt.methods["P"] = "sign-reversal-search"
-        if witness is not None:
-            rpt.witnesses["P"] = witness
-        rpt.verdicts["P0"] = UNKNOWN
-        rpt.methods["P0"] = "sign-reversal-search"
+        rpt.record("P", UNKNOWN if witness is None else NO, "sign-reversal-search", witness)
+        rpt.record("P0", UNKNOWN, "sign-reversal-search")
 
     z = is_Z(mat)
-    rpt.verdicts["Z"] = z
-    rpt.methods["Z"] = "off-diagonal-signs"
+    rpt.record("Z", z, "off-diagonal-signs")
     stable = is_positive_stable(mat, tol)
     # a Z-matrix is M exactly when it is positive stable (is_P_via_Z_spectrum)
-    rpt.verdicts["M"] = stable if z == YES else NO
-    rpt.methods["M"] = "Z-plus-eigenvalue-real-parts" if z == YES else "off-diagonal-signs"
-    rpt.verdicts["positive-stable"] = stable
-    rpt.methods["positive-stable"] = "eigenvalue-real-parts"
+    if z == YES:
+        rpt.record("M", stable, "Z-plus-eigenvalue-real-parts")
+    else:
+        rpt.record("M", NO, "off-diagonal-signs")
+    rpt.record("positive-stable", stable, "eigenvalue-real-parts")
 
+    method = "exact-orthant-decomposition" if n <= EXACT_SUFFICIENCY_MAX_DIM else "budgeted-search"
     col, col_w = is_column_sufficient(mat, budget=budget, seed=seed, tol=tol)
     row, row_w = is_row_sufficient(mat, budget=budget, seed=seed + 1, tol=tol)
-    rpt.verdicts["column-sufficient"] = col
-    rpt.verdicts["row-sufficient"] = row
-    rpt.verdicts["sufficient"] = verdict_and(col, row)
-    method = "exact-orthant-decomposition" if n <= EXACT_SUFFICIENCY_MAX_DIM else "budgeted-search"
-    rpt.methods["column-sufficient"] = method
-    rpt.methods["row-sufficient"] = method
-    rpt.methods["sufficient"] = method
-    if col_w is not None:
-        rpt.witnesses["column-sufficient"] = col_w
-    if row_w is not None:
-        rpt.witnesses["row-sufficient"] = row_w
+    rpt.record("column-sufficient", col, method, col_w)
+    rpt.record("row-sufficient", row, method, row_w)
+    rpt.record("sufficient", verdict_and(col, row), method)
     return rpt

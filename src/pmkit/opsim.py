@@ -28,6 +28,7 @@ from .classify import (
 )
 from .errors import (
     DimensionTooLargeError,
+    FloatRangeError,
     NoConvergenceError,
     NonDiagonalSpecError,
     NonPositiveEigenvalueError,
@@ -411,15 +412,20 @@ def _kernel_refutation(mat: np.ndarray, x: np.ndarray) -> Optional[KernelRefutat
     (T_alpha,alpha + D) x_alpha = 0 exactly.  None unless D >= 0 and
     D != 0 hold exactly, on the p_i of x_i (Tx)_i = p_i / den; with x = X / b,
     each d_values entry is the correctly rounded quotient of ints -p_i b^2 / (den X_i^2).
+    Raises FloatRangeError when one of them is past the float64 range.
     """
     prods, den = feasibility.exact_products(mat, x)
     xs, b = feasibility._dyadic(x)
     alpha = [i for i, v in enumerate(xs) if v]
     if max(prods) > 0 or not any(prods):  # p_i = 0 off alpha
         return None
+    try:
+        d_values = tuple(-prods[i] * b * b / (den * xs[i] * xs[i]) for i in alpha)
+    except OverflowError:
+        raise FloatRangeError("a kernel refutation's d_i = -x_i (Tx)_i / x_i^2 is past the float64 range") from None
     return KernelRefutation(
         alpha=tuple(i + 1 for i in alpha),
-        d_values=tuple(-prods[i] * b * b / (den * xs[i] * xs[i]) for i in alpha),
+        d_values=d_values,
         kernel_vector=tuple(float(x[i]) for i in alpha),
         full_witness=tuple(float(v) for v in x),
     )

@@ -5,11 +5,12 @@ one of the coefficients below, scaled by the magnitude of the data it
 judges.  These literal thresholds stay local: in `lcp` 1e-11 (Lemke's
 pivot tolerance), 1e-12 (its ratio-test tie band), 1e-8 (the enumeration's
 dedupe band) and 1e-6 (`lemke_agrees`); 1e-6 (the residual bound of
-`linalg.eigenvalues`); 1e-11 (`classify._snap_tiny`); 1e-12 and 1e-9
-(`spectral.wedge_check`'s P0 slack and equality band); in `opsim` 1e-12
-(the declared-decay slack and the square-root residual), 1e-10 (the
-power-iteration bracket), 1e-9 and 1e-6 (`MinMaxResult.bracket_ok`) and
-1e-6 (the eigenvector residual of `eigvec_rev_check`); and 1e-8 in
+`linalg.eigenvalues`); 1e-11 (the witness snap of `classify._gate_witness`);
+1e-12 and 1e-9 (`spectral.wedge_check`'s P0 slack and equality band); in
+`opsim` 1e-12 (the declared-decay slack and the square-root residual),
+1e-10 (the power-iteration bracket), 1e-9 and 1e-6
+(`MinMaxResult.bracket_ok`) and 1e-6 (the eigenvector residual of
+`eigvec_rev_check`); and 1e-8 in
 `cayley.sm1_probe` and `FactorizationResult.accepted`.  The pass/fail
 bounds of the suite checks are not verdict thresholds.
 

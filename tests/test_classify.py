@@ -16,6 +16,10 @@ from pmkit.tolerances import DEFAULT_TOL, Tolerances
 
 EXAMPLE = np.array([[-1.0, -1.0], [4.0, 3.0]])  # not P, spectrum {1,1}
 
+# not column sufficient; only the violation-maximizing LP point of its
+# orthant systems clears the strict witness margin
+BACKSTOP_NO = np.array([[230078478002.34384, 586235463.6407787], [14415847.250537457, 1.2532405601848157e-06]])
+
 # P-matrix with two eigenvalues in the open left half-plane (verified in
 # TestNotPositiveStableFixture): the key witness that P does not imply
 # positive stability.
@@ -342,6 +346,24 @@ class TestColumnSufficiency:
             verdicts.add(got)
         assert classify.is_sufficient(cases[0][0], budget=40, seed=0) == NO
         assert {NO, UNKNOWN} <= verdicts
+
+    def test_lp_backstop_decides_the_verdict(self, monkeypatch):
+        fm_points = []
+        for signs in product((1, -1), repeat=2):
+            for i in range(2):
+                a_ub, b_ub = classify._reversal_cone(BACKSTOP_NO, signs, i)
+                point = feasibility.feasible_point(list(-a_ub), list(b_ub))
+                if point is not None:
+                    fm_points.append(np.array([float(v) for v in point]))
+        # both Fourier-Motzkin points (||x||_inf about 1.2e13 and 5.8e12)
+        # and their negatives miss the strict margin
+        assert len(fm_points) == 4
+        assert sorted({float(np.abs(x).max()) for x in fm_points}) == pytest.approx([5.75e12, 1.15e13], rel=1e-3)
+        assert not any(classify.products_nonpositive_exact(BACKSTOP_NO, x, strict=True) for x in fm_points)
+        verdict, w = classify.is_column_sufficient(BACKSTOP_NO)
+        assert verdict == NO and w.tolist() == [1e-4, -1.0]
+        monkeypatch.setattr(classify, "_csu_violation_lp_max", lambda *args: None)
+        assert classify.is_column_sufficient(BACKSTOP_NO) == (YES, None)
 
     def test_exact_decision_on_3x3(self):
         # positive definite symmetric => column sufficient
@@ -761,6 +783,24 @@ class TestClassifyReport:
         # the CLI envelope carries the input, the seed and the tolerances
         assert set(obj) == {"verdicts", "witnesses", "methods"}
         assert obj["witnesses"]["P"] == [1]
+
+    def test_every_verdict_enters_through_record(self, monkeypatch):
+        classes = ["P", "P0", "Z", "M", "positive-stable", "column-sufficient", "row-sufficient", "sufficient"]
+        entered = []
+        record = classify.ClassificationReport.record
+
+        def spy(rpt, cls, *args):
+            entered.append(cls)
+            record(rpt, cls, *args)
+
+        monkeypatch.setattr(classify.ClassificationReport, "record", spy)
+        for m in (EXAMPLE, np.eye(2), generate(GenSpec("non-P", 13, seed=1))):
+            rpt = classify.classify_matrix(m, budget=40)
+            assert entered == list(rpt.verdicts) == list(rpt.methods) == classes
+            # a None witness is not entered
+            assert set(rpt.witnesses) <= {"P", "column-sufficient", "row-sufficient"}
+            assert all(w is not None for w in rpt.witnesses.values())
+            entered.clear()
 
     def test_p0_verdict_matches_minor_sweep(self):
         rng = np.random.default_rng(11)

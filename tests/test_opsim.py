@@ -11,6 +11,7 @@ from pmkit import classify, opsim, serialize, suites
 from pmkit.classify import NO, UNKNOWN, YES
 from pmkit.cli import main
 from pmkit.errors import (
+    FloatRangeError,
     NonDiagonalSpecError,
     NonPositiveEigenvalueError,
     NonPositiveSectionError,
@@ -36,6 +37,12 @@ def literal_spec(mat):
 INV_SQ = make_spec("diagonal", "inverse-square-diagonal", {"c": 1.0}, decay=True)
 TRIDIAG = make_spec("banded", "tridiag", {"a": 2.0, "b": -1.0})
 IDENTITY = make_spec("diagonal", "matrix-literal", {"matrix": []}, decay=True)
+# column insufficient; the classifier's witness gives a d_i past the float range
+D_PAST_FLOAT_RANGE = literal_spec([
+    [4.948525685970709e+301, -2.246878945848521e+296, -6.035876691077345e+303],
+    [-5.525065173437961e+292, -6.1396931713842785e+290, -1.5843144173871313e+289],
+    [-6.612659898616735e+290, 2.857841715166194e+301, 5.170113022846902e+302],
+])
 
 
 class TestSpec:
@@ -440,7 +447,7 @@ class TestKernelSearch:
 
     def test_kernel_refutation_d_values_bits(self):
         # d_i = -x_i (Tx)_i / x_i^2 rounded once, as float(Fraction) rounds
-        # it; OverflowError where the quotient is past the float range
+        # it; FloatRangeError where float(Fraction) raises OverflowError
         def reference(mat, x):
             t = [[Fraction(float(v)) for v in row] for row in mat]
             xs = [Fraction(float(v)) for v in x]
@@ -450,10 +457,10 @@ class TestKernelSearch:
                 return None
             return tuple(float(v) for v in d)
 
-        def outcome(fn, *args):
+        def outcome(fn, error, *args):
             try:
                 return fn(*args)
-            except OverflowError:
+            except error:
                 return OverflowError
 
         def d_values(mat, x):
@@ -472,10 +479,24 @@ class TestKernelSearch:
                 x[rng.random(n) < 0.1] = 5e-324
                 if rng.random() < 0.2:
                     x = x * rng.choice([-1.0, 1.0], n)
-                want = outcome(reference, mat, x)
-                assert outcome(d_values, mat, x) == want
+                want = outcome(reference, OverflowError, mat, x)
+                assert outcome(d_values, FloatRangeError, mat, x) == want
                 seen.add(want if want in (None, OverflowError) else tuple)
         assert seen == {None, OverflowError, tuple}
+
+    def test_d_past_the_float_range_raises(self):
+        verdict, x = classify.is_column_sufficient(section(D_PAST_FLOAT_RANGE, 3))
+        assert verdict == NO
+        with pytest.raises(FloatRangeError, match="past the float64 range"):
+            opsim.csufficient_kernel_search(D_PAST_FLOAT_RANGE, 3)
+
+    def test_cli_d_past_the_float_range_exit_2(self, tmp_path, capsys):
+        path, out = tmp_path / "spec.json", tmp_path / "csuff.json"
+        serialize.write_json(str(path), opsim.spec_to_obj(D_PAST_FLOAT_RANGE))
+        assert main(["opsim", "csuff", "--spec", str(path), "--order", "3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: FloatRangeError: a kernel refutation's d_i = -x_i (Tx)_i / x_i^2 is past the float64 range"]
+        assert not out.exists()
 
     def test_kernel_refutation_needs_a_nonzero_nonnegative_d(self):
         nilpotent = np.array([[0.0, 0.0], [1.0, 0.0]])
