@@ -68,7 +68,9 @@ def _minor_sweep(m, strict: bool, tol: Tolerances):
     size k is one batched determinant over the stack of its k x k
     submatrices (the same LAPACK LU per matrix, so the same bits as one
     call each), sizes in increasing order; the first violating row of the
-    first failing size is the shortlex-first violating index set.
+    first failing size is the shortlex-first violating index set.  A
+    minor past the float64 range is +-inf, judged like any other, and
+    numpy's overflow warning is silenced.
     Returns (verdict, that set 1-based or None).
     """
     mat = as_matrix(m)
@@ -76,12 +78,13 @@ def _minor_sweep(m, strict: bool, tol: Tolerances):
     if n > MINORS_MAX_DIM:
         raise DimensionTooLargeError(f"minor enumeration capped at n={MINORS_MAX_DIM}")
     norm = inf_norm(mat)
-    for idx, stack in principal_stacks(mat):
-        minors = np.linalg.det(stack)
-        thr = tol.minor_for(norm, idx.shape[1])
-        bad = (minors <= thr) if strict else (minors < -thr)
-        if bad.any():
-            return NO, tuple(int(i) + 1 for i in idx[np.argmax(bad)])
+    with np.errstate(over="ignore"):
+        for idx, stack in principal_stacks(mat):
+            minors = np.linalg.det(stack)
+            thr = tol.minor_for(norm, idx.shape[1])
+            bad = (minors <= thr) if strict else (minors < -thr)
+            if bad.any():
+                return NO, tuple(int(i) + 1 for i in idx[np.argmax(bad)])
     return YES, None
 
 
@@ -119,13 +122,6 @@ def is_P_submatrix_eigen(m, tol: Tolerances = DEFAULT_TOL) -> str:
 
 # ---------------------------------------------------------------------------
 # sign-reversal witnesses
-
-
-def reversal_products(m, x) -> np.ndarray:
-    """Componentwise products x_i (m x)_i in float arithmetic."""
-    mat = as_matrix(m)
-    v = as_vector(x, mat.shape[0])
-    return v * (mat @ v)
 
 
 def products_nonpositive_exact(m, x, strict: bool = False, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -8,17 +8,19 @@ package); pivot magnitudes are checked against the scaled singularity
 threshold so near-singular systems raise instead of returning garbage.
 `det` is numpy's.
 Eigenvalues come from one kernel over (R, k, k) stacks, `stack_eigvals`
-(exact for k <= 2, LAPACK dgeev beyond); `eigenvalues` runs it on a stack
-of one and returns a `Spectrum`, the one value-multiset type, which the
-spectral layer takes as it is.  The characteristic polynomial is computed
-independently by the Faddeev-LeVerrier trace recursion and serves as the
-cross-check route everywhere else.
+(exact for k <= 2, on rows scaled by powers of two where the closed form
+would underflow or overflow; LAPACK dgeev beyond); `eigenvalues` runs it
+on a stack of one and returns a `Spectrum`, the one value-multiset type,
+which the spectral layer takes as it is.  The characteristic polynomial
+is computed independently by the Faddeev-LeVerrier trace recursion and
+serves as the cross-check route everywhere else.
 """
 
 from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import os
 from dataclasses import dataclass
 from functools import cache, lru_cache
@@ -254,19 +256,19 @@ def pair_conjugates(values: Sequence[complex]) -> Spectrum:
     return Spectrum(tuple(v for _, group in entries for v in group), closed)
 
 
-def _eigvals_2x2(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _eigvals_2x2(flat: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The closed-form eigenvalues of each row (a, b, c, d) of an (R, 4)
-    array, as (R, 2) complex, and whether each row's discriminant is
-    finite."""
-    a, b, c, d = flat.T
+    array times 2^-e, scaled back by 2^e (e an (R, 1) int array), as (R, 2)
+    complex, and whether each row's discriminant is finite."""
+    a, b, c, d = np.ldexp(flat, -e).T
     t = a + d
     disc = t * t - 4.0 * (a * d - b * c)
     root = np.sqrt(np.abs(disc))
     real = disc >= 0.0
     out = np.empty((len(t), 2), dtype=complex)
     # (t +- sqrt(disc)) / 2, or t / 2 +- i sqrt(-disc) / 2
-    out.real = np.where(real, [t + root, t - root], t).T / 2.0
-    out.imag = np.where(real, 0.0, [root, -root]).T / 2.0
+    out.real = np.ldexp(np.where(real, [t + root, t - root], t).T / 2.0, e)
+    out.imag = np.ldexp(np.where(real, 0.0, [root, -root]).T / 2.0, e)
     return out, np.isfinite(disc)
 
 
@@ -275,24 +277,26 @@ def stack_eigvals(stack: np.ndarray) -> np.ndarray:
 
     k <= 2 is exact: the entry, or the closed form (the terminal step of
     QR deflation), so a defective double eigenvalue of an integer 2x2
-    matrix is not split by ~sqrt(eps).  Past about 1e154 the closed form's
-    t*t and a*d overflow; such a row is redone on its entries times 2^-e,
-    e the exponent of its largest |entry|, and its values scaled back by
-    2^e (both exact).  k >= 3 is LAPACK dgeev per matrix through
-    `np.linalg.eigvals`, the same bits as one call each; a matrix that does
-    not converge raises NoConvergenceError."""
+    matrix is not split by ~sqrt(eps).  With e the exponent of a row's
+    largest |entry|, the closed form's t*t and a*d underflow on small rows
+    and overflow past about 1e154.  So a row whose largest |entry| is below
+    1 goes through the closed form as its entries times 2^-e, and a row
+    whose discriminant is not finite is redone on the same scaling; their
+    values are scaled back by 2^e.  Scaling by 2^-e is exact, so a row that
+    neither underflows nor overflows keeps its bits.  k >= 3 is LAPACK
+    dgeev per matrix through `np.linalg.eigvals`, the same bits as one call
+    each; a matrix that does not converge raises NoConvergenceError."""
     k = stack.shape[-1]
     if k == 1:
         return stack[:, 0, :].astype(complex)
     if k == 2:
         flat = stack.reshape(-1, 4)
-        out, finite = _eigvals_2x2(flat)
+        e = np.frexp(np.abs(flat).max(axis=1))[1][:, None]
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite row is redone
+            out, finite = _eigvals_2x2(flat, np.minimum(e, 0))
         if not finite.all():
             rows = ~finite
-            e = np.frexp(np.abs(flat[rows]).max(axis=1))[1][:, None]
-            redo = _eigvals_2x2(np.ldexp(flat[rows], -e))[0]
-            out.real[rows] = np.ldexp(redo.real, e)
-            out.imag[rows] = np.ldexp(redo.imag, e)
+            out[rows] = _eigvals_2x2(flat[rows], e[rows])[0]
         return out
     try:
         return np.linalg.eigvals(stack).astype(complex, copy=False)
@@ -303,20 +307,28 @@ def stack_eigvals(stack: np.ndarray) -> np.ndarray:
 def eigenvalues(m, check_residual: bool = True) -> Spectrum:
     """All n eigenvalues, from `stack_eigvals` on a stack of one, as the
     `Spectrum` of `pair_conjugates`; raises NoConvergenceError when a value
-    is left unpaired or, with `check_residual`, at a large residual."""
+    is left unpaired or, with `check_residual`, at a large residual.
+
+    For n >= 3 the residual |det(m - lambda I)| of the first three values
+    must be at most 1e-6 (2 max(||m||_inf, max |lambda|))^n; that bound
+    saturates at inf past the float64 range, where no residual fails it."""
     mat = as_matrix(m)
     n = mat.shape[0]
     spec = pair_conjugates(stack_eigvals(mat[None])[0])
     if not spec.closed:
         raise NoConvergenceError("eigenvalues of a real matrix failed conjugate pairing")
     if check_residual and n >= 3:
-        scale = max(1.0, (2.0 * max(inf_norm(mat), max(abs(v) for v in spec.values))) ** n)
-        for v in spec.values[:3]:
-            resid = abs(np.linalg.det(mat - v * np.eye(n)))
-            if resid > 1e-6 * scale:
-                raise NoConvergenceError(
-                    f"det(m - lambda I) residual {resid:.3e} too large for lambda={v}"
-                )
+        try:
+            scale = max(1.0, (2.0 * max(inf_norm(mat), max(abs(v) for v in spec.values))) ** n)
+        except OverflowError:
+            scale = math.inf
+        with np.errstate(over="ignore"):
+            for v in spec.values[:3]:
+                resid = abs(np.linalg.det(mat - v * np.eye(n)))
+                if resid > 1e-6 * scale:
+                    raise NoConvergenceError(
+                        f"det(m - lambda I) residual {resid:.3e} too large for lambda={v}"
+                    )
     return spec
 
 

@@ -7,6 +7,7 @@ eigenvalue positivity, the diagonal square root, the Collatz-Wielandt
 min-max identity for positive sections, nonsingularity of diagonal
 interpolations DT + (I-D)S under the P precondition, the kernel
 characterization of column sufficiency, and sign-reversal-set membership.
+Each check builds each section it judges once and judges that array.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .classify import (
     YES,
     is_column_sufficient,
     is_P_minors,
-    reversal_products,
 )
 from .errors import (
     DimensionTooLargeError,
@@ -38,7 +38,7 @@ from .errors import (
     RuleUndefinedError,
     SingularMatrixError,
 )
-from .linalg import as_vector, eigenvalues, inf_norm, inverse, lu_factor_checked
+from .linalg import as_matrix, as_vector, eigenvalues, inf_norm, inverse, lu_factor_checked
 from .tolerances import DEFAULT_TOL, Tolerances, conj_for
 
 SECTION_MAX_ORDER = 64
@@ -128,8 +128,8 @@ def section(spec: OperatorSpec, n: int) -> np.ndarray:
     return mat
 
 
-def _equilibrated(mat: np.ndarray) -> np.ndarray:
-    """Scale rows by positive factors to unit max-entry.
+def _section_is_P(sec: np.ndarray, tol: Tolerances) -> str:
+    """`is_P_minors` verdict on the section, its rows scaled to unit max-entry.
 
     Positive diagonal row scaling multiplies every principal minor by a
     positive factor and each sign-reversal product by a positive factor,
@@ -137,17 +137,17 @@ def _equilibrated(mat: np.ndarray) -> np.ndarray:
     sections (which decay like products of the eigenvalue tail) come back
     into threshold range.
     """
-    scale = np.abs(mat).max(axis=1)
+    scale = np.abs(sec).max(axis=1)
     scale = np.where(scale > 0.0, scale, 1.0)
-    return mat / scale[:, None]
+    return is_P_minors(sec / scale[:, None], tol)[0]
 
 
 def is_P_operator_section(spec: OperatorSpec, n: int, tol: Tolerances = DEFAULT_TOL) -> str:
     """Sign non-reversal P-test on the section (minor enumeration, n <= MINORS_MAX_DIM).
 
-    The section is row-equilibrated first; see _equilibrated.
+    The section is row-equilibrated first; see _section_is_P.
     """
-    return is_P_minors(_equilibrated(section(spec, n)), tol)[0]
+    return _section_is_P(section(spec, n), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -173,20 +173,18 @@ def eigen_positivity_check(
     spec: OperatorSpec, orders: Sequence[int], tol: Tolerances = DEFAULT_TOL
 ) -> EigenPositivityReport:
     """Real eigenvalues of each section with a positivity verdict; a
-    non-positive real eigenvalue on a P section is a contradiction."""
+    non-positive real eigenvalue on a P section is a contradiction.  Each
+    order builds its section once, and up to MINORS_MAX_DIM the same array
+    gets the P verdict of `is_P_operator_section`."""
     entries = []
-    violations = 0
     for n in map(int, orders):
         sec = section(spec, n)
         reals = eigenvalues(sec, check_residual=False).real_values()
         thr = tol.minor_for(inf_norm(sec), 1)
         ok = all(v > thr for v in reals)
-        p_verdict = is_P_operator_section(spec, n, tol) if n <= MINORS_MAX_DIM else None
-        contradiction = (not ok) and p_verdict == YES
-        if contradiction:
-            violations += 1
-        entries.append(EigenPositivityEntry(n, reals, ok, p_verdict, contradiction))
-    return EigenPositivityReport(tuple(entries), violations)
+        p_verdict = _section_is_P(sec, tol) if n <= MINORS_MAX_DIM else None
+        entries.append(EigenPositivityEntry(n, reals, ok, p_verdict, (not ok) and p_verdict == YES))
+    return EigenPositivityReport(tuple(entries), sum(e.contradiction for e in entries))
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +464,13 @@ class RevQuery:
     in_rev: bool
 
 
+def _rev_query(sec: np.ndarray, v: np.ndarray, thr: float) -> RevQuery:
+    """The products v_i (sec v)_i, and whether all are at most
+    thr * ||v||_inf^2."""
+    prods = v * (sec @ v)
+    return RevQuery(tuple(float(p) for p in prods), bool((prods <= thr * float(np.abs(v).max()) ** 2).all()))
+
+
 def rev_membership(spec: OperatorSpec, n: int, x, tol: Tolerances = DEFAULT_TOL) -> RevQuery:
     """Membership of x in the sign-reversal set of the section: all
     products <x, e_i><T_N x, e_i> at most tol.minor_for(||T_N||_inf, 1) *
@@ -473,9 +478,7 @@ def rev_membership(spec: OperatorSpec, n: int, x, tol: Tolerances = DEFAULT_TOL)
     x = 0 is the degenerate member (all products exactly zero)."""
     sec = section(spec, n)
     v = as_vector(x, n)
-    prods = reversal_products(sec, v)
-    thr = tol.minor_for(inf_norm(sec), 1) * float(np.abs(v).max()) ** 2
-    return RevQuery(tuple(float(p) for p in prods), bool((prods <= thr).all()))
+    return _rev_query(as_matrix(sec), v, tol.minor_for(inf_norm(sec), 1))
 
 
 @dataclass(frozen=True)
@@ -499,7 +502,8 @@ def eigvec_rev_check(
     eigenvalue may reverse signs; any that does is a contradiction.
 
     Skipped when the classifier refutes column sufficiency; an "unknown"
-    classifier verdict (n > 3) is logged and the check still runs.
+    classifier verdict (n > 3) is logged and the check still runs.  Each
+    eigenvector is judged as by `rev_membership`, on the one section.
     """
     sec = section(spec, n)
     verdict, _ = is_column_sufficient(sec, budget=2000, seed=seed, tol=tol)
@@ -508,7 +512,6 @@ def eigvec_rev_check(
     vals, vecs = np.linalg.eig(sec)
     thr_lam = tol.minor_for(inf_norm(sec), 1)
     entries = []
-    violations = 0
     for idx in range(len(vals)):
         lam = vals[idx]
         if abs(lam.imag) > conj_for(abs(lam)) or abs(lam.real) <= thr_lam:
@@ -521,8 +524,5 @@ def eigvec_rev_check(
         resid = inf_norm(sec @ v - lam.real * v)
         if resid > 1e-6 * (1.0 + abs(lam.real)):
             continue  # realified vector is not actually an eigenvector
-        q = rev_membership(spec, n, v, tol)
-        entries.append(EigvecRevEntry(float(lam.real), q.in_rev))
-        if q.in_rev:
-            violations += 1
-    return EigvecRevReport(verdict, False, tuple(entries), violations)
+        entries.append(EigvecRevEntry(float(lam.real), _rev_query(sec, v, thr_lam).in_rev))
+    return EigvecRevReport(verdict, False, tuple(entries), sum(e.in_rev for e in entries))

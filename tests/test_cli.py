@@ -77,11 +77,12 @@ class TestClassify:
         assert read_report(out)["result"]["verdicts"]["P"] == "yes"
 
     def test_two_by_two_past_the_overflow_scale(self, tmp_path):
-        # exit 2 with "failed conjugate pairing" while the 2x2 closed form overflowed
+        # exit 2 with "failed conjugate pairing" while the 2x2 closed form
+        # overflowed; the overflowing minors and closed form warn no more
         path, out = tmp_path / "m.json", tmp_path / "r.json"
         serialize.write_json(str(path), serialize.matrix_to_obj(np.diag([1e200, 1e200])))
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")
             assert main(["classify", "--input", str(path), "--out", str(out), "--quiet"]) == 0
         assert read_report(out)["result"]["verdicts"]["positive-stable"] == "yes"
 
@@ -179,7 +180,9 @@ class TestPset:
         # sigma of {1 +- 2i, 1e200} overflows to inf and nan; JSON has no such
         # value, so the report is refused instead of written as invalid JSON
         out = tmp_path / "p.json"
-        assert main(["pset", "--values", "1+2i,1-2i,1e200", "--out", str(out)]) == 2
+        # numpy warns of the nan as it forms; ROADMAP item 3 removes it
+        with pytest.warns(RuntimeWarning):
+            assert main(["pset", "--values", "1+2i,1-2i,1e200", "--out", str(out)]) == 2
         assert not out.exists()
         assert "error:" in capsys.readouterr().err
 

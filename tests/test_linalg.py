@@ -172,9 +172,16 @@ class TestEigenvalues:
         # the closed form's discriminant was inf - inf here, and the NaN
         # values failed conjugate pairing
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")
             spec = linalg.eigenvalues(np.diag([1e155, 2e155]))
         np.testing.assert_allclose(spec.real_values(), [1e155, 2e155], rtol=1e-15)
+
+    def test_residual_bound_saturates_past_the_float_range(self):
+        # (2 max(||A||_inf, max |lambda|))^n raised OverflowError here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = linalg.eigenvalues(np.diag([1e110, 2e110, 3e110]))
+        assert spec.values == (1e110, 2e110, 3e110)
 
     def test_rotation_pure_imaginary(self):
         # characteristic polynomial x^2 + 1
@@ -308,13 +315,21 @@ class TestStackEigvals:
         want.real, want.imag = np.ldexp(small.real, e), np.ldexp(small.imag, e)
         _same_bits(got, want)
 
+    def test_two_by_two_below_the_underflow_scale(self):
+        # t*t and a*d underflowed here, and the closed form gave the double
+        # eigenvalue 1e-170 for 1e-170 * (1 +- sqrt(6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = linalg.stack_eigvals(1e-170 * np.array([[[1.0, 2.0], [3.0, 1.0]]]))[0]
+        np.testing.assert_allclose(got, 1e-170 * (1.0 + np.array([1.0, -1.0]) * np.sqrt(6.0)), rtol=1e-15)
+
     def test_finite_rows_keep_their_bits_next_to_a_rescaled_row(self):
         rng = np.random.default_rng(11)
         finite = np.concatenate([[EXAMPLE, [[1.0, 1.0], [0.0, 1.0]], [[1e150, 1.0], [0.0, 1e150]]],
                                  rng.uniform(-1.0, 1.0, (20, 2, 2))])
         stack = np.concatenate([finite[:2], [1e200 * np.eye(2)], finite[2:]])
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")
             got = linalg.stack_eigvals(stack)
         self.assert_same_bits(finite, np.delete(got, 2, axis=0))
         self.assert_same_bits(finite, np.array([closed_form_2x2(m) for m in finite]))

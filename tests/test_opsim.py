@@ -150,6 +150,38 @@ class TestEigenPositivity:
         assert rpt.violations == 0
 
 
+class TestSectionBuiltOnce:
+    """Each check builds each section it judges once, and judges that array."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        orders = []
+        build = opsim.section
+
+        def spy(spec, n):
+            orders.append(n)
+            return build(spec, n)
+
+        monkeypatch.setattr(opsim, "section", spy)
+        return orders
+
+    def test_eigen_positivity_one_section_per_order(self, built):
+        rpt = opsim.eigen_positivity_check(TRIDIAG, [2, 4, 8, 16])
+        assert built == [2, 4, 8, 16]
+        assert [e.section_is_P for e in rpt.entries] == [YES, YES, YES, None]
+
+    def test_eigvec_rev_one_section(self, built):
+        rpt = opsim.eigvec_rev_check(TRIDIAG, 3)
+        assert built == [3]
+        assert len(rpt.entries) == 3 and rpt.violations == 0
+
+    def test_rev_membership_and_P_section_one_each(self, built):
+        assert not opsim.rev_membership(TRIDIAG, 3, [1.0, -1.0, 1.0]).in_rev
+        assert built == [3]
+        assert opsim.is_P_operator_section(TRIDIAG, 3) == YES
+        assert built == [3, 3]
+
+
 class TestSqrt:
     def test_quarter_squares(self):
         # lambda = (1, 1/4, 1/9, 1/16) is the inverse-square rule at n = 4

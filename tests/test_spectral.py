@@ -2,6 +2,7 @@
 realization."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -587,6 +588,14 @@ class TestRealize:
         assert classify.is_P_minors(m)[0] == YES
         ok, dev = spectral.spectra_match(linalg.eigenvalues(m).values, vals)
         assert ok, dev
+
+    def test_past_the_float_range_of_the_residual_bound(self):
+        # the residual bound of `eigenvalues` raised OverflowError here, and
+        # the minor sweep warned of its overflowing determinants
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = spectral.realize_P_set([1e110, 2e110, 3e110])
+        assert np.array_equal(m, np.diag([1e110, 2e110, 3e110]))
 
     def test_not_a_pset_rejected(self):
         with pytest.raises(NotAPSetError):
