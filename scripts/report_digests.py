@@ -33,7 +33,11 @@ branches of `wedge_check` (the P0 equality case) and of
 and `is_column_sufficient` and `is_row_sufficient` on a 2x2 that only
 the violation-maximizing LP refutes and on a 2x2 whose "yes" a
 gate-passing point contradicts, with `csufficient_kernel_search` on a
-section whose refutation has a d_i past the float range.
+section whose refutation has a d_i past the float range, and
+`is_P_minors` and `is_P0_minors` at n = 9..12 on every class tag, scaled
+by 2^500 and 2^-500 too, and on inputs with zero pivots, overflowing or
+rank-deficient minors, planted cycles and minors just under the P
+threshold.
 Raised errors are digested as type and message.  Two checkouts give the
 same outputs exactly when their lines are equal, so a refactor is checked
 with one diff:
@@ -494,6 +498,39 @@ def _wide_scale_outputs() -> list:
     return out
 
 
+def _minor_sweep_outputs() -> list:
+    """is_P_minors and is_P0_minors at n = 9..12 on every class tag, seeds
+    0-2, unscaled and scaled by 2^500 and 2^-500, and on hostile inputs:
+    planted negative cycles at n = 12 (unit diagonal, small noise, -2 on
+    each cycle), I_n with a [[0, 1], [1, 0]] or [[0, 1], [-1, 0]] leading
+    block and with one zero diagonal entry, the n x n matrix of 1e300, a
+    rank-3 G^T G at n = 10 and the six fixed sym-PD inputs of the
+    benchmark that the sweep calls "no"."""
+    mats = []
+    for tag, n, seed in product(CLASS_TAGS, range(9, 13), range(3)):
+        m = generate(GenSpec(tag, n, seed=seed))
+        mats += [m, m * 2.0 ** 500, m * 2.0 ** -500]
+    rng = np.random.default_rng(29)
+    for cycle in ((3, 4, 5), (2, 9, 11), (1, 6, 8, 12), (4, 5, 7, 10, 11), (9, 10, 11, 12), tuple(range(1, 13))):
+        m = np.eye(12) + rng.uniform(-0.01, 0.01, (12, 12))
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            m[a - 1, b - 1] = -2.0
+        mats.append(m)
+    for n in range(9, 13):
+        for block in ([[0.0, 1.0], [1.0, 0.0]], [[0.0, 1.0], [-1.0, 0.0]]):
+            m = np.eye(n)
+            m[:2, :2] = block
+            mats.append(m)
+        zero_diag = np.eye(n)
+        zero_diag[n // 2, n // 2] = 0.0
+        mats += [zero_diag, np.full((n, n), 1e300)]
+    g = rng.standard_normal((3, 10))
+    mats.append(g.T @ g)
+    mats +=[generate(GenSpec("sym-PD", n, seed=seed))
+             for n, seed in ((9, 9000), (10, 10001), (11, 11000), (11, 11001), (12, 12000), (12, 12001))]
+    return [_outcome(fn, m) for m in mats for fn in (classify.is_P_minors, classify.is_P0_minors)]
+
+
 def _backstop_outputs() -> list:
     b, a = np.array(BACKSTOP_NO), np.array(CONTRADICTED_YES)
     spec = opsim.make_spec("dense-rule", "matrix-literal", {"matrix": D_PAST_FLOAT_RANGE})
@@ -527,6 +564,7 @@ API_GROUPS = (
      _wide_scale_outputs),
     ("is_column_sufficient is_row_sufficient LP backstop csufficient_kernel_search d past float range",
      _backstop_outputs),
+    ("is_P_minors is_P0_minors n = 9..12 at 2^-500..2^500 and hostile inputs", _minor_sweep_outputs),
 )
 
 

@@ -1,8 +1,11 @@
 """Membership tests for the matrix classes under study.
 
-P and P0 via exhaustive principal minors, the submatrix-eigenvalue
-characterization as an independent oracle, Z / M-type via spectra,
-positive stability, and column/row sufficiency.  Verdicts are
+P and P0 via exhaustive principal minors (n <= 12: batched LU
+determinants per size, and from n = 9 on the level-wise Schur-complement
+recursion for sizes >= 3, which hands every minor its error bound cannot
+place back to the LU batch), the submatrix-eigenvalue characterization as
+an independent oracle, Z / M-type via spectra, positive stability, and
+column/row sufficiency.  Verdicts are
 three-valued ("yes" / "no" / "unknown"): budgeted searches must not
 masquerade as decisions.  Sufficiency is "yes" at every n when the
 symmetric part is positive semidefinite within tolerance (the PSD
@@ -31,7 +34,16 @@ import numpy as np
 
 from . import feasibility
 from .errors import DimensionTooLargeError, PreconditionViolatedError
-from .linalg import as_matrix, as_vector, eigenvalues, inf_norm, principal_stacks, stack_eigvals
+from .linalg import (
+    as_matrix,
+    as_vector,
+    eigenvalues,
+    inf_norm,
+    principal_minors,
+    principal_stacks,
+    shortlex_masks,
+    stack_eigvals,
+)
 from .tolerances import DEFAULT_TOL, Tolerances, conj_for
 
 YES = "yes"
@@ -39,6 +51,10 @@ NO = "no"
 UNKNOWN = "unknown"
 
 MINORS_MAX_DIM = 12
+SCHUR_MIN_DIM = 9  # the Schur recursion beats the per-size LU batch from here
+SCHUR_MAX_GROWTH = 2.0**32  # past it, second-order error terms may matter
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+_TINY = np.finfo(float).tiny
 EIGEN_ORACLE_MAX_DIM = 10
 EXACT_SUFFICIENCY_MAX_DIM = 3
 REVERSAL_LP_MAX_DIM = 10
@@ -60,37 +76,89 @@ def verdict_and(*verdicts: str) -> str:
 # principal-minor tests
 
 
+def _lu_sweep(mat: np.ndarray, sizes, norm: float, strict: bool, tol: Tolerances):
+    """(NO, the shortlex-first violating index set, 1-based) over the
+    minors of the given increasing sizes, or None when none violates.
+    Each size k is one batched determinant over the stack of its k x k
+    submatrices (the same LAPACK LU per matrix, so the same bits as one
+    call each); the first violating row of the first failing size is the
+    shortlex-first violating set."""
+    for idx, stack in principal_stacks(mat, sizes):
+        minors = np.linalg.det(stack)
+        thr = tol.minor_for(norm, idx.shape[1])
+        bad = (minors <= thr) if strict else (minors < -thr)
+        if bad.any():
+            return NO, tuple(int(i) + 1 for i in idx[np.argmax(bad)])
+    return None
+
+
+def _schur_sweep(mat: np.ndarray, norm: float, strict: bool, tol: Tolerances):
+    """The minors of size >= 3 from `principal_minors`, judged in one
+    vectorized pass in shortlex order, with the LU sweep from the first
+    size that holds a minor the recursion cannot place.
+
+    A minor v is placed when it is finite, its growth g is below
+    SCHUR_MAX_GROWTH (so the first-order bound holds) and |v - edge| >
+    4n g (u |v| + tiny) for its threshold edge (u the unit roundoff, tiny
+    the least normal float64, which covers underflow): then v is on the
+    same side of the threshold as the exact minor, to first order in u.
+    The factor 4n leaves room for the LU value's own rounding; the tests
+    check that the two sweeps agree, on hostile inputs too.
+    The first minor that is a placed violation or is not placed decides:
+    the former is the witness, the latter starts the LU sweep at its size.
+    Returns the verdict pair."""
+    n = mat.shape[0]
+    lo = n + n * (n - 1) // 2  # sizes 1 and 2 are judged by the LU sweep
+    masks, sizes = (a[lo:] for a in shortlex_masks(n))
+    minors, growth = principal_minors(mat)
+    v, g = minors[masks], growth[masks]
+    edge = np.array([tol.minor_for(norm, k) for k in range(3, n + 1)])[sizes - 3]
+    if not strict:
+        edge = -edge
+    bad = (v <= edge) if strict else (v < edge)
+    placed = (g < SCHUR_MAX_GROWTH) & (np.abs(v - edge) > 4 * n * g * (_UNIT_ROUNDOFF * np.abs(v) + _TINY))
+    hit = bad | ~placed
+    if not hit.any():
+        return YES, None
+    i = int(np.argmax(hit))
+    if not placed[i]:
+        return _lu_sweep(mat, range(int(sizes[i]), n + 1), norm, strict, tol) or (YES, None)
+    return NO, tuple(j + 1 for j in range(n) if int(masks[i]) >> j & 1)
+
+
 def _minor_sweep(m, strict: bool, tol: Tolerances):
     """Shortlex sweep over all 2^n - 1 principal minors.
 
     With `strict` every minor must exceed +tol.minor_for(||m||, k) (P);
-    otherwise none may fall below -tol.minor_for(||m||, k) (P0).  Each
-    size k is one batched determinant over the stack of its k x k
-    submatrices (the same LAPACK LU per matrix, so the same bits as one
-    call each), sizes in increasing order; the first violating row of the
-    first failing size is the shortlex-first violating index set.  A
+    otherwise none may fall below -tol.minor_for(||m||, k) (P0).  Below
+    SCHUR_MIN_DIM each size k is one batched LU determinant (`_lu_sweep`),
+    sizes in increasing order.  From SCHUR_MIN_DIM on, sizes 1 and 2 are
+    judged the same way, so a refutation there exits as early, and the
+    larger sizes come from the Schur-complement recursion with its error
+    bound, which hands every minor it cannot place back to the LU sweep
+    (`_schur_sweep`): the verdict and witness are the LU sweep's.  A
     minor past the float64 range is +-inf, judged like any other, and
     numpy's overflow warning is silenced.
-    Returns (verdict, that set 1-based or None).
+    Returns (verdict, the shortlex-first violating index set 1-based, or
+    None).
     """
     mat = as_matrix(m)
     n = mat.shape[0]
     if n > MINORS_MAX_DIM:
         raise DimensionTooLargeError(f"minor enumeration capped at n={MINORS_MAX_DIM}")
-    norm = inf_norm(mat)
     with np.errstate(over="ignore"):
-        for idx, stack in principal_stacks(mat):
-            minors = np.linalg.det(stack)
-            thr = tol.minor_for(norm, idx.shape[1])
-            bad = (minors <= thr) if strict else (minors < -thr)
-            if bad.any():
-                return NO, tuple(int(i) + 1 for i in idx[np.argmax(bad)])
-    return YES, None
+        norm = inf_norm(mat)
+        if n < SCHUR_MIN_DIM:
+            return _lu_sweep(mat, None, norm, strict, tol) or (YES, None)
+        return _lu_sweep(mat, (1, 2), norm, strict, tol) or _schur_sweep(mat, norm, strict, tol)
 
 
 def is_P_minors(m, tol: Tolerances = DEFAULT_TOL):
     """All 2^n - 1 principal minors positive; on "no" returns the
-    lexicographically-first violating index set."""
+    lexicographically-first violating index set.  The sweep is
+    `_minor_sweep`: LU determinants batched per size, and from n = 9 on
+    the Schur recursion for sizes >= 3 with the LU batch as its fallback,
+    which give the same verdict and witness."""
     return _minor_sweep(m, True, tol)
 
 
@@ -275,10 +343,11 @@ def is_P_via_Z_spectrum(m, tol: Tolerances = DEFAULT_TOL) -> str:
 
 
 def is_positive_stable(m, tol: Tolerances = DEFAULT_TOL) -> str:
-    """Every eigenvalue has positive real part."""
+    """Every eigenvalue has positive real part; raises FloatRangeError
+    when an eigenvalue is past the float64 range."""
     mat = as_matrix(m)
-    thr = tol.minor_for(inf_norm(mat), 1)
     spec = eigenvalues(mat, check_residual=False)
+    thr = tol.minor_for(inf_norm(mat), 1)
     return YES if min(v.real for v in spec.values) > thr else NO
 
 

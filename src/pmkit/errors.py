@@ -71,8 +71,9 @@ class LcpCycleError(PmkitError):
 
 class FloatRangeError(PmkitError):
     """A reported float left the float64 range: an LCP solve's z or w
-    entry came out inf or NaN, or an exact quotient (a kernel refutation's
-    d_i) is too large for a float, so no result can be reported from it."""
+    entry or an eigenvalue came out inf or NaN, or an exact quotient (a
+    kernel refutation's d_i) is too large for a float, so no result can be
+    reported from it."""
 
 
 class ValidationFailedError(PmkitError):

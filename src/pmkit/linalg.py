@@ -6,7 +6,9 @@ module, loaded from its file at the first LU by `scipy_extension`, so
 neither importing this module nor factoring loads the scipy.linalg
 package); pivot magnitudes are checked against the scaled singularity
 threshold so near-singular systems raise instead of returning garbage.
-`det` is numpy's.
+`det` is numpy's.  `principal_minors` computes all 2^n principal minors
+at once by the level-wise Schur-complement recursion, with a first-order
+error growth factor for each.
 Eigenvalues come from one kernel over (R, k, k) stacks, `stack_eigvals`
 (exact for k <= 2, on rows scaled by powers of two where the closed form
 would underflow or overflow; LAPACK dgeev beyond); `eigenvalues` runs it
@@ -18,6 +20,7 @@ serves as the cross-check route everywhere else.
 
 from __future__ import annotations
 
+import cmath
 import importlib.machinery
 import importlib.util
 import math
@@ -31,6 +34,7 @@ import numpy as np
 
 from .errors import (
     DimensionTooLargeError,
+    FloatRangeError,
     InvalidIndexError,
     NoConvergenceError,
     SingularMatrixError,
@@ -98,15 +102,69 @@ def _index_sets(n: int, k: int) -> np.ndarray:
     return idx
 
 
-def principal_stacks(mat: np.ndarray):
-    """The principal submatrices of each size k = 1..n as one batch:
-    yields (idx, stack), `idx` the cached, read-only (C(n, k), k) intp
-    array of 0-based index sets in lexicographic order and `stack[j]` =
-    mat[idx[j], idx[j]] of shape (C(n, k), k, k)."""
+def principal_stacks(mat: np.ndarray, sizes: Iterable[int] | None = None):
+    """The principal submatrices of each size k in `sizes` (default
+    1..n, in increasing order) as one batch: yields (idx, stack), `idx`
+    the cached, read-only (C(n, k), k) intp array of 0-based index sets in
+    lexicographic order and `stack[j]` = mat[idx[j], idx[j]] of shape
+    (C(n, k), k, k)."""
     n = mat.shape[0]
-    for k in range(1, n + 1):
+    for k in range(1, n + 1) if sizes is None else sizes:
         idx = _index_sets(n, k)
         yield idx, mat[idx[:, :, None], idx[:, None, :]]
+
+
+@lru_cache(maxsize=None)
+def shortlex_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 2^n - 1 nonempty subsets of range(n) in shortlex order (by
+    size, then as `_index_sets` orders them), as read-only int arrays
+    (masks, sizes): bit i of a mask is index i."""
+    masks = np.concatenate([np.left_shift(1, _index_sets(n, k)).sum(axis=1) for k in range(1, n + 1)])
+    sizes = np.repeat(np.arange(1, n + 1), [math.comb(n, k) for k in range(1, n + 1)])
+    for a in (masks, sizes):
+        a.flags.writeable = False
+    return masks, sizes
+
+
+def principal_minors(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All 2^n principal minors of `mat` and a first-order growth factor
+    of each, as two arrays indexed by bitmask (bit i is index i; entry 0
+    is the empty minor, 1).
+
+    The level-wise Schur-complement recursion (Tsatsomeros & Li, BIT 40,
+    2000; Griffin & Tsatsomeros, Linear Algebra Appl. 419, 2006): level j
+    holds, for each subset b of 0..j-1, the Schur complement of mat[b, b]
+    in mat restricted to indices j..n-1, a (2^j, n-j, n-j) stack.  Its
+    leading entry p is the pivot, det(b + {j}) = det(b) p; excluding j
+    keeps the trailing block, including j takes that block minus the
+    outer product of p's column and row over p.  This is Gaussian
+    elimination without pivoting on each submatrix, O(2^n) work in all
+    (the level sizes 2^j (n - j)^2 sum to less than 6 2^n).
+    Along it runs the same recursion on magnitudes, T' = T[1:, 1:] +
+    |a b / p| from T = |mat|, so that T's leading entry is (|L||U|)_jj,
+    and the growth of a minor is the product of (1 + T_00 / |p|) over the
+    pivots of its path: a pivot's relative error is about u T_00 / |p|,
+    and a later cancellation multiplies it.  A minor reached through a
+    zero pivot is inf or NaN with infinite or NaN growth; numpy's warnings
+    are silenced."""
+    n = mat.shape[0]
+    minors = np.empty(1 << n)
+    growth = np.empty(1 << n)
+    minors[0] = growth[0] = 1.0
+    s = mat[None]
+    t = np.abs(s)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for j in range(n):
+            m = 1 << j
+            p = s[:, 0, 0]
+            np.multiply(minors[:m], p, out=minors[m:2 * m])
+            np.multiply(growth[:m], t[:, 0, 0] / np.abs(p) + 1.0, out=growth[m:2 * m])
+            if j == n - 1:
+                break
+            outer = s[:, 1:, :1] * (s[:, :1, 1:] / p[:, None, None])
+            s = np.concatenate((s[:, 1:, 1:], s[:, 1:, 1:] - outer))
+            t = np.concatenate((t[:, 1:, 1:], t[:, 1:, 1:] + np.abs(outer)))
+    return minors, growth
 
 
 @cache
@@ -282,8 +340,9 @@ def stack_eigvals(stack: np.ndarray) -> np.ndarray:
     and overflow past about 1e154.  So a row whose largest |entry| is below
     1 goes through the closed form as its entries times 2^-e, and a row
     whose discriminant is not finite is redone on the same scaling; their
-    values are scaled back by 2^e.  Scaling by 2^-e is exact, so a row that
-    neither underflows nor overflows keeps its bits.  k >= 3 is LAPACK
+    values are scaled back by 2^e (a value past the float64 range comes
+    back inf, without a numpy warning).  Scaling by 2^-e is exact, so a row
+    that neither underflows nor overflows keeps its bits.  k >= 3 is LAPACK
     dgeev per matrix through `np.linalg.eigvals`, the same bits as one call
     each; a matrix that does not converge raises NoConvergenceError."""
     k = stack.shape[-1]
@@ -296,7 +355,8 @@ def stack_eigvals(stack: np.ndarray) -> np.ndarray:
             out, finite = _eigvals_2x2(flat, np.minimum(e, 0))
         if not finite.all():
             rows = ~finite
-            out[rows] = _eigvals_2x2(flat[rows], e[rows])[0]
+            with np.errstate(over="ignore"):  # a value past the range is inf
+                out[rows] = _eigvals_2x2(flat[rows], e[rows])[0]
         return out
     try:
         return np.linalg.eigvals(stack).astype(complex, copy=False)
@@ -306,23 +366,29 @@ def stack_eigvals(stack: np.ndarray) -> np.ndarray:
 
 def eigenvalues(m, check_residual: bool = True) -> Spectrum:
     """All n eigenvalues, from `stack_eigvals` on a stack of one, as the
-    `Spectrum` of `pair_conjugates`; raises NoConvergenceError when a value
-    is left unpaired or, with `check_residual`, at a large residual.
+    `Spectrum` of `pair_conjugates`; raises FloatRangeError when a value is
+    inf or NaN (the eigenvalues of a matrix near the top of the float64
+    range can leave it), NoConvergenceError when a value is left unpaired
+    or, with `check_residual`, at a large residual.
 
     For n >= 3 the residual |det(m - lambda I)| of the first three values
     must be at most 1e-6 (2 max(||m||_inf, max |lambda|))^n; that bound
-    saturates at inf past the float64 range, where no residual fails it."""
+    saturates at inf past the float64 range, where no residual fails it,
+    and numpy's overflow warnings are silenced."""
     mat = as_matrix(m)
     n = mat.shape[0]
-    spec = pair_conjugates(stack_eigvals(mat[None])[0])
+    vals = stack_eigvals(mat[None])[0].tolist()
+    if not all(map(cmath.isfinite, vals)):
+        raise FloatRangeError("an eigenvalue left the float64 range")
+    spec = pair_conjugates(vals)
     if not spec.closed:
         raise NoConvergenceError("eigenvalues of a real matrix failed conjugate pairing")
     if check_residual and n >= 3:
-        try:
-            scale = max(1.0, (2.0 * max(inf_norm(mat), max(abs(v) for v in spec.values))) ** n)
-        except OverflowError:
-            scale = math.inf
         with np.errstate(over="ignore"):
+            try:
+                scale = max(1.0, (2.0 * max(inf_norm(mat), max(abs(v) for v in spec.values))) ** n)
+            except OverflowError:
+                scale = math.inf
             for v in spec.values[:3]:
                 resid = abs(np.linalg.det(mat - v * np.eye(n)))
                 if resid > 1e-6 * scale:

@@ -84,6 +84,24 @@ class TestLexIndexSets:
                 np.testing.assert_array_equal(sub, linalg.principal_submatrix(m, [int(i) + 1 for i in sel]))
 
 
+# certify-p's fixed sym-PD inputs that is_P_minors calls "no" (ROADMAP
+# item 1), as (n, generator seed, witness)
+KNOWN_FAULT_SYMPD = (
+    (9, 9000, tuple(range(1, 10))),
+    (10, 10001, tuple(range(1, 10))),
+    (11, 11000, tuple(range(1, 12))),
+    (11, 11001, tuple(range(1, 12))),
+    (12, 12000, (1, 2, 3, 4, 5, 6, 7, 10, 11, 12)),
+    (12, 12001, tuple(range(1, 12))),
+)
+
+
+def eye_with_block(n, block):
+    m = np.eye(n)
+    m[:2, :2] = block
+    return m
+
+
 class TestBatchedSweep:
     @staticmethod
     def reference_sweep(m, strict):
@@ -114,19 +132,90 @@ class TestBatchedSweep:
         plants = ([(2, 5)], [(3, 4)], [(1, 6, 8)], [(2, 5, 7), (1, 6, 8)], [(3, 4, 7, 8)],
                   [(2, 3, 5, 6, 8)], [(4, 5)], [(1, 2, 3, 4, 5, 6, 7, 8)])
         mats += [self.planted(8, cycles, rng) for cycles in plants]
+        # from n = SCHUR_MIN_DIM on, past the float range too: the Schur
+        # recursion with its LU fallback
+        wide = [generate(GenSpec(tag, n, seed=n)) for tag in CLASS_TAGS for n in range(9, 13)]
+        mats += wide + [m * 2.0 ** k for m in wide for k in (500, -500)]
+        plants = ([(3, 4, 5)], [(2, 9, 11)], [(1, 6, 8, 12)], [(4, 5, 7, 10, 11)], [(9, 10, 11, 12)],
+                  [tuple(range(1, 13))])
+        mats += [self.planted(12, cycles, rng) for cycles in plants]
+        for n in (9, 12):
+            zero_diag = np.eye(n)
+            zero_diag[n // 2, n // 2] = 0.0
+            mats += [eye_with_block(n, [[0.0, 1.0], [1.0, 0.0]]), zero_diag, np.full((n, n), 1e300)]
+        g = rng.standard_normal((3, 10))
+        mats.append(g.T @ g)
+        mats += [generate(GenSpec("sym-PD", n, seed=seed)) for n, seed, _ in KNOWN_FAULT_SYMPD]
         return mats
 
     def test_same_verdict_and_witness_as_per_subset_loop(self):
         sizes, positions = set(), set()
         for m in self.batch():
             for fn, strict in ((classify.is_P_minors, True), (classify.is_P0_minors, False)):
-                got = fn(m)
-                assert got == self.reference_sweep(m, strict)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = fn(m)
+                with np.errstate(all="ignore"):
+                    assert got == self.reference_sweep(m, strict)
                 if got[1] is not None:
                     sizes.add(len(got[1]))
                     positions.add(got[1])
-        assert {1, 2, 3, 4, 5, 8} <= sizes
-        assert {(2, 5), (3, 4), (4, 5), (1, 6, 8)} <= positions
+        assert {1, 2, 3, 4, 5, 8, 9, 10, 11} <= sizes
+        assert {(2, 5), (3, 4), (4, 5), (1, 6, 8), (2, 9, 11), (1, 6, 8, 12)} <= positions
+
+    @pytest.mark.parametrize("n, seed, witness", KNOWN_FAULT_SYMPD)
+    def test_known_fault_witnesses_hold(self, n, seed, witness):
+        assert classify.is_P_minors(generate(GenSpec("sym-PD", n, seed=seed))) == (NO, witness)
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Record the size of each LU determinant batch and each call of
+        the Schur recursion."""
+        calls = {"det": [], "schur": 0}
+        det, minors = np.linalg.det, classify.principal_minors
+
+        def spy_det(a):
+            calls["det"].append(np.shape(a)[-1])
+            return det(a)
+
+        def spy_minors(mat):
+            calls["schur"] += 1
+            return minors(mat)
+
+        monkeypatch.setattr(np.linalg, "det", spy_det)
+        monkeypatch.setattr(classify, "principal_minors", spy_minors)
+        return calls
+
+    def test_swap_block_refuted_by_the_lu_sizes(self, monkeypatch):
+        # the bare recursion meets a zero pivot here and reads P0 "yes"
+        calls = self.spy(monkeypatch)
+        m = eye_with_block(9, [[0.0, 1.0], [1.0, 0.0]])
+        assert classify.is_P0_minors(m) == (NO, (1, 2))
+        assert calls == {"det": [1, 2], "schur": 0}
+
+    def test_zero_pivot_hands_over_to_the_lu_sweep(self, monkeypatch):
+        # index 1's pivot is 0, so every minor through it is inf or NaN:
+        # the LU sweep takes over at size 3, where {1, 2, 3} = 1 - 2 < 0
+        calls = self.spy(monkeypatch)
+        m = eye_with_block(9, [[0.0, 1.0], [-1.0, 0.0]])
+        m[0, 2], m[2, 1] = 2.0, 1.0
+        assert classify.is_P0_minors(m) == (NO, (1, 2, 3))
+        assert calls == {"det": [1, 2, 3], "schur": 1}
+        calls["det"].clear()
+        assert classify.is_P0_minors(eye_with_block(9, [[0.0, 1.0], [-1.0, 0.0]])) == (YES, None)
+        assert calls["det"] == list(range(1, 10))
+
+    def test_full_sweep_by_the_recursion(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        assert classify.is_P_minors(generate(GenSpec("P-diagdom", 12, seed=1))) == (YES, None)
+        assert calls == {"det": [1, 2], "schur": 1}
+
+    def test_one_by_one_refutation_exits_before_the_recursion(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        m = generate(GenSpec("P-diagdom", 12, seed=1))
+        m[4, 4] = -m[4, 4]
+        assert classify.is_P_minors(m) == (NO, (5,))
+        assert calls == {"det": [1], "schur": 0}
 
     def test_stacks_in_shortlex_order(self):
         for n in range(1, 5):
@@ -141,6 +230,20 @@ class TestBatchedSweep:
                 assert stack.shape == (idx.shape[0], k, k)
                 for sel, sub in zip(idx, stack):
                     np.testing.assert_array_equal(sub, m[np.ix_(sel, sel)])
+            # the Schur recursion's bitmasks, in the same order
+            masks, sizes = linalg.shortlex_masks(n)
+            assert [tuple(i for i in range(n) if mask >> i & 1) for mask in masks.tolist()] == shortlex(n)
+            assert sizes.tolist() == [len(sel) for sel in shortlex(n)]
+
+    def test_schur_minors_match_the_lu_determinants(self):
+        for n in (1, 2, 5, 9):
+            m = generate(GenSpec("P-diagdom", n, seed=n))
+            minors, growth = linalg.principal_minors(m)
+            assert minors[0] == 1.0 and growth[0] == 1.0
+            for sel in shortlex(n):
+                mask = sum(1 << i for i in sel)
+                assert minors[mask] == pytest.approx(np.linalg.det(m[np.ix_(sel, sel)]), rel=1e-13)
+                assert 2.0 ** len(sel) <= growth[mask] < 1e6
 
 
 class TestSubmatrixEigenOracle:

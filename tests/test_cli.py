@@ -86,6 +86,17 @@ class TestClassify:
             assert main(["classify", "--input", str(path), "--out", str(out), "--quiet"]) == 0
         assert read_report(out)["result"]["verdicts"]["positive-stable"] == "yes"
 
+    def test_eigenvalue_past_the_float_range_exit_2(self, tmp_path, capsys):
+        # exited 2 with numpy's "Eigenvalues did not converge" after numpy
+        # RuntimeWarnings
+        path, out = tmp_path / "m.json", tmp_path / "r.json"
+        serialize.write_json(str(path), serialize.matrix_to_obj(np.full((3, 3), 1e308)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["classify", "--input", str(path), "--out", str(out)]) == 2
+        assert "error: FloatRangeError: an eigenvalue left the float64 range" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_usage_error(self, tmp_path):
         assert main(["classify", "--input", str(tmp_path / "nope.json")]) == 2
 

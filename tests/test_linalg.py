@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmkit import linalg
-from pmkit.errors import DimensionTooLargeError, InvalidIndexError, SingularMatrixError
+from pmkit.errors import DimensionTooLargeError, FloatRangeError, InvalidIndexError, SingularMatrixError
 from pmkit.generators import CLASS_TAGS, GenSpec, generate
 
 EXAMPLE = [[-1.0, -1.0], [4.0, 3.0]]  # spectrum {1, 1}, not a P-matrix
@@ -182,6 +182,14 @@ class TestEigenvalues:
             warnings.simplefilter("error")
             spec = linalg.eigenvalues(np.diag([1e110, 2e110, 3e110]))
         assert spec.values == (1e110, 2e110, 3e110)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_eigenvalue_past_the_float_range_raises(self, n):
+        # the 3x3 returned an inf eigenvalue after numpy warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatRangeError, match="float64 range"):
+                linalg.eigenvalues(np.full((n, n), 1e308))
 
     def test_rotation_pure_imaginary(self):
         # characteristic polynomial x^2 + 1
