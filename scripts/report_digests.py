@@ -7,7 +7,9 @@ Runs each command in-process through `pmkit.cli.main`, drops the report's
 of the report (or "-" when the command wrote none), the exit code and the
 command.  The commands cover every subcommand, valid and invalid
 threshold overrides, budget 0, the seed defaults, flags that an action
-does not read and `classify` past the minor-sweep cap (n = 13, 14).  It
+does not read, `classify` past the minor-sweep cap (n = 13, 14) and
+`classify` on three matrices whose row sums overflow (one with finite
+eigenvalues, one whose eigenvalues leave the float range).  It
 then prints one sha256 line per API group: `augment_to_P_set` on the 100
 seed sets of the augmentation check of the suite run with seed 1, 2 and 3
 (one line each; the report keeps only a failure count and the largest
@@ -37,7 +39,11 @@ section whose refutation has a d_i past the float range, and
 `is_P_minors` and `is_P0_minors` at n = 9..12 on every class tag, scaled
 by 2^500 and 2^-500 too, and on inputs with zero pivots, overflowing or
 rank-deficient minors, planted cycles and minors just under the P
-threshold.
+threshold, and the five Cayley functions (`cayley_u`,
+`verify_involution`, `verify_identities`, `factor_p`,
+`scaled_stable_factor`) on every class tag at n = 1..12 and on inputs
+with -1 as an eigenvalue, a singular A, a P-matrix that is not positive
+stable and entries of 1e300 and 1e-300.
 Raised errors are digested as type and message.  Two checkouts give the
 same outputs exactly when their lines are equal, so a refactor is checked
 with one diff:
@@ -64,7 +70,7 @@ from itertools import count, product  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from pmkit import classify, cli, feasibility, lcp, linalg, opsim, serialize, spectral  # noqa: E402
+from pmkit import cayley, classify, cli, feasibility, lcp, linalg, opsim, serialize, spectral  # noqa: E402
 from pmkit.generators import CLASS_TAGS, GenSpec, generate  # noqa: E402
 
 # P, with two eigenvalues in the left half-plane and an indefinite
@@ -86,6 +92,13 @@ D_PAST_FLOAT_RANGE = [
     [-5.525065173437961e+292, -6.1396931713842785e+290, -1.5843144173871313e+289],
     [-6.612659898616735e+290, 2.857841715166194e+301, 5.170113022846902e+302],
 ]
+# finite matrices whose row sums and symmetric part A + A^T overflow: the
+# 3x3 has eigenvalues (0, 0, 1), the second 2x2 one past the float range
+OVERFLOW_SUMS = {
+    "overflow-sum3": [[1e308, 1e308, 0.0], [-1e308, -1e308, 0.0], [0.0, 0.0, 1.0]],
+    "overflow-sum2": [[1e308, 1e308], [-1e308, -1e308]],
+    "overflow-eig2": [[1e308, 1e308], [1e308, 1e308]],
+}
 
 
 def _matrices() -> dict:
@@ -213,6 +226,8 @@ def _commands(tmp: str) -> list[list[str]]:
     # past the minor-sweep cap: P and P0 by the sign-reversal search alone
     for name, spec in (("pdiag13", GenSpec("P-diagdom", 13, seed=1)), ("nonp14", GenSpec("non-P", 14, seed=1))):
         cmds.append(["classify", "--input", put("m-" + name, serialize.matrix_to_obj(generate(spec)))])
+    for name, mat in OVERFLOW_SUMS.items():
+        cmds.append(["classify", "--input", put("m-" + name, serialize.matrix_to_obj(np.array(mat)))])
     return cmds
 
 
@@ -542,6 +557,27 @@ def _backstop_outputs() -> list:
     ]
 
 
+def _cayley_outputs() -> list:
+    """cayley_u, verify_involution, verify_identities (its residuals and
+    minus_singular), factor_p and scaled_stable_factor (with a graded S
+    and T) on every class tag at n = 1..12, seeds 0-2, and on -I,
+    diag(1, -1), the P-matrix that is not positive stable, the 3x3 of
+    1e300 and 1e-300 I_4."""
+    def identities(m):
+        res = cayley.verify_identities(m)
+        return res.plus_residual, res.minus_residual, res.minus_singular
+
+    def scaled(m):
+        n = m.shape[0]
+        return cayley.scaled_stable_factor(m, np.diag(np.linspace(0.5, 2.0, n)), np.diag(np.linspace(3.0, 1.0, n)))
+
+    mats = [generate(GenSpec(tag, n, seed=seed)) for tag in CLASS_TAGS for n in range(1, 13) for seed in range(3)]
+    mats += [-np.eye(3), np.diag([1.0, -1.0]), np.array(cayley.P_NOT_POSITIVE_STABLE), np.full((3, 3), 1e300),
+             1e-300 * np.eye(4)]
+    return [_outcome(fn, m) for m in mats
+            for fn in (cayley.cayley_u, cayley.verify_involution, identities, cayley.factor_p, scaled)]
+
+
 API_GROUPS = (
     ("augment_to_P_set seed-1 suite sets", lambda: _augment_outputs(1)),
     ("augment_to_P_set seed-2 suite sets", lambda: _augment_outputs(2)),
@@ -565,6 +601,7 @@ API_GROUPS = (
     ("is_column_sufficient is_row_sufficient LP backstop csufficient_kernel_search d past float range",
      _backstop_outputs),
     ("is_P_minors is_P0_minors n = 9..12 at 2^-500..2^500 and hostile inputs", _minor_sweep_outputs),
+    ("cayley_u verify_involution verify_identities factor_p scaled_stable_factor", _cayley_outputs),
 )
 
 

@@ -3,7 +3,8 @@
 A P-matrix has no negative real eigenvalues, so I + A is invertible and
 A = (I+U(A))^{-1} (I-U(A)) factors A into two P-matrices; the factors are
 materialized through the closed forms (I+A)/2 and 2(I+A)^{-1}A and
-cross-checked against the U-path.
+cross-checked against the U-path (I+U(A))^{-1} and I-U(A).  Each call
+factors I + A once and solves U(A), 2(I+A)^{-1}A and 2(I+A)^{-1} with it.
 
 Positive stability of scaled factors is handled as a logged experiment,
 not an asserted postcondition: with the identity scaling it would claim
@@ -29,28 +30,35 @@ from .tolerances import DEFAULT_TOL, Tolerances
 SM1_SIZES = (2, 3, 4, 5)  # matrix orders the positive-stability probe cycles through
 
 
-def _solve_matrix(mat: np.ndarray, rhs: np.ndarray, tol: Tolerances) -> np.ndarray:
-    # One LU, solved column by column: getrs on one right-hand side runs
-    # BLAS trsv, on a column block trsm, and the two round differently, so a
-    # single multi-column solve would move the last bits of U(A) and of the
-    # factors.
-    fac = _lu_with_pivot_check(as_matrix(mat), tol)
+def _rel(x: np.ndarray, ref: np.ndarray) -> float:
+    """Scaled Frobenius residual ||x - ref||_F / (1 + ||ref||_F)."""
+    return float(np.linalg.norm(x - ref) / (1.0 + np.linalg.norm(ref)))
+
+
+def _solve_matrix(fac, rhs: np.ndarray) -> np.ndarray:
+    # Column by column: getrs on one right-hand side runs BLAS trsv, on a
+    # column block trsm, and the two round differently, so a multi-column
+    # solve would move the last bits of U(A) and of the factors.
     cols = [as_vector(rhs[:, j], rhs.shape[0]) for j in range(rhs.shape[1])]
     return np.column_stack([lu_solve(fac, b) for b in cols])
 
 
+def _transform(mat: np.ndarray, tol: Tolerances):
+    """(LU factors of I + A, U(A)); Singular when -1 is an eigenvalue of A."""
+    eye = np.eye(mat.shape[0])
+    fac = _lu_with_pivot_check(eye + mat, tol)
+    return fac, _solve_matrix(fac, eye - mat)
+
+
 def cayley_u(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """U(A) = (I+A)^{-1}(I-A); Singular when -1 is an eigenvalue of A."""
-    mat = as_matrix(a)
-    eye = np.eye(mat.shape[0])
-    return _solve_matrix(eye + mat, eye - mat, tol)
+    return _transform(as_matrix(a), tol)[1]
 
 
 def verify_involution(a, tol: Tolerances = DEFAULT_TOL) -> float:
     """Residual of A = U(U(A)): ||U(U(A)) - A||_F / (1 + ||A||_F)."""
     mat = as_matrix(a)
-    roundtrip = cayley_u(cayley_u(mat, tol), tol)
-    return float(np.linalg.norm(roundtrip - mat) / (1.0 + np.linalg.norm(mat)))
+    return _rel(cayley_u(cayley_u(mat, tol), tol), mat)
 
 
 @dataclass(frozen=True)
@@ -60,25 +68,22 @@ class IdentityResiduals:
 
     plus_residual: float
     minus_residual: Optional[float]
-    minus_singular: bool
+
+    @property
+    def minus_singular(self) -> bool:
+        return self.minus_residual is None
 
 
 def verify_identities(a, tol: Tolerances = DEFAULT_TOL) -> IdentityResiduals:
     mat = as_matrix(a)
     eye = np.eye(mat.shape[0])
-    u = cayley_u(mat, tol)
-    rhs_plus = 2.0 * inverse(eye + mat, tol)
-    plus = float(
-        np.linalg.norm((eye + u) - rhs_plus) / (1.0 + np.linalg.norm(rhs_plus))
-    )
+    fac, u = _transform(mat, tol)
+    plus = _rel(eye + u, 2.0 * lu_solve(fac, eye))  # one getrs, as in linalg.inverse
     try:
         rhs_minus = 2.0 * inverse(eye + inverse(mat, tol), tol)
     except SingularMatrixError:
-        return IdentityResiduals(plus, None, True)
-    minus = float(
-        np.linalg.norm((eye - u) - rhs_minus) / (1.0 + np.linalg.norm(rhs_minus))
-    )
-    return IdentityResiduals(plus, minus, False)
+        return IdentityResiduals(plus, None)
+    return IdentityResiduals(plus, _rel(eye - u, rhs_minus))
 
 
 @dataclass(frozen=True)
@@ -109,18 +114,11 @@ def factor_p(a, tol: Tolerances = DEFAULT_TOL) -> FactorizationResult:
     if verdict != YES:
         raise NotAPMatrixError("factorization requires a P-matrix")
     eye = np.eye(mat.shape[0])
-    u = cayley_u(mat, tol)
+    fac, u = _transform(mat, tol)
     left = (eye + mat) / 2.0
-    right = 2.0 * _solve_matrix(eye + mat, mat, tol)
+    right = 2.0 * _solve_matrix(fac, mat)
     residual = float(np.linalg.norm(left @ right - mat) / np.linalg.norm(mat))
-    u_left = inverse(eye + u, tol)
-    u_right = eye - u
-    u_path = float(
-        max(
-            np.linalg.norm(u_left - left) / (1.0 + np.linalg.norm(left)),
-            np.linalg.norm(u_right - right) / (1.0 + np.linalg.norm(right)),
-        )
-    )
+    u_path = max(_rel(inverse(eye + u, tol), left), _rel(eye - u, right))
     return FactorizationResult(
         u=u,
         factor_left=left,
@@ -200,9 +198,10 @@ def scaled_stable_factor(a, s_diag, t_diag, tol: Tolerances = DEFAULT_TOL) -> Sc
     u = cayley_u(mat, tol)
     f1 = (eye + u) @ s
     f2 = (eye - u) @ t
-    combo = _solve_matrix(s, mat, tol) @ t
-    recomposed = _solve_matrix(f1, f2, tol)
-    resid = float(np.linalg.norm(recomposed - combo) / (1.0 + np.linalg.norm(combo)))
+    combo = _solve_matrix(_lu_with_pivot_check(s, tol), mat) @ t
+    # as_matrix and as_vector raise ValueError when f1 or f2 overflowed
+    recomposed = _solve_matrix(_lu_with_pivot_check(as_matrix(f1), tol), f2)
+    resid = _rel(recomposed, combo)
     ad = mat @ t
     ad_stable = is_positive_stable(ad, tol)
     return ScaledFactorReport(

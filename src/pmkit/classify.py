@@ -210,8 +210,10 @@ def products_nonpositive_exact(m, x, strict: bool = False, tol: Tolerances = DEF
         return False
     if not strict:
         return True
+    with np.errstate(over="ignore"):  # row sums past the float range saturate the threshold
+        norm = inf_norm(mat)
     # the margin t s^2 over t = T / c and s = S / c: min p / den < -T S^2 / c^3
-    (t, s), c = feasibility._dyadic([tol.minor_for(inf_norm(mat), 1), np.abs(v).max()])
+    (t, s), c = feasibility._dyadic([tol.minor_for(norm, 1), np.abs(v).max()])
     return min(prods) * c**3 < -t * s * s * den
 
 
@@ -347,7 +349,8 @@ def is_positive_stable(m, tol: Tolerances = DEFAULT_TOL) -> str:
     when an eigenvalue is past the float64 range."""
     mat = as_matrix(m)
     spec = eigenvalues(mat, check_residual=False)
-    thr = tol.minor_for(inf_norm(mat), 1)
+    with np.errstate(over="ignore"):  # row sums past the float range saturate the threshold
+        thr = tol.minor_for(inf_norm(mat), 1)
     return YES if min(v.real for v in spec.values) > thr else NO
 
 
@@ -427,9 +430,15 @@ def is_column_sufficient(
     # PSD shortcut: if the symmetric part is positive semidefinite within
     # tolerance, any x with all products <= 0 has every product bounded
     # below by lambda_min * n * ||x||_inf^2, which cannot clear the strict
-    # witness gate; the verdict is "yes" with no search needed.
-    sym_min = float(np.linalg.eigvalsh(0.5 * (mat + mat.T)).min())
-    if sym_min >= -tol.minor_for(inf_norm(mat), 1) / n:
+    # witness gate; the verdict is "yes" with no search needed.  A sum past
+    # the float range is redone halved first (finite sums keep their bits).
+    with np.errstate(over="ignore"):
+        sym = 0.5 * (mat + mat.T)
+        if not np.isfinite(sym).all():
+            sym = 0.5 * mat + 0.5 * mat.T
+        thr = tol.minor_for(inf_norm(mat), 1)
+    sym_min = float(np.linalg.eigvalsh(sym).min())
+    if sym_min >= -thr / n:
         return YES, None
 
     exact = n <= EXACT_SUFFICIENCY_MAX_DIM

@@ -8,6 +8,7 @@ import pytest
 from pmkit import cayley, classify, linalg
 from pmkit.classify import NO, YES
 from pmkit.errors import NonPositiveDiagonalError, NotAPMatrixError, SingularMatrixError
+from pmkit.generators import GenSpec, generate
 
 
 class TestCayleyU:
@@ -125,6 +126,29 @@ class TestFactorP:
         assert not dataclasses.replace(res, residual=1e-6).accepted
         assert not dataclasses.replace(res, left_is_P=NO).accepted
         assert not dataclasses.replace(res, right_is_P=NO).accepted
+
+
+class TestOneFactorizationOfIPlusA:
+    @pytest.mark.parametrize(
+        "name, count",
+        [("cayley_u", 1), ("verify_involution", 2), ("verify_identities", 3), ("factor_p", 2),
+         ("scaled_stable_factor", 3)],
+    )
+    def test_lu_factorizations_per_call(self, monkeypatch, name, count):
+        # I + A is factored once per call: U(A), 2(I+A)^{-1}A and
+        # 2(I+A)^{-1} are all solved with that LU
+        a = generate(GenSpec("P-diagdom", 6, seed=1))
+        calls = []
+        real = linalg.lu_factor_checked
+
+        def spy(mat, thr):
+            calls.append(mat.shape)
+            return real(mat, thr)
+
+        monkeypatch.setattr(linalg, "lu_factor_checked", spy)
+        args = (np.eye(6), np.eye(6)) if name == "scaled_stable_factor" else ()
+        getattr(cayley, name)(a, *args)
+        assert len(calls) == count
 
 
 class TestHurwitz:

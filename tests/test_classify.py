@@ -10,7 +10,7 @@ import pytest
 
 from pmkit import classify, feasibility, linalg, opsim
 from pmkit.classify import NO, UNKNOWN, YES
-from pmkit.errors import DimensionTooLargeError, PreconditionViolatedError
+from pmkit.errors import DimensionTooLargeError, FloatRangeError, PreconditionViolatedError
 from pmkit.generators import CLASS_TAGS, GenSpec, generate
 from pmkit.tolerances import DEFAULT_TOL, Tolerances
 
@@ -379,6 +379,44 @@ class TestPositiveStable:
 
     def test_rotation(self):
         assert classify.is_positive_stable([[0.0, -1.0], [1.0, 0.0]]) == NO
+
+
+# finite, with row sums and A + A^T past the float range; eigenvalues
+# (0, 0, 1), (0, 0) and (0, 2e308)
+OVERFLOW_SUM3 = [[1e308, 1e308, 0.0], [-1e308, -1e308, 0.0], [0.0, 0.0, 1.0]]
+OVERFLOW_SUM2 = [[1e308, 1e308], [-1e308, -1e308]]
+OVERFLOW_EIG2 = [[1e308, 1e308], [1e308, 1e308]]
+
+
+class TestOverflowingRowSums:
+    # a RuntimeWarning fails these tests (pyproject filterwarnings)
+    @pytest.mark.parametrize("m", [OVERFLOW_SUM3, OVERFLOW_SUM2], ids=["n3", "n2"])
+    def test_every_verdict_no_with_its_witness(self, m):
+        # the 3x3 raised numpy's LinAlgError from the overflowed symmetric part
+        n = len(m)
+        e2 = np.eye(n)[1]
+        rpt = classify.classify_matrix(m)
+        assert set(rpt.verdicts.values()) == {NO}
+        assert rpt.witnesses["P"] == (2,)
+        for cls, fn in (("column-sufficient", classify.is_column_sufficient),
+                        ("row-sufficient", classify.is_row_sufficient)):
+            np.testing.assert_array_equal(rpt.witnesses[cls], e2)
+            verdict, witness = fn(m)
+            assert verdict == NO
+            np.testing.assert_array_equal(witness, e2)
+        assert classify.is_positive_stable(m) == NO
+        assert classify.products_nonpositive_exact(m, e2, strict=True)
+        assert not classify.products_nonpositive_exact(m, np.ones(n), strict=True)
+
+    def test_eigenvalue_past_the_float_range(self):
+        with pytest.raises(FloatRangeError):
+            classify.classify_matrix(OVERFLOW_EIG2)
+        with pytest.raises(FloatRangeError):
+            classify.is_positive_stable(OVERFLOW_EIG2)
+        # symmetric with eigenvalues 0 and 2e308: PSD
+        assert classify.is_column_sufficient(OVERFLOW_EIG2) == (YES, None)
+        assert classify.is_row_sufficient(OVERFLOW_EIG2) == (YES, None)
+        assert not classify.products_nonpositive_exact(OVERFLOW_EIG2, [0.0, 1.0], strict=True)
 
 
 class TestNotPositiveStableFixture:

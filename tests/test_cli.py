@@ -97,6 +97,19 @@ class TestClassify:
         assert "error: FloatRangeError: an eigenvalue left the float64 range" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_row_sums_exit_0_without_warnings(self, tmp_path):
+        # exited 2 with numpy's "Eigenvalues did not converge" after two
+        # RuntimeWarnings, though the eigenvalues (0, 0, 1) are finite
+        path, out = tmp_path / "m.json", tmp_path / "r.json"
+        m = np.array([[1e308, 1e308, 0.0], [-1e308, -1e308, 0.0], [0.0, 0.0, 1.0]])
+        serialize.write_json(str(path), serialize.matrix_to_obj(m))
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-m", "pmkit.cli", "classify", "--input", str(path), "--out", str(out)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "Warning" not in proc.stderr
+        assert set(read_report(out)["result"]["verdicts"].values()) == {"no"}
+
     def test_missing_file_usage_error(self, tmp_path):
         assert main(["classify", "--input", str(tmp_path / "nope.json")]) == 2
 
