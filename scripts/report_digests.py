@@ -43,7 +43,15 @@ threshold, and the five Cayley functions (`cayley_u`,
 `verify_involution`, `verify_identities`, `factor_p`,
 `scaled_stable_factor`) on every class tag at n = 1..12 and on inputs
 with -1 as an eigenvalue, a singular A, a P-matrix that is not positive
-stable and entries of 1e300 and 1e-300.
+stable and entries of 1e300 and 1e-300.  The last two groups cover the
+LCP layer's blocks of q: `enumerate_for_each` and `lemke_solve` on three
+blocks' worth of q and one more at n = 2, 6, 10 and 12 and
+`uniqueness_census` with and without `stop_early` past one block at n = 8
+and 10, and then, on the line "LCP on row sums past the float range",
+`lemke_solve`, `enumerate_solutions` and `uniqueness_census` on a P-matrix
+whose row sums overflow: there the enumeration once took z = 0 as the one
+solution and Lemke reported a ray, where both now raise FloatRangeError,
+so that line differs from a checkout before that fix.
 Raised errors are digested as type and message.  Two checkouts give the
 same outputs exactly when their lines are equal, so a refactor is checked
 with one diff:
@@ -437,6 +445,40 @@ def _lemke_outputs() -> list:
     return out
 
 
+# the enumeration takes its q in blocks of at most 2^15 band unknowns,
+# n 2^(n-1) per q
+def _q_per_block(n: int) -> int:
+    return max(1, (1 << 15) // (n << (n - 1)))
+
+
+def _lcp_block_outputs() -> list:
+    """enumerate_for_each and lemke_solve on three blocks' worth of q and
+    one more at n = 2, 6, 10 and 12, and uniqueness_census with and without
+    stop_early past one block at n = 8 and 10, for a P and a non-P class."""
+    rng = np.random.default_rng(14)
+    out = []
+    for tag in ("P-diagdom", "non-P"):
+        for n in (2, 6, 10, 12):
+            m = generate(GenSpec(tag, n, seed=n + 2))
+            qs = rng.uniform(-5.0, 5.0, (3 * _q_per_block(n) + 1, n))
+            out.append(_outcome(lambda: list(lcp.enumerate_for_each(m, qs))))
+            out += [_outcome(lcp.lemke_solve, lcp.LCPInstance.make(m, q)) for q in qs]
+        for n in (8, 10):
+            m = generate(GenSpec(tag, n, seed=n + 3))
+            out += [_outcome(lcp.uniqueness_census, m, 3 * _q_per_block(n) + 1, seed=n, stop_early=stop)
+                    for stop in (False, True)]
+    return out
+
+
+def _lcp_overflow_outputs() -> list:
+    """The LCP layer on the P-matrix [[1e308, 1e308], [0, 1e308]], whose
+    row sums overflow, with q = (-1, -1)."""
+    m = np.array([[1e308, 1e308], [0.0, 1e308]])
+    inst = lcp.LCPInstance.make(m, [-1.0, -1.0])
+    return [_outcome(lcp.lemke_solve, inst), _outcome(lcp.enumerate_solutions, inst),
+            _outcome(lcp.uniqueness_census, m, 10), _outcome(lcp.uniqueness_census, m, 10, stop_early=True)]
+
+
 def _feasibility_outputs() -> list:
     """feasible_point, as exact fraction strings, on every orthant system
     (with and without a violation position) of the two 3x3 P fixtures and
@@ -602,6 +644,8 @@ API_GROUPS = (
      _backstop_outputs),
     ("is_P_minors is_P0_minors n = 9..12 at 2^-500..2^500 and hostile inputs", _minor_sweep_outputs),
     ("cayley_u verify_involution verify_identities factor_p scaled_stable_factor", _cayley_outputs),
+    ("enumerate_for_each lemke_solve uniqueness_census across q blocks", _lcp_block_outputs),
+    ("LCP on row sums past the float range", _lcp_overflow_outputs),
 )
 
 

@@ -66,14 +66,14 @@ class PreconditionNotEstablishedError(PmkitError):
 
 
 class LcpCycleError(PmkitError):
-    """Lemke pivoting exceeded its iteration cap (anomaly)."""
+    """Lemke pivoting came back to a basis it had left (anomaly)."""
 
 
 class FloatRangeError(PmkitError):
     """A reported float left the float64 range: an LCP solve's z or w
-    entry or an eigenvalue came out inf or NaN, or an exact quotient (a
-    kernel refutation's d_i) is too large for a float, so no result can be
-    reported from it."""
+    entry or an eigenvalue came out inf or NaN, an LCP matrix's row sums
+    overflow, or an exact quotient (a kernel refutation's d_i) is too large
+    for a float, so no result can be reported from it."""
 
 
 class ValidationFailedError(PmkitError):

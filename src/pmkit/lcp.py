@@ -8,17 +8,25 @@ the Lemke solver is the constructive route checked against it.
 
 The enumerator factors each basis once per matrix (one LAPACK `dgetrf`
 each) and packs the factors into one lower and one upper band, block after
-block; each q then takes two banded solves (`dtbtrs`) for all bases at
-once, with the bits of one `getrs` per basis (see `enumerate_for_each`).
-No routine here returns a solution with an inf or NaN entry: one raises
-FloatRangeError instead.
+block.  Both kernels take their q in blocks of bounded size: a block of q
+takes two multi-column banded solves (`dtbtrs`) for all bases of all its q
+at once, with the bits of one `getrs` per basis and q (see
+`enumerate_for_each`), and Lemke's method runs the tableaux of a block in
+lockstep, with the bits of one tableau at a time (see `lemke_for_each`).
+`cross_check_for_each` pairs the two, one Lemke batch per enumeration
+block, for the census and the suites.  Each result is that of its q alone,
+and an error is raised at the q that caused it, after the results of the
+q before it.  No routine here returns a solution with an inf or NaN entry,
+and none takes an M whose row sums overflow: each raises FloatRangeError
+instead.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import tee
+from itertools import islice
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -78,95 +86,262 @@ def _solution_from_z(inst: LCPInstance, z: np.ndarray) -> LCPSolution:
     w = inst.m @ z + inst.q
     if not np.isfinite(w).all():
         raise FloatRangeError("the LCP solution z or w = Mz + q left the float64 range")
-    basis = tuple((np.flatnonzero(z > 0.0) + 1).tolist())
+    basis = tuple(i + 1 for i, v in enumerate(z.tolist()) if v > 0.0)
     return LCPSolution(z, w, basis)
 
 
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def lemke_solve(inst: LCPInstance) -> Optional[LCPSolution]:
-    """Lemke complementary pivoting with the all-ones covering vector.
+def _finite_norm(mat: np.ndarray) -> float:
+    """||M||_inf; raises FloatRangeError when a row sum overflows, since
+    every threshold scaled by an infinite norm would accept or reject
+    everything.  Callers hold np.errstate(over="ignore"), so the overflow
+    raises no numpy warning."""
+    norm = inf_norm(mat)
+    if not math.isfinite(norm):
+        raise FloatRangeError("a row sum of M left the float64 range: ||M||_inf is not finite")
+    return norm
 
-    The tableau is laid out as [rhs | w_0..w_{n-1} | z_0..z_{n-1} | z0], so
+
+# A block of q holds at most this many band unknowns of the enumeration
+# (n 2^(n-1) per q) or tableau entries of Lemke's method (n (2n + 2) per q),
+# so that memory does not grow with the number of q.
+_BLOCK_ENTRIES = 1 << 15
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
+def _block_len(per_q: int) -> int:
+    return max(1, _BLOCK_ENTRIES // per_q)
+
+
+def _q_blocks(qs, n: int, size: int):
+    """The q of `qs` as (B, n) arrays of at most `size` rows, each block
+    drawn when it is taken, with the error of a q that `as_vector` rejects
+    (or None): that block ends just before the q, and the error is raised
+    after the results of the block."""
+    it = iter(qs)
+    while True:
+        drawn = list(islice(it, size))
+        if not drawn:
+            return
+        try:
+            block = np.array(drawn, dtype=float)
+        except (ValueError, TypeError):
+            block = None
+        if block is None or block.shape != (len(drawn), n) or not np.isfinite(block).all():
+            # one q at a time, to find the first one that as_vector rejects
+            good = []
+            for q in drawn:
+                try:
+                    good.append(as_vector(q, n))
+                except (ValueError, TypeError) as exc:
+                    yield np.array(good).reshape(-1, n), exc
+                    return
+            block = np.array(good)
+        yield block, None
+        if len(drawn) < size:
+            return
+
+
+def lemke_solve(inst: LCPInstance) -> Optional[LCPSolution]:
+    """Lemke's method on one instance: the only q of `lemke_for_each`.
+    Returns None on ray termination."""
+    return next(lemke_for_each(inst.m, [inst.q]))
+
+
+def lemke_for_each(m, qs):
+    """Lemke complementary pivoting with the all-ones covering vector on
+    LCP(m, q), for each q in `qs`, in order: the solution, or None on ray
+    termination.
+
+    Each tableau is laid out as [rhs | w_0..w_{n-1} | z_0..z_{n-1} | z0], so
     variable v (w_i = i, z_i = n + i, z0 = 2n) sits in column v + 1 and a
-    row's lexicographic key (rhs, w-block) is the slice tab[r, :n+1].  The
-    ratio test divides the keys of all candidate rows (pivot-column entry
-    above the pivot tolerance) at once, then scans them in row order: a
-    candidate replaces the best one so far when its first component that
-    differs by more than 1e-12 (1 + |best component|) is smaller (Cottle,
-    Pang & Stone, The Linear Complementarity Problem, 1992, ch. 4).  The
-    band is relative to the running best, so the comparison is not
-    transitive and the scan order is part of the rule.  A pivot updates only
-    the rows whose pivot-column entry is nonzero.  z0 enters on the last
-    row where q is smallest: after that pivot each other row tied at the
-    minimum reads (0, e_i - e_r), which is lexicographically positive only
-    for i < r, so with the first tied row the tableau would start outside
-    the invariant that the anti-cycling argument needs.  The iteration cap
-    2^(n+2) backstops the rule, and exceeding the cap raises LcpCycleError
-    as an anomaly.  Returns None on ray termination.  A z or w that leaves
-    the float64 range raises FloatRangeError; the overflow in the tableau
-    that leads there raises no numpy warning on the way.
+    row's lexicographic key (rhs, w-block) is the slice tab[r, :n+1].  z0
+    enters on the last row where q is smallest: after that pivot each other
+    row tied at the minimum reads (0, e_i - e_r), which is lexicographically
+    positive only for i < r, so with the first tied row the tableau would
+    start outside the invariant that the anti-cycling argument needs.
+
+    The q go in blocks of at most `_BLOCK_ENTRIES` tableau entries, and the
+    tableaux of a block move in lockstep: each step makes one ratio test and
+    one pivot in every tableau still running, with the roundings of one
+    tableau at a time (see `_ratio_rows` and `_pivot`).  The ratio test
+    divides the first key components, rhs over the pivot column, of the
+    candidate rows (pivot-column entry above the pivot tolerance) of all
+    tableaux at once; a tableau forms its full keys only when another
+    candidate's first component comes near the smallest.  Then they are
+    scanned in row order: a candidate replaces the best one so far when its
+    first component that differs by more than 1e-12 (1 + |best component|)
+    is smaller (Cottle, Pang & Stone, The Linear Complementarity Problem,
+    1992, ch. 4).  The band is relative to the running best, so the
+    comparison is not transitive and the scan order is part of the rule.
+    A q leaves its block when z0 leaves the basis, at ray termination, or
+    when its basis repeats.
+
+    Backstop: under the lexicographic rule no basis repeats, so a path
+    visits at most n 2^(n-1) bases (z0 and one variable of each of n - 1 of
+    the n complementary pairs), which bounds its length.  Each tableau
+    keeps its basis as one bitmask and
+    the set of masks it has had, and the first repeat raises LcpCycleError
+    as an anomaly.  A z or w that leaves the float64 range raises
+    FloatRangeError; the overflow in the tableau that leads there raises no
+    numpy warning on the way, and neither does an M whose row sums
+    overflow, which raises FloatRangeError before any pivot.  An error is
+    raised at the q that caused it, after the results of the q before it.
     """
-    n = inst.n
+    mat = as_matrix(m)
+    n = mat.shape[0]
     if n > LEMKE_MAX_DIM:
         raise DimensionTooLargeError(f"lemke_solve capped at n={LEMKE_MAX_DIM}")
-    m, q = inst.m, inst.q
-    if q.min(initial=0.0) >= 0.0:
-        return _solution_from_z(inst, np.zeros(n))
+    for block, error in _q_blocks(qs, n, _block_len(n * (2 * n + 2))):
+        for out in _lemke_block(mat, block):
+            if isinstance(out, Exception):
+                raise out
+            yield out
+        if error is not None:
+            raise error
 
-    tab = np.empty((n, 2 * n + 2))
-    tab[:, 0] = q
-    tab[:, 1:n + 1] = 0.0
-    tab[np.arange(n), np.arange(1, n + 1)] = 1.0
-    np.negative(m, out=tab[:, n + 1:2 * n + 1])
-    tab[:, 2 * n + 1] = -1.0
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _lemke_block(mat: np.ndarray, qs: np.ndarray) -> list:
+    """The outcome of Lemke's method for each row q of `qs`: an LCPSolution,
+    None on ray termination, or the error to raise at that q."""
+    n = mat.shape[0]
     z0 = 2 * n
-    basis = list(range(n))
-    piv_tol = 1e-11 * (1.0 + inf_norm(m))
+    piv_tol = 1e-11 * (1.0 + _finite_norm(mat))
+    out: list = [None] * len(qs)
+    ids = []
+    for i, q_min in enumerate(qs.min(axis=1).tolist()):
+        if q_min >= 0.0:
+            out[i] = _solution_from_z(LCPInstance(mat, qs[i]), np.zeros(n))
+        else:
+            ids.append(i)
+    if not ids:
+        return out
+    tabs = np.empty((len(ids), n, 2 * n + 2))
+    tabs[:, :, 0] = qs[ids]
+    tabs[:, :, 1:n + 1] = np.eye(n)
+    tabs[:, :, n + 1:2 * n + 1] = -mat
+    tabs[:, :, 2 * n + 1] = -1.0
+    rows = [n - 1 - r for r in tabs[:, ::-1, 0].argmin(axis=1).tolist()]
+    _pivot(tabs, rows, tabs[:, :, z0 + 1].copy())
+    # per path, in parallel lists: the basic variable of each row, the basis
+    # as a bitmask, every mask it has had, and the entering variable
+    bases, masks, seen, entering = [], [], [], []
+    for row in rows:
+        bases.append(list(range(n)))
+        bases[-1][row] = z0
+        masks.append(((1 << n) - 1) ^ (1 << row) ^ (1 << z0))
+        seen.append({masks[-1]})
+        entering.append(row + n)
+    while True:
+        rows, col = _ratio_rows(tabs, [var + 1 for var in entering], piv_tol)
+        if -1 in rows:  # ray termination: None
+            keep = [j for j, row in enumerate(rows) if row >= 0]
+            tabs, col = tabs[keep], col[keep]
+            ids, bases, masks, seen, entering, rows = (
+                [a[j] for j in keep] for a in (ids, bases, masks, seen, entering, rows))
+            if not ids:
+                break
+        _pivot(tabs, rows, col)
+        keep = []
+        for j, row in enumerate(rows):
+            basis, var = bases[j], entering[j]
+            left, basis[row] = basis[row], var
+            masks[j] ^= (1 << left) | (1 << var)
+            if left == z0:
+                # z0 has left, so every basic variable v >= n is z_{v-n}
+                z = np.zeros(n)
+                for r, v in enumerate(basis):
+                    if v >= n:
+                        z[v - n] = tabs[j, r, 0]
+                try:
+                    out[ids[j]] = _solution_from_z(LCPInstance(mat, qs[ids[j]]), np.maximum(z, 0.0))
+                except FloatRangeError as exc:
+                    out[ids[j]] = exc
+            elif masks[j] in seen[j]:
+                out[ids[j]] = LcpCycleError(
+                    f"basis repeated after {len(seen[j])} pivots; the lexicographic rule should prevent this")
+            else:
+                seen[j].add(masks[j])
+                entering[j] = left + n if left < n else left - n
+                keep.append(j)
+        if not keep:
+            break
+        if len(keep) < len(ids):
+            tabs = tabs[keep]
+            ids, bases, masks, seen, entering = ([a[j] for j in keep] for a in (ids, bases, masks, seen, entering))
+    return out
 
-    def pivot(row: int, var: int) -> None:
-        prow = tab[row]
-        prow /= prow[var + 1]
-        rows = tab[:, var + 1].nonzero()[0]
-        rows = rows[rows != row]
-        tab[rows] -= tab[rows, var + 1][:, None] * prow
 
-    def lex_ratio_row(var: int) -> Optional[int]:
-        col = tab[:, var + 1]
-        cand = (col > piv_tol).nonzero()[0]
-        if cand.size <= 1:
-            return int(cand[0]) if cand.size else None
-        keys = (tab[cand, :n + 1] / col[cand, None]).tolist()
-        best, best_key = 0, keys[0]
-        for k in range(1, len(keys)):
-            for v, b in zip(keys[k], best_key):
-                d = v - b
-                if abs(d) > 1e-12 * (1.0 + abs(b)):
-                    if d < 0:
-                        best, best_key = k, keys[k]
-                    break
-        return int(cand[best])
+def _per_tableau(idx: list) -> tuple:
+    """The index that takes entry idx[j] of the second axis of tableau j in
+    a stack, one axis shorter: a view when the stack holds one tableau."""
+    if len(idx) == 1:
+        return slice(None), idx[0]
+    return np.arange(len(idx)), np.array(idx)
 
-    row = int(np.flatnonzero(q == q.min())[-1])
-    pivot(row, z0)
-    leaving = basis[row]
-    basis[row] = z0
-    entering = n + leaving  # complement of the leaving w-variable
 
-    for _ in range(2 ** (n + 2)):
-        row = lex_ratio_row(entering)
-        if row is None:
-            return None  # ray termination
-        pivot(row, entering)
-        leaving, basis[row] = basis[row], entering
-        if leaving == z0:
-            z = np.zeros(n)
-            for r, b in enumerate(basis):
-                if n <= b < 2 * n:
-                    z[b - n] = tab[r, 0]
-            z = np.maximum(z, 0.0)
-            return _solution_from_z(inst, z)
-        entering = leaving + n if leaving < n else leaving - n
-    raise LcpCycleError("pivot cap 2^(n+2) exceeded; lexicographic rule should prevent this")
+def _pivot(tabs: np.ndarray, rows: list, col: np.ndarray) -> None:
+    """Pivot tableau j of the stack on row rows[j] of its column `col[j]`
+    (a copy, which this overwrites), in place.
+
+    The pivot row is divided by its pivot entry; every other row whose
+    pivot-column entry c is nonzero takes row - c * pivot row, masked by
+    `np.subtract(..., where=)`, so each entry gets one product and one
+    difference, the roundings of a row-by-row update, and a row with c = 0
+    keeps its bits (a -0.0 entry too)."""
+    at = _per_tableau(rows)
+    prow = tabs[at] / col[at][:, None]
+    tabs[at] = prow
+    col[at] = 0.0  # the pivot row keeps its quotient
+    np.subtract(tabs, col[:, :, None] * prow[:, None, :], out=tabs, where=(col != 0.0)[:, :, None])
+
+
+def _ratio_rows(tabs: np.ndarray, cols: list, piv_tol: float) -> tuple[list, np.ndarray]:
+    """The lexicographic ratio test of each tableau of the stack on its
+    column cols[j]: the pivot rows (-1 on ray termination) and a copy of
+    the columns.
+
+    The first key components, rhs / column entry, of the candidate rows of
+    all tableaux are divided at once; the other rows, and one more slot,
+    read as the largest float.  The smallest, `low`, is the scan's answer
+    when every ratio is finite and the next smallest, `second`, passes
+    second - low > 2e-12 ((1 + |second|) + |low|).  Then every other
+    candidate k exceeds low by g >= second - low, and g exceeds both bands
+    1e-12 (1 + |v_k|) and 1e-12 (1 + |low|) even after rounding (|v_k| is at
+    most g + |low|), so the scan keeps low against every later row and takes
+    it against any earlier best.  Otherwise `_lex_scan` runs the scan on the
+    full keys of that tableau."""
+    k, n = tabs.shape[:2]
+    at = _per_tableau(cols)
+    col = tabs[at[0], :, at[1]].copy()
+    cand = col > piv_tol
+    ratio = np.full((k, n + 1), _FLOAT_MAX)
+    np.divide(tabs[:, :, 0], col, out=ratio[:, :n], where=cand)
+    rows = ratio.argmin(axis=1).tolist()
+    ratio.sort(axis=1)
+    for j, (low, second, last) in enumerate(ratio.take((0, 1, n), axis=1).tolist()):
+        if not (last < math.inf and second - low > 2e-12 * ((1.0 + abs(second)) + abs(low))):
+            rows[j] = _lex_scan(tabs[j], col[j], cand[j])
+    return rows, col
+
+
+def _lex_scan(tab: np.ndarray, col: np.ndarray, cand: np.ndarray) -> int:
+    """The lexicographic ratio test of one tableau, scanning the full keys
+    (rhs, w-block) / column entry of its candidate rows in row order; -1
+    when no row is a candidate."""
+    rows = np.flatnonzero(cand)
+    if not rows.size:
+        return -1
+    keys = (tab[rows, :tab.shape[0] + 1] / col[rows, None]).tolist()
+    best, best_key = 0, keys[0]
+    for k in range(1, len(keys)):
+        for v, b in zip(keys[k], best_key):
+            d = v - b
+            if abs(d) > 1e-12 * (1.0 + abs(b)):
+                if d < 0:
+                    best, best_key = k, keys[k]
+                break
+    return int(rows[best])
 
 
 def lemke_agrees(z_lemke: np.ndarray, z_ref: np.ndarray) -> bool:
@@ -288,24 +463,22 @@ def _basis_table(mat: np.ndarray, tol: Tolerances) -> _BasisTable:
     return _BasisTable(layout, lower, upper, gather, ok, singular)
 
 
-def _band_solve(table: _BasisTable, q: np.ndarray) -> np.ndarray:
-    """z_alpha = M_aa^-1 (-q_alpha) for every basis of `table`, as the N
-    unknowns of its block-diagonal system: two `dtbtrs` calls, on the unit
-    lower band, then on the upper band.
-
-    Raises FloatRangeError when an entry comes out inf or NaN: a coupling
-    entry, 0, times inf is NaN in the next block, so no block of such a
-    solve can be trusted."""
+def _band_solve(table: _BasisTable, qs: np.ndarray) -> np.ndarray:
+    """z_alpha = M_aa^-1 (-q_alpha) for every basis of `table` and every
+    row q of the (B, n) `qs`, as a (B, N) array, row b the N unknowns of the
+    block-diagonal system for qs[b]: two multi-column `dtbtrs` calls, on the
+    unit lower band, then on the upper band.  `dtbtrs` solves each column
+    with its own `tbsv` sweep, so a column's bits do not depend on the
+    others.  An entry may come out inf or NaN; `_enumerate_block` checks."""
     tbtrs = scipy_extension("linalg._flapack").dtbtrs
-    src = np.zeros(len(q) + 1)
-    np.negative(q, out=src[:-1])
-    y, info_lower = tbtrs(table.lower, src[table.gather], uplo="L", diag="U", overwrite_b=1)
+    src = np.zeros((len(qs), qs.shape[1] + 1))
+    np.negative(qs, out=src[:, :-1])
+    # (B, N) in C order is the (N, B) Fortran array that dtbtrs overwrites
+    y, info_lower = tbtrs(table.lower, src[:, table.gather].T, uplo="L", diag="U", overwrite_b=1)
     x, info_upper = tbtrs(table.upper, y, overwrite_b=1)
     if info_lower or info_upper:
         raise ValueError(f"dtbtrs returned info {info_lower or info_upper}")
-    if not np.isfinite(x).all():
-        raise FloatRangeError("a complementary basis solve left the float64 range")
-    return x
+    return x.T
 
 
 def enumerate_solutions(inst: LCPInstance, tol: Tolerances = DEFAULT_TOL) -> EnumerationResult:
@@ -316,7 +489,8 @@ def enumerate_solutions(inst: LCPInstance, tol: Tolerances = DEFAULT_TOL) -> Enu
     component of z and of w = Mz + q is at least -thr, where
     thr = tol.minor_for(||M||_inf, 1) * (1 + ||q||_inf).  Singular bases
     are skipped and counted.  Distinct solutions are merged within 1e-8.
-    A z or w that leaves the float64 range raises FloatRangeError.
+    A z or w that leaves the float64 range, or an M whose row sums
+    overflow, raises FloatRangeError.
     """
     return next(enumerate_for_each(inst.m, [inst.q], tol))
 
@@ -326,16 +500,20 @@ def enumerate_for_each(m, qs, tol: Tolerances = DEFAULT_TOL):
     order, over one basis table of `m` (built when the first result is
     taken).
 
-    Each q costs a fixed number of LAPACK and numpy calls: the two band
+    The q are taken in blocks of at most `_BLOCK_ENTRIES` band unknowns
+    (n 2^(n-1) per q), each drawn from `qs` when its block is reached, so
+    memory does not grow with the number of q, and a consumer that stops
+    early has drawn at most one block past the last result it took.  A
+    block costs a fixed number of LAPACK and numpy calls: the two band
     solves of `_band_solve`, one `np.minimum.reduceat` for the least z
-    entry of every basis, and one stacked `np.matmul` for w = Mz + q on the
-    bases that pass the z test; Python loops only over the bases that pass
-    both sign tests.  The results are the bits of one `getrs` per basis
-    and one `M @ z` per surviving basis:
+    entry of every basis of every q, and one stacked `np.matmul` for
+    w = Mz + q on the bases that pass the z test; Python loops only over
+    the q and the bases that pass the z test.  The results are the
+    bits of one `getrs` per basis and one `M @ z` per surviving basis:
     - `getrs` on one right-hand side is `laswp`, then `trsv` on L and U,
-      which sweep the columns with `axpy` updates; `tbsv` (under `dtbtrs`)
-      makes the same sweep inside the band.  The row swaps are folded into
-      the table's gather.
+      which sweep the columns with `axpy` updates; `tbsv` (under `dtbtrs`,
+      one sweep per right-hand side) makes the same sweep inside the band.
+      The row swaps are folded into the table's gather.
     - A coupling entry between two blocks is an exact 0, so it adds +-0 to
       a finite entry: only the sign of a zero entry of z can differ.  z is
       reported as np.maximum(z, 0.0), which gives +0.0 for either zero,
@@ -343,33 +521,99 @@ def enumerate_for_each(m, qs, tol: Tolerances = DEFAULT_TOL):
       as equal.
     - `np.matmul` of M with a stack of (n, 1) columns makes one `gemv` per
       column, the product `M @ z` makes; a `gemm` over z rows would not.
+    An error is raised at the q that caused it, after the results of the q
+    before it.
     """
     mat = as_matrix(m)
-    if mat.shape[0] > ENUM_MAX_DIM:
-        raise DimensionTooLargeError(f"enumeration capped at n={ENUM_MAX_DIM}")
+    for _, results, error in _enumeration_blocks(mat, qs, tol, one_at_a_time=False):
+        yield from results
+        if error is not None:
+            raise error
+
+
+def _enumeration_blocks(mat: np.ndarray, qs, tol: Tolerances, one_at_a_time: bool):
+    """(block, results, error) for each block of `qs`: the (B, n) q that the
+    EnumerationResults answer, and the error to raise after them or None.
+    Blocks hold one q each when `one_at_a_time`."""
     n = mat.shape[0]
+    if n > ENUM_MAX_DIM:
+        raise DimensionTooLargeError(f"enumeration capped at n={ENUM_MAX_DIM}")
+    with np.errstate(over="ignore"):
+        thr_minor = tol.minor_for(_finite_norm(mat), 1)
     table = _basis_table(mat, tol)
-    layout = table.layout
-    thr_minor = tol.minor_for(inf_norm(mat), 1)
-    for q in qs:
-        inst = LCPInstance(mat, as_vector(q, n))
-        thr_sign = thr_minor * (1.0 + inf_norm(inst.q))
-        x = _band_solve(table, inst.q)
-        # row 0 is the empty basis, row b the b-th nonempty one; the
-        # clamped complement of a basis, 0, never fails a test against -thr
-        zs = np.zeros(len(table.ok) * n)
-        zs[layout.zs_pos] = x
-        passing = table.ok.copy()
-        passing[1:] &= np.minimum.reduceat(x, layout.starts) >= -thr_sign
-        zs = zs.reshape(-1, n)[passing]
-        ws = np.matmul(mat, zs[:, :, None])[:, :, 0] + inst.q
+    for block, late_error in _q_blocks(qs, n, 1 if one_at_a_time else _block_len(n << (n - 1))):
+        results, error = _enumerate_block(table, mat, block, thr_minor) if len(block) else ([], None)
+        error = error if error is not None else late_error
+        yield block[:len(results)], results, error
+        if error is not None:
+            return
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _enumerate_block(table: _BasisTable, mat: np.ndarray, qs: np.ndarray, thr_minor: float):
+    """The EnumerationResult of each row q of `qs`, in order, up to the
+    first q whose basis solve or reported w leaves the float64 range, and
+    that q's FloatRangeError (None when every q went through).  A basis
+    solve with an inf or NaN entry fails its whole q: a coupling entry, 0,
+    times inf is NaN in the next block, so no block of it can be trusted."""
+    layout, n = table.layout, mat.shape[0]
+    x = _band_solve(table, qs)
+    error = None
+    if not np.isfinite(x).all():
+        stop = int(np.isfinite(x).all(axis=1).argmin())
+        qs, x = qs[:stop], x[:stop]
+        error = FloatRangeError("a complementary basis solve left the float64 range")
+        if not stop:
+            return [], error
+    norm_q = np.abs(qs).max(axis=1)
+    thr_sign = thr_minor * (1.0 + norm_q)
+    # row 0 of each q is the empty basis, row b the b-th nonempty one; the
+    # clamped complement of a basis, 0, never fails a test against -thr
+    passing = np.tile(table.ok, (len(qs), 1))
+    passing[:, 1:] &= np.minimum.reduceat(x, layout.starts, axis=1) >= -thr_sign[:, None]
+    zs = np.zeros((len(qs), len(table.ok) * n))
+    zs[:, layout.zs_pos] = x
+    zs = zs.reshape(len(qs), -1, n)[passing]
+    counts = passing.sum(axis=1)
+    w_min = (np.matmul(mat, zs[:, :, None])[:, :, 0] + np.repeat(qs, counts, axis=0)).min(axis=1).tolist()
+    results, row = [], 0
+    for q, a, count in zip(qs, norm_q.tolist(), counts.tolist()):
+        thr = thr_minor * (1.0 + a)  # thr_sign of this q
         sols: list[np.ndarray] = []
-        # negated, so that a w with a NaN reaches _solution_from_z and raises
-        for z in zs[~(ws.min(axis=1) < -thr_sign)]:
-            zc = np.maximum(z, 0.0)
-            if not any(inf_norm(zc - s) <= 1e-8 * (1.0 + inf_norm(s)) for s in sols):
-                sols.append(zc)
-        yield EnumerationResult(tuple(_solution_from_z(inst, z) for z in sols), table.singular)
+        for r in range(row, row + count):
+            # negated, so that a w with a NaN reaches _solution_from_z and raises
+            if not w_min[r] < -thr:
+                zc = np.maximum(zs[r], 0.0)
+                if not any(inf_norm(zc - s) <= 1e-8 * (1.0 + inf_norm(s)) for s in sols):
+                    sols.append(zc)
+        row += count
+        inst = LCPInstance(mat, q)
+        try:
+            results.append(EnumerationResult(tuple(_solution_from_z(inst, z) for z in sols), table.singular))
+        except FloatRangeError as exc:
+            return results, exc
+    return results, error
+
+
+def cross_check_for_each(m, qs, tol: Tolerances = DEFAULT_TOL, one_at_a_time: bool = False):
+    """(q, enumeration, lemke) for each q in `qs`, in order: the q as
+    validated, its `enumerate_for_each` result and, when that has exactly
+    one solution, the `lemke_for_each` outcome (a solution, or None on ray
+    termination), else None.
+
+    Each block of the enumeration is followed by one Lemke batch over its q
+    with exactly one solution.  `one_at_a_time` makes every block one q, so
+    each q is drawn from `qs` only when it is examined.  An error is raised
+    at the q that caused it, after the results of the q before it.
+    """
+    mat = as_matrix(m)
+    for block, results, error in _enumeration_blocks(mat, qs, tol, one_at_a_time):
+        unique = np.array([len(res.solutions) == 1 for res in results], dtype=bool)
+        sols = lemke_for_each(mat, block[unique])
+        for q, res, one in zip(block, results, unique):
+            yield q, res, next(sols) if one else None
+        if error is not None:
+            raise error
 
 
 @dataclass(frozen=True)
@@ -392,11 +636,16 @@ def uniqueness_census(
 
     Consistent-with-P requires every tally to be exactly one (and no
     singular bases skipped; skips downgrade the verdict to inconclusive).
-    When the count is one, lemke_solve must reproduce the solution within
-    1e-6.  `stop_early` returns as soon as a count != 1 shows up, for
-    contrapositive sampling; each q is drawn from the seeded generator
-    when it is examined, so the q after that one are never drawn.
+    When the count is one, Lemke's method must reproduce the solution
+    within 1e-6.  The q go through `cross_check_for_each`: the enumeration
+    of a block of q, then one Lemke batch over those with one solution, and
+    they are drawn one block at a time (`rng.uniform` of a (B, n) block
+    gives the doubles of B draws of n), so memory does not grow with
+    `trials`.  `stop_early` returns as soon as a count != 1 shows up, for
+    contrapositive sampling; each q is drawn from the seeded generator and
+    examined on its own, so the q after that one are never drawn.
     `trials` below 1 raises ValueError: no verdict rests on zero samples.
+    An M whose row sums overflow raises FloatRangeError.
     """
     mat = as_matrix(m)
     n = mat.shape[0]
@@ -405,20 +654,23 @@ def uniqueness_census(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    qs, qs_enumerated = tee(rng.uniform(-5.0, 5.0, n) for _ in range(trials))
+    if stop_early:
+        qs = (rng.uniform(-5.0, 5.0, n) for _ in range(trials))
+    else:
+        size = _block_len(n << (n - 1))
+        qs = (q for start in range(0, trials, size) for q in rng.uniform(-5.0, 5.0, (min(size, trials - start), n)))
 
     zero = one = many = 0
     mismatches = rays = 0
     skipped_bases = 0
     bad_q: Optional[tuple[float, ...]] = None
-    for q, res in zip(qs, enumerate_for_each(mat, qs_enumerated, tol)):
+    for q, res, sol in cross_check_for_each(mat, qs, tol, one_at_a_time=stop_early):
         skipped_bases = res.singular_skipped
         count = len(res.solutions)
         if count == 0:
             zero += 1
         elif count == 1:
             one += 1
-            sol = lemke_solve(LCPInstance(mat, q))
             if sol is None:
                 rays += 1
             elif not lemke_agrees(sol.z, res.solutions[0].z):

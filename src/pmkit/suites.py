@@ -292,15 +292,13 @@ def suite_lcp(seed: int = 1, tol: Tolerances = DEFAULT_TOL) -> SuiteReport:
         m = generate(GenSpec("P-diagdom", n, seed=seed * 9_000_043 + k))
         pool.append(m)
         qs = [rng.uniform(-5.0, 5.0, n) for _ in range(LCP_FORWARD_QS)]
-        for q, res in zip(qs, lcp.enumerate_for_each(m, qs, tol)):
-            inst = lcp.LCPInstance(m, q)
+        for q, res, sol in lcp.cross_check_for_each(m, qs, tol):
             skips += res.singular_skipped
             if len(res.solutions) != 1:
                 multi += 1
                 continue
-            if not lcp.validate_solution(inst, res.solutions[0], tol):
+            if not lcp.validate_solution(lcp.LCPInstance(m, q), res.solutions[0], tol):
                 invalid += 1
-            sol = lcp.lemke_solve(inst)
             if sol is None:
                 rays += 1
             elif not lcp.lemke_agrees(sol.z, res.solutions[0].z):

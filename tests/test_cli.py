@@ -262,6 +262,22 @@ class TestLcp:
         assert proc.stderr.splitlines() == [
             "error: FloatRangeError: the LCP solution z or w = Mz + q left the float64 range"]
 
+    @pytest.mark.parametrize("action", ["solve", "enumerate", "census"])
+    def test_overflowing_row_sums_exit_2(self, action, tmp_path, capsys):
+        # the P-matrix [[1e308, 1e308], [0, 1e308]] has ||M||_inf = inf: no
+        # threshold scaled by it means anything, so each command refuses it
+        # with the error line and without a numpy warning
+        path = tmp_path / "inst.json"
+        serialize.write_json(str(path), serialize.lcp_instance_to_obj(
+            np.array([[1e308, 1e308], [0.0, 1e308]]), [-1.0, -1.0]))
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["lcp", action, "--input", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: FloatRangeError: a row sum of M left the float64 range: ||M||_inf is not finite"]
+        assert not out.exists()
+
     def test_census_no_trials_exit_2(self, instance, tmp_path):
         out = tmp_path / "c.json"
         assert main(["lcp", "census", "--input", instance, "--trials", "0", "--out", str(out)]) == 2

@@ -1,9 +1,10 @@
 """LCP solver vs brute-force enumeration, and the uniqueness census."""
 
 import pickle
+import tracemalloc
 import warnings
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, groupby
 from typing import Optional
 
 import numpy as np
@@ -157,6 +158,48 @@ class TestCensus:
         # the same sequence as drawing all 500 first
         assert rpt.example_bad_q == tuple(default_rng(3).uniform(-5.0, 5.0, (500, 2))[rpt.trials - 1])
 
+    def test_draws_one_block_at_a_time(self, monkeypatch):
+        draws = []
+        default_rng = np.random.default_rng
+
+        class CountingRng:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def uniform(self, *args):
+                draws.append(self.rng.uniform(*args))
+                return draws[-1]
+
+        m = generate(GenSpec("P-diagdom", 8, seed=8))
+        monkeypatch.setattr(np.random, "default_rng", CountingRng)
+        rpt = lcp.uniqueness_census(m, trials=100, seed=3)
+        monkeypatch.undo()
+        block = lcp._block_len(8 << 7)
+        assert [len(d) for d in draws] == [block] * (100 // block) + [100 % block]
+        # the doubles of 100 draws of one q each
+        assert (np.concatenate(draws) == default_rng(3).uniform(-5.0, 5.0, (100, 8))).all()
+        assert rpt == lcp.uniqueness_census(m, trials=100, seed=3, stop_early=True)
+
+    def test_memory_bounded_by_one_block(self):
+        # the peak with 2,000 q is that with 50, but for at most one block's
+        # arrays: its band unknowns, their gathered right-hand sides and its
+        # table of z vectors (2^n n per q)
+        n = 10
+        m = generate(GenSpec("P-diagdom", n, seed=n))
+        lcp.uniqueness_census(m, trials=5, seed=1)
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                assert lcp.uniqueness_census(m, trials=trials, seed=1).count_one == trials
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        unknowns = n << (n - 1)
+        block_bytes = lcp._block_len(unknowns) * (2 * unknowns + (n << n)) * 8
+        assert peak(2000) - peak(50) <= block_bytes
+
     @pytest.mark.parametrize("trials", [0, -3])
     def test_no_trials_rejected(self, monkeypatch, trials):
         # zero samples would read consistent-with-P even for non-P diag(-1, 1);
@@ -259,12 +302,26 @@ class TestFloatRange:
         sol = lcp.enumerate_solutions(inst(self.M, [-1e300, -1.0])).solutions
         assert len(sol) == 1 and np.isfinite(sol[0].z).all() and np.isfinite(sol[0].w).all()
 
+    def test_overflowing_row_sums_raise_without_numpy_warnings(self):
+        # a P-matrix with ||M||_inf = inf: every threshold saturated, so the
+        # enumeration once took z = 0, w = (-1, -1) as the one solution and
+        # Lemke reported a ray, which no P-matrix has
+        m, q = np.array([[1e308, 1e308], [0.0, 1e308]]), [-1.0, -1.0]
+        calls = [lambda: lcp.lemke_solve(inst(m, q)), lambda: lcp.enumerate_solutions(inst(m, q)),
+                 lambda: next(lcp.lemke_for_each(m, [np.ones(2)])),
+                 lambda: lcp.uniqueness_census(m, 10), lambda: lcp.uniqueness_census(m, 10, stop_early=True)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(FloatRangeError, match="row sum of M"):
+                    call()
+
 
 class TestBandedSolve:
     def test_each_basis_equals_its_getrs(self):
         """The band solve of each basis that passes the pivot test equals
         getrs(getrf(M_aa), -q_alpha) under ==, on random q, q with zero
-        entries and q >= 0."""
+        entries and q >= 0, solved as the three columns of one block."""
         rng = np.random.default_rng(21)
         solved = 0
         for n in range(1, 13):
@@ -276,10 +333,12 @@ class TestBandedSolve:
                            for alpha, ok in zip(bases, table.ok[1:]) if ok]
                 rows = np.repeat(table.ok[1:], table.layout.sizes)
                 draw = rng.uniform(-5.0, 5.0, n)
-                for q in (draw, np.where(np.arange(n) % 2 == 0, 0.0, draw), np.abs(draw)):
+                qs = np.array([draw, np.where(np.arange(n) % 2 == 0, 0.0, draw), np.abs(draw)])
+                got = lcp._band_solve(table, qs)
+                for q, x in zip(qs, got):
                     want = [scipy.linalg.lapack.dgetrs(lu, piv, -q[alpha])[0] for alpha, lu, piv in factors]
                     if want:
-                        assert (lcp._band_solve(table, q)[rows] == np.concatenate(want)).all()
+                        assert (x[rows] == np.concatenate(want)).all()
                     solved += len(want)
         assert solved > 100_000
 
@@ -303,12 +362,13 @@ class TestBandedSolve:
         for name in ("dgetrf", "dgetrs", "dtbtrs"):
             monkeypatch.setattr(flapack, name, counted(name))
         rng = np.random.default_rng(22)
-        for n in (1, 4, 8):
+        # two dtbtrs calls per block of q; a block at n = 8 holds 32 q
+        for n, count, blocks in ((1, 7, 1), (4, 7, 1), (8, 7, 1), (8, 70, 3)):
             m = generate(GenSpec("M-matrix", n, seed=n))
-            qs = [rng.uniform(-5.0, 5.0, n) for _ in range(7)]
+            qs = [rng.uniform(-5.0, 5.0, n) for _ in range(count)]
             calls.clear()
-            assert len(list(lcp.enumerate_for_each(m, qs))) == 7
-            assert calls == {"dgetrf": 2 ** n - 1, "dtbtrs": 2 * 7}
+            assert len(list(lcp.enumerate_for_each(m, qs))) == count
+            assert calls == {"dgetrf": 2 ** n - 1, "dtbtrs": 2 * blocks}
 
 
 def _tied_cases():
@@ -540,3 +600,138 @@ class TestAgainstReferenceLoops:
                 assert pickle.dumps(got) == pickle.dumps(want)
         # the w-block tie-break, not only the rhs ratio, was compared
         assert len(late) > 0
+
+
+def _quiet(fn, *args):
+    """fn(*args) with numpy's floating-point warnings off: the reference
+    loops overflow on the way to FloatRangeError, where the library does not."""
+    with np.errstate(all="ignore"):
+        return _outcome(fn, *args)
+
+
+def _reference_lemke_for_each(m, qs, late=None):
+    return [_quiet(_reference_lemke_solve, inst(m, q), DEFAULT_TOL, late) for q in qs]
+
+
+def _lemke_for_each(m, qs):
+    """lemke_for_each's outcomes, its error (an LcpCycleError as _outcome
+    records it) at the end."""
+    out: list = []
+    try:
+        out.extend(lcp.lemke_for_each(m, qs))
+    except LcpCycleError as exc:
+        out.append(("raised", str(exc)))
+    return out
+
+
+def _batch_cases():
+    """(m, qs) with more q than one block: several hundred q at n = 2, 4
+    and 6, two enumeration blocks and one q more at n = 8..12, and Lemke
+    blocks at n = 16 and 32, for a P and a non-P class, with q of zero,
+    repeated and nonnegative entries among them."""
+    rng = np.random.default_rng(31)
+    for tag in ("P-diagdom", "non-P"):
+        for n in range(2, 33):
+            if n <= 6 and n % 2 == 0:
+                count = 400
+            elif 8 <= n <= 12:
+                count = 2 * lcp._block_len(n << (n - 1)) + 1
+            elif n in (16, 32):
+                count = lcp._block_len(n * (2 * n + 2)) + 1
+            else:
+                continue
+            m = generate(GenSpec(tag, n, seed=n))
+            qs = [rng.uniform(-5.0, 5.0, n) for _ in range(count)]
+            qs[1::7] = [_degenerate_qs(rng, n)[k % 5] for k in range(len(qs[1::7]))]
+            yield m, qs
+
+
+class TestBatchPaths:
+    """The block paths give the bits of one q at a time: pickle-equal to the
+    reference loops, with numpy warnings turned into errors."""
+
+    def test_enumeration_across_blocks(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m, qs in _batch_cases():
+                if m.shape[0] <= lcp.ENUM_MAX_DIM:
+                    got = list(lcp.enumerate_for_each(m, qs))
+                    assert pickle.dumps(got) == pickle.dumps(list(_reference_enumerate_for_each(m, qs)))
+
+    def test_lemke_across_blocks(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m, qs in _batch_cases():
+                assert pickle.dumps(_lemke_for_each(m, qs)) == pickle.dumps(_reference_lemke_for_each(m, qs))
+
+    def test_lemke_tied_minimum_per_matrix(self):
+        late: list = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _, group in groupby(_tied_cases(), key=lambda case: id(case[1])):
+                group = list(group)
+                m, qs = group[0][1], [q for _, _, q in group]
+                assert pickle.dumps(_lemke_for_each(m, qs)) == pickle.dumps(_reference_lemke_for_each(m, qs, late))
+        # key components past the first decided some steps
+        assert len(late) > 0
+
+    def test_an_error_comes_at_its_turn(self):
+        # TestFloatRange's overflowing q in the middle of a block: the
+        # results before it come first, then its FloatRangeError
+        m = TestFloatRange.M
+        qs = [[-1.0, -2.0], [3.0, -1.0], [0.5, 0.5], TestFloatRange.Q, [-1.0, -1.0], [2.0, 1.0]]
+        for each, reference in ((lcp.enumerate_for_each, _reference_enumerate_for_each),
+                                (lcp.lemke_for_each, _reference_lemke_for_each)):
+            got = []
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(FloatRangeError):
+                    for out in each(m, qs):
+                        got.append(out)
+            assert pickle.dumps(got) == pickle.dumps(list(reference(m, qs[:3])))
+        for one_at_a_time in (False, True):
+            seen = []
+            with pytest.raises(FloatRangeError):
+                for q, res, sol in lcp.cross_check_for_each(m, qs, one_at_a_time=one_at_a_time):
+                    seen.append((q.tolist(), res, sol))
+            assert [q for q, _, _ in seen] == qs[:3]
+            assert pickle.dumps([sol for _, _, sol in seen]) == pickle.dumps(_reference_lemke_for_each(m, qs[:3]))
+
+    def test_a_malformed_q_fails_at_its_turn(self):
+        m = np.eye(2)
+        for each in (lcp.enumerate_for_each, lcp.lemke_for_each):
+            got = []
+            with pytest.raises(ValueError, match="vector of length 2"):
+                for out in each(m, [[-1.0, 1.0], [1.0, 2.0, 3.0], [1.0, 1.0]]):
+                    got.append(out)
+            assert len(got) == 1
+
+
+class TestBackstop:
+    def test_repeated_basis_raises_within_one_cycle(self, monkeypatch):
+        # a ratio test that always picks row 0 walks w0 -> z1 -> z0 -> w1 ->
+        # w0 through row 0 while z0 stays basic in row 1: the fourth pivot
+        # repeats the first basis
+        ratio_rows = lcp._ratio_rows
+        calls = []
+
+        def row_zero(tabs, cols, piv_tol):
+            calls.append(cols)
+            return [0] * len(cols), ratio_rows(tabs, cols, piv_tol)[1]
+
+        monkeypatch.setattr(lcp, "_ratio_rows", row_zero)
+        with pytest.raises(LcpCycleError, match="basis repeated after 4 pivots"):
+            lcp.lemke_solve(inst([[2.0, 1.0], [1.0, 2.0]], [1.0, -1.0]))
+        assert len(calls) == 4
+
+    def test_repeated_basis_raises_at_its_turn(self, monkeypatch):
+        # in a block, the q >= 0 before the cycling q takes no pivot and
+        # comes first
+        ratio_rows = lcp._ratio_rows
+        monkeypatch.setattr(lcp, "_ratio_rows",
+                            lambda tabs, cols, piv_tol: ([0] * len(cols), ratio_rows(tabs, cols, piv_tol)[1]))
+        got = []
+        with pytest.raises(LcpCycleError):
+            for sol in lcp.lemke_for_each([[2.0, 1.0], [1.0, 2.0]], [[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0]]):
+                got.append(sol)
+        assert len(got) == 1 and got[0].basis == ()
