@@ -569,8 +569,9 @@ def _enumerate_block(table: _BasisTable, mat: np.ndarray, qs: np.ndarray, thr_mi
     thr_sign = thr_minor * (1.0 + norm_q)
     # row 0 of each q is the empty basis, row b the b-th nonempty one; the
     # clamped complement of a basis, 0, never fails a test against -thr
-    passing = np.tile(table.ok, (len(qs), 1))
-    passing[:, 1:] &= np.minimum.reduceat(x, layout.starts, axis=1) >= -thr_sign[:, None]
+    passing = np.ones((len(qs), len(table.ok)), dtype=bool)
+    np.greater_equal(np.minimum.reduceat(x, layout.starts, axis=1), -thr_sign[:, None], out=passing[:, 1:])
+    passing &= table.ok
     zs = np.zeros((len(qs), len(table.ok) * n))
     zs[:, layout.zs_pos] = x
     zs = zs.reshape(len(qs), -1, n)[passing]

@@ -630,16 +630,11 @@ def _batch_cases():
     blocks at n = 16 and 32, for a P and a non-P class, with q of zero,
     repeated and nonnegative entries among them."""
     rng = np.random.default_rng(31)
+    sizes = [(n, 400) for n in (2, 4, 6)]
+    sizes += [(n, 2 * lcp._block_len(n << (n - 1)) + 1) for n in range(8, 13)]
+    sizes += [(n, lcp._block_len(n * (2 * n + 2)) + 1) for n in (16, 32)]
     for tag in ("P-diagdom", "non-P"):
-        for n in range(2, 33):
-            if n <= 6 and n % 2 == 0:
-                count = 400
-            elif 8 <= n <= 12:
-                count = 2 * lcp._block_len(n << (n - 1)) + 1
-            elif n in (16, 32):
-                count = lcp._block_len(n * (2 * n + 2)) + 1
-            else:
-                continue
+        for n, count in sizes:
             m = generate(GenSpec(tag, n, seed=n))
             qs = [rng.uniform(-5.0, 5.0, n) for _ in range(count)]
             qs[1::7] = [_degenerate_qs(rng, n)[k % 5] for k in range(len(qs[1::7]))]
@@ -708,30 +703,57 @@ class TestBatchPaths:
 
 
 class TestBackstop:
-    def test_repeated_basis_raises_within_one_cycle(self, monkeypatch):
-        # a ratio test that always picks row 0 walks w0 -> z1 -> z0 -> w1 ->
-        # w0 through row 0 while z0 stays basic in row 1: the fourth pivot
-        # repeats the first basis
+    @staticmethod
+    def _row_zero(monkeypatch) -> list:
+        """Patch the ratio test to always pick row 0, which walks w0 -> z1 ->
+        z0 -> w1 -> w0 through row 0 while z0 stays basic in the other row:
+        the fourth pivot repeats the first basis.  Returns the list of calls,
+        and a fifth call fails the test rather than let it run on."""
         ratio_rows = lcp._ratio_rows
-        calls = []
+        calls: list = []
 
         def row_zero(tabs, cols, piv_tol):
             calls.append(cols)
+            assert len(calls) <= 4, "no LcpCycleError within one cycle"
             return [0] * len(cols), ratio_rows(tabs, cols, piv_tol)[1]
 
         monkeypatch.setattr(lcp, "_ratio_rows", row_zero)
+        return calls
+
+    def test_repeated_basis_raises_within_one_cycle(self, monkeypatch):
+        calls = self._row_zero(monkeypatch)
         with pytest.raises(LcpCycleError, match="basis repeated after 4 pivots"):
             lcp.lemke_solve(inst([[2.0, 1.0], [1.0, 2.0]], [1.0, -1.0]))
         assert len(calls) == 4
 
     def test_repeated_basis_raises_at_its_turn(self, monkeypatch):
         # in a block, the q >= 0 before the cycling q takes no pivot and
-        # comes first
-        ratio_rows = lcp._ratio_rows
-        monkeypatch.setattr(lcp, "_ratio_rows",
-                            lambda tabs, cols, piv_tol: ([0] * len(cols), ratio_rows(tabs, cols, piv_tol)[1]))
+        # comes first; the last q, whose z0 sits in row 0, steps with the
+        # cycling one once and leaves the block when z0 leaves its basis
+        calls = self._row_zero(monkeypatch)
         got = []
         with pytest.raises(LcpCycleError):
             for sol in lcp.lemke_for_each([[2.0, 1.0], [1.0, 2.0]], [[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0]]):
                 got.append(sol)
         assert len(got) == 1 and got[0].basis == ()
+        assert [len(cols) for cols in calls] == [2, 1, 1, 1]
+
+
+class TestPivot:
+    def test_rows_with_a_zero_entry_keep_their_bits(self):
+        # updating every row would turn row 1's -0.0 into +0.0 (-0.0 minus
+        # 0.0 * -0.5) and its last entry into NaN (0.0 * inf); the masked
+        # update leaves both rows with a zero pivot-column entry as they are,
+        # one tableau by views and two by fancy indexing
+        tab = np.array([[2.0, 4.0, -2.0, np.inf], [-0.0, 0.0, -0.0, 1.0],
+                        [3.0, 0.0, 5.0, 7.0], [1.0, 2.0, 3.0, 4.0]])
+        want = tab.copy()
+        want[0] /= want[0, 1]
+        for r in (1, 2, 3):
+            if want[r, 1] != 0.0:
+                want[r] -= want[r, 1] * want[0]
+        for count in (1, 2):
+            tabs = np.array([tab] * count)
+            with np.errstate(invalid="ignore", over="ignore"):
+                lcp._pivot(tabs, [0] * count, tabs[:, :, 1].copy())
+            assert all(t.tobytes() == want.tobytes() for t in tabs)
