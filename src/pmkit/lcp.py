@@ -503,7 +503,7 @@ def enumerate_for_each(m, qs, tol: Tolerances = DEFAULT_TOL):
     The q are taken in blocks of at most `_BLOCK_ENTRIES` band unknowns
     (n 2^(n-1) per q), each drawn from `qs` when its block is reached, so
     memory does not grow with the number of q, and a consumer that stops
-    early has drawn at most one block past the last result it took.  A
+    early has drawn no q past the block of the last result it took.  A
     block costs a fixed number of LAPACK and numpy calls: the two band
     solves of `_band_solve`, one `np.minimum.reduceat` for the least z
     entry of every basis of every q, and one stacked `np.matmul` for
