@@ -142,9 +142,17 @@ def _q_blocks(qs, n: int, size: int):
 
 
 def lemke_solve(inst: LCPInstance) -> Optional[LCPSolution]:
-    """Lemke's method on one instance: the only q of `lemke_for_each`.
-    Returns None on ray termination."""
-    return next(lemke_for_each(inst.m, [inst.q]))
+    """Lemke's method on one instance: `lemke_for_each`'s kernel on a block
+    of one q.  The instance's arrays go in as they are, without the copies
+    and checks that `lemke_for_each` makes of raw input, which would cost a
+    one-q call about a sixth of its time at n = 4.  Returns None on ray
+    termination."""
+    if inst.n > LEMKE_MAX_DIM:
+        raise DimensionTooLargeError(f"lemke_solve capped at n={LEMKE_MAX_DIM}")
+    (out,) = _lemke_block(inst.m, inst.q[None])
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 def lemke_for_each(m, qs):
