@@ -199,8 +199,10 @@ def lemke_for_each(m, qs):
     n = mat.shape[0]
     if n > LEMKE_MAX_DIM:
         raise DimensionTooLargeError(f"lemke_solve capped at n={LEMKE_MAX_DIM}")
+    with np.errstate(over="ignore"):
+        piv_tol = _pivot_tol(mat)
     for block, error in _q_blocks(qs, n, _block_len(n * (2 * n + 2))):
-        for out in _lemke_block(mat, block):
+        for out in _lemke_block(mat, block, piv_tol):
             if isinstance(out, Exception):
                 raise out
             yield out
@@ -209,12 +211,14 @@ def lemke_for_each(m, qs):
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _lemke_block(mat: np.ndarray, qs: np.ndarray) -> list:
+def _lemke_block(mat: np.ndarray, qs: np.ndarray, piv_tol: Optional[float] = None) -> list:
     """The outcome of Lemke's method for each row q of `qs`: an LCPSolution,
-    None on ray termination, or the error to raise at that q."""
+    None on ray termination, or the error to raise at that q.  `piv_tol` is
+    computed, and the norm of M checked, when the caller has not."""
     n = mat.shape[0]
     z0 = 2 * n
-    piv_tol = 1e-11 * (1.0 + _finite_norm(mat))
+    if piv_tol is None:
+        piv_tol = _pivot_tol(mat)
     out: list = [None] * len(qs)
     ids = []
     for i, q_min in enumerate(qs.min(axis=1).tolist()):
@@ -278,6 +282,12 @@ def _lemke_block(mat: np.ndarray, qs: np.ndarray) -> list:
             tabs = tabs[keep]
             ids, bases, masks, seen, entering = ([a[j] for j in keep] for a in (ids, bases, masks, seen, entering))
     return out
+
+
+def _pivot_tol(mat: np.ndarray) -> float:
+    """The pivot tolerance 1e-11 (1 + ||M||_inf) of Lemke's ratio test; see
+    `_finite_norm`."""
+    return 1e-11 * (1.0 + _finite_norm(mat))
 
 
 def _per_tableau(idx: list) -> tuple:
@@ -499,8 +509,15 @@ def enumerate_solutions(inst: LCPInstance, tol: Tolerances = DEFAULT_TOL) -> Enu
     are skipped and counted.  Distinct solutions are merged within 1e-8.
     A z or w that leaves the float64 range, or an M whose row sums
     overflow, raises FloatRangeError.
+
+    `enumerate_for_each`'s block kernel on a block of one q, with the
+    instance's arrays as they are, as `lemke_solve` does.
     """
-    return next(enumerate_for_each(inst.m, [inst.q], tol))
+    table, thr_minor = _enumeration_table(inst.m, tol)
+    results, error = _enumerate_block(table, inst.m, inst.q[None], thr_minor)
+    if error is not None:
+        raise error
+    return results[0]
 
 
 def enumerate_for_each(m, qs, tol: Tolerances = DEFAULT_TOL):
@@ -544,17 +561,24 @@ def _enumeration_blocks(mat: np.ndarray, qs, tol: Tolerances, one_at_a_time: boo
     EnumerationResults answer, and the error to raise after them or None.
     Blocks hold one q each when `one_at_a_time`."""
     n = mat.shape[0]
-    if n > ENUM_MAX_DIM:
-        raise DimensionTooLargeError(f"enumeration capped at n={ENUM_MAX_DIM}")
-    with np.errstate(over="ignore"):
-        thr_minor = tol.minor_for(_finite_norm(mat), 1)
-    table = _basis_table(mat, tol)
+    table, thr_minor = _enumeration_table(mat, tol)
     for block, late_error in _q_blocks(qs, n, 1 if one_at_a_time else _block_len(n << (n - 1))):
         results, error = _enumerate_block(table, mat, block, thr_minor) if len(block) else ([], None)
         error = error if error is not None else late_error
         yield block[:len(results)], results, error
         if error is not None:
             return
+
+
+def _enumeration_table(mat: np.ndarray, tol: Tolerances) -> tuple[_BasisTable, float]:
+    """The basis table of `mat` and the sign threshold before its (1 + ||q||)
+    factor; raises on a matrix too large to enumerate or with an infinite
+    norm."""
+    if mat.shape[0] > ENUM_MAX_DIM:
+        raise DimensionTooLargeError(f"enumeration capped at n={ENUM_MAX_DIM}")
+    with np.errstate(over="ignore"):
+        thr_minor = tol.minor_for(_finite_norm(mat), 1)
+    return _basis_table(mat, tol), thr_minor
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -610,17 +634,28 @@ def cross_check_for_each(m, qs, tol: Tolerances = DEFAULT_TOL, one_at_a_time: bo
     one solution, the `lemke_for_each` outcome (a solution, or None on ray
     termination), else None.
 
-    Each block of the enumeration is followed by one Lemke batch over its q
-    with exactly one solution.  `one_at_a_time` makes every block one q, so
-    each q is drawn from `qs` only when it is examined.  An error is raised
-    at the q that caused it, after the results of the q before it.
+    Each block of the enumeration is followed by Lemke's method on its q
+    with exactly one solution, which the enumeration has checked, in
+    batches of at most `_BLOCK_ENTRIES` tableau entries.  `one_at_a_time`
+    makes every block one q, so each q is drawn from `qs` only when it is
+    examined.  An error is raised at the q that caused it, after the
+    results of the q before it.
     """
     mat = as_matrix(m)
+    size = _block_len(mat.shape[0] * (2 * mat.shape[0] + 2))
+    piv_tol = None
     for block, results, error in _enumeration_blocks(mat, qs, tol, one_at_a_time):
-        unique = np.array([len(res.solutions) == 1 for res in results], dtype=bool)
-        sols = lemke_for_each(mat, block[unique])
-        for q, res, one in zip(block, results, unique):
-            yield q, res, next(sols) if one else None
+        # the enumeration has checked that ||M||_inf is finite
+        piv_tol = piv_tol or _pivot_tol(mat)
+        one = [len(res.solutions) == 1 for res in results]
+        todo = block if all(one) else block[one]
+        sols = iter([out for start in range(0, len(todo), size)
+                     for out in _lemke_block(mat, todo[start:start + size], piv_tol)])
+        for q, res, unique in zip(block, results, one):
+            sol = next(sols) if unique else None
+            if isinstance(sol, Exception):
+                raise sol
+            yield q, res, sol
         if error is not None:
             raise error
 
@@ -646,13 +681,12 @@ def uniqueness_census(
     Consistent-with-P requires every tally to be exactly one (and no
     singular bases skipped; skips downgrade the verdict to inconclusive).
     When the count is one, Lemke's method must reproduce the solution
-    within 1e-6.  The q go through `cross_check_for_each`: the enumeration
-    of a block of q, then one Lemke batch over those with one solution, and
-    they are drawn one block at a time (`rng.uniform` of a (B, n) block
-    gives the doubles of B draws of n), so memory does not grow with
-    `trials`.  `stop_early` returns as soon as a count != 1 shows up, for
-    contrapositive sampling; each q is drawn from the seeded generator and
-    examined on its own, so the q after that one are never drawn.
+    within 1e-6.  The q are drawn lazily from the seeded generator and go
+    through `cross_check_for_each`: the enumeration of a block of q, then
+    one Lemke batch over those with one solution, so at most one block of q
+    is held at a time and memory does not grow with `trials`.  `stop_early`
+    returns as soon as a count != 1 shows up, for contrapositive sampling;
+    each q is examined on its own, so the q after that one are never drawn.
     `trials` below 1 raises ValueError: no verdict rests on zero samples.
     An M whose row sums overflow raises FloatRangeError.
     """
@@ -663,11 +697,7 @@ def uniqueness_census(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    if stop_early:
-        qs = (rng.uniform(-5.0, 5.0, n) for _ in range(trials))
-    else:
-        size = _block_len(n << (n - 1))
-        qs = (q for start in range(0, trials, size) for q in rng.uniform(-5.0, 5.0, (min(size, trials - start), n)))
+    qs = (rng.uniform(-5.0, 5.0, n) for _ in range(trials))
 
     zero = one = many = 0
     mismatches = rays = 0
